@@ -4,7 +4,8 @@ Commands: extract, validate, query, stats, geo. Standard output carries
 only data; all human-readable diagnostics go to standard error. ``-``
 reads standard input wherever a file is accepted.
 
-Exit codes: 0 success, 1 validation findings, 2 resource error,
+Exit codes: 0 success, 1 validation findings, 2 resource error (a
+missing or unreadable file or directory, or input that is not UTF-8),
 3 query or rule syntax error.
 """
 
@@ -12,8 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from . import corpus, model, rules as rules_mod
@@ -28,65 +27,43 @@ EXIT_RESOURCE = 2
 EXIT_SYNTAX = 3
 
 
-class OutputMode(Enum):
-    XML = "xml"
-    DEBUG = "debug"
-    TSV = "tsv"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    lexicons_dir: Path
-    rules_dir: Path
-    kb_dir: Path
-    output: OutputMode = OutputMode.XML
-    review: bool = False
-
-
 class ResourceError(Exception):
     pass
 
 
-def _load_resources(cfg: RunConfig):
-    for name, directory in (("lexicons", cfg.lexicons_dir),
-                            ("rules", cfg.rules_dir), ("kb", cfg.kb_dir)):
+def _load_resources(args):
+    root = default_data_root()
+    dirs = {name: Path(getattr(args, name)) if getattr(args, name) else root / name
+            for name in ("lexicons", "rules", "kb")}
+    for name, directory in dirs.items():
         if not directory.is_dir():
             raise ResourceError(f"{name} directory does not exist: {directory}")
     try:
-        lexicons = load_lexicon_set(cfg.lexicons_dir)
+        lexicons = load_lexicon_set(dirs["lexicons"])
     except (OSError, LexiconError) as exc:
         raise ResourceError(f"cannot load lexicons: {exc}") from exc
-    compiled_rules = rules_mod.load_rules(cfg.rules_dir)
-    kb = rules_mod.load_kb(cfg.kb_dir)
-    return lexicons, compiled_rules, kb
+    return lexicons, rules_mod.load_rules(dirs["rules"]), rules_mod.load_kb(dirs["kb"])
 
 
 def _read_input(name: str) -> str:
-    if name == "-":
-        return sys.stdin.read()
-    return Path(name).read_text(encoding="utf-8")
-
-
-def _cmd_extract(args, cfg: RunConfig) -> int:
     try:
-        lexicons, compiled, kb = _load_resources(cfg)
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except rules_mod.RuleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
+        if name == "-":
+            return sys.stdin.read()
+        return Path(name).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ResourceError(exc) from exc
+    except UnicodeDecodeError as exc:
+        raise ResourceError(f"{name}: not UTF-8 text: {exc}") from exc
+
+
+def _cmd_extract(args) -> int:
+    lexicons, compiled, kb = _load_resources(args)
     for name in args.inputs:
-        try:
-            text = _read_input(name)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
-        result = rules_mod.extract(text, lexicons, compiled, kb)
-        if cfg.output is OutputMode.DEBUG:
+        result = rules_mod.extract(_read_input(name), lexicons, compiled, kb)
+        if args.debug:
             sys.stdout.write(dump_parses(result.parses))
         sys.stdout.write(serialize_newsform(result.document))
-        if cfg.review:
+        if args.review:
             for diagnostic in result.diagnostics:
                 print(diagnostic.line(), file=sys.stderr)
             for fragment in result.fragments:
@@ -97,14 +74,10 @@ def _cmd_extract(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args, cfg: RunConfig) -> int:
+def _cmd_validate(args) -> int:
     findings = 0
     for name in args.files:
-        try:
-            text = _read_input(name)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
+        text = _read_input(name)
         try:
             doc = parse_newsform(text)
         except ValueError as exc:
@@ -128,56 +101,25 @@ def _corpus_index(corpus_arg: str):
     return index
 
 
-def _query_error(text: str, exc: corpus.QueryError) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    print(f"  {text}", file=sys.stderr)
-    print(f"  {' ' * exc.position}^", file=sys.stderr)
-    return EXIT_SYNTAX
-
-
-def _cmd_query(args, cfg: RunConfig) -> int:
-    try:
-        index = _corpus_index(args.corpus)
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    try:
-        expr = corpus.parse_query(args.query)
-        hits = corpus.evaluate_query(index, expr)
-    except corpus.QueryError as exc:
-        return _query_error(args.query, exc)
-    for hit in hits:
+def _cmd_query(args) -> int:
+    index = _corpus_index(args.corpus)
+    for hit in corpus.evaluate_query(index, corpus.parse_query(args.query)):
         print(f"{hit.doc_id}\t{hit.path}\t{hit.sort_value}")
     return EXIT_OK
 
 
-def _cmd_stats(args, cfg: RunConfig) -> int:
-    try:
-        index = _corpus_index(args.corpus)
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    try:
-        result = corpus.stats(index, args.variant, corpus.Bucket(args.bucket))
-    except corpus.QueryError as exc:
-        return _query_error(args.variant, exc)
+def _cmd_stats(args) -> int:
+    index = _corpus_index(args.corpus)
+    result = corpus.stats(index, args.variant, corpus.Bucket(args.bucket))
     for start, count in result.buckets:
         print(f"{start.strftime('%Y%m%d')}\t{count}")
     print(f"UNDATED\t{result.undated}")
     return EXIT_OK
 
 
-def _cmd_geo(args, cfg: RunConfig) -> int:
-    try:
-        index = _corpus_index(args.corpus)
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    try:
-        expr = corpus.parse_query(args.query)
-        distribution = corpus.geo_distribution(index, expr)
-    except corpus.QueryError as exc:
-        return _query_error(args.query, exc)
+def _cmd_geo(args) -> int:
+    index = _corpus_index(args.corpus)
+    distribution = corpus.geo_distribution(index, corpus.parse_query(args.query))
     for code, (positive, negative, other) in distribution.per_country:
         print(f"{code}\t{positive}\t{negative}\t{other}")
     positive, negative, other = distribution.unlocated
@@ -223,14 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    root = default_data_root()
-    cfg = RunConfig(
-        lexicons_dir=Path(args.lexicons) if args.lexicons else root / "lexicons",
-        rules_dir=Path(args.rules) if args.rules else root / "rules",
-        kb_dir=Path(args.kb) if args.kb else root / "kb",
-        output=OutputMode.DEBUG if getattr(args, "debug", False) else OutputMode.XML,
-        review=getattr(args, "review", False),
-    )
     command = {
         "extract": _cmd_extract,
         "validate": _cmd_validate,
@@ -238,7 +172,20 @@ def main(argv=None) -> int:
         "stats": _cmd_stats,
         "geo": _cmd_geo,
     }[args.command]
-    return command(args, cfg)
+    try:
+        return command(args)
+    except ResourceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except rules_mod.RuleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SYNTAX
+    except corpus.QueryError as exc:
+        text = args.variant if args.command == "stats" else args.query
+        print(f"error: {exc}", file=sys.stderr)
+        print(f"  {text}", file=sys.stderr)
+        print(f"  {' ' * exc.position}^", file=sys.stderr)
+        return EXIT_SYNTAX
 
 
 if __name__ == "__main__":

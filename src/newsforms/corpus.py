@@ -1,8 +1,8 @@
 """Corpus index and query engine over news-event documents.
 
 A corpus is a directory of ``*.newsform.xml`` files. The index holds the
-parsed documents, an inverted map from (event type, field path, value
-token) to document ids, and a dateline-time index. Queries are a
+parsed documents and an inverted map from (event type, field path, value
+token) to document ids. Queries are a
 conjunction of field-path predicates that must all hold on one event
 record, with optional sorting, and time windows; results equal brute-force
 evaluation on every corpus.
@@ -15,28 +15,28 @@ Query surface syntax::
 Operators: = != < <= > >= contains. A bare variant name matches every
 document containing an event of that type. Money literals are written
 ``USD:1000000.50``; comparing against a differently-denominated field is
-an error. Timestamps use the dateline format ``YYYYMMDDTHHMMSSZ``.
+an error. A ``NaN`` literal on a numeric field is an error. Sorting is
+on the exact value; equal keys keep document order in both directions.
+Timestamps use the dateline format ``YYYYMMDDTHHMMSSZ``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional
 
 from . import model
-from .model import FieldKind, FieldSpec, Money, NewsForm
+from .model import FieldKind, FieldSpec, Measure, Money, NewsForm
 from .vocab import Sentiment
 from .xmlcodec import FILE_EXTENSION, read_newsform
 
 _MONEY_LITERAL_RE = re.compile(r"^([A-Z]{3}):(-?\d+(?:\.\d+)?)$")
-
-_ORDERABLE = frozenset({FieldKind.INT, FieldKind.DECIMAL, FieldKind.TIMESTAMP,
-                        FieldKind.MONEY})
 
 _COMPARE_OPS = {"<", "<=", ">", ">="}
 _ALL_OPS = {"=", "!=", "<", "<=", ">", ">=", "contains"}
@@ -56,8 +56,13 @@ def _norm_number(value) -> str:
 
 
 def _posting_token(spec: FieldSpec, value) -> str:
+    """Index text of a value: numbers normalized, ``USD:2.5``, ``75 mph``."""
     if spec.kind in (FieldKind.INT, FieldKind.DECIMAL):
         return _norm_number(value)
+    if spec.kind is FieldKind.MONEY:
+        return f"{value.currency}:{_norm_number(value.amount)}"
+    if spec.kind is FieldKind.MEASURE:
+        return f"{_norm_number(value.value)} {value.unit}"
     return model.leaf_token(spec, value)
 
 
@@ -75,34 +80,27 @@ class IndexedDoc:
 class CorpusIndex:
     docs: list[IndexedDoc] = field(default_factory=list)
     postings: dict[tuple[str, str, str], set[str]] = field(default_factory=dict)
-    time_index: list[tuple[datetime, str]] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
     def doc(self, doc_id: str) -> IndexedDoc:
         return next(d for d in self.docs if d.doc_id == doc_id)
 
 
-def _leaf_postings(value, cls: type, prefix: str):
-    """Yield (dotted path, value token) for every populated leaf."""
-    for spec in model.specs_for(cls):
-        item = getattr(value, spec.attr)
-        if item is None or item == ():
+def _leaf_postings(record, prefix: str):
+    """Yield (dotted path, value token) for every populated leaf; a money
+    value is posted whole and by its Amount and Currency."""
+    # the inner loop of build_index, so it reads fields directly rather
+    # than through model.values_at
+    for spec in model.specs_for(type(record)):
+        value = getattr(record, spec.attr)
+        if value is None or value == ():
             continue
         path = f"{prefix}.{spec.element}" if prefix else spec.element
-        if spec.kind in model.LEAF_KINDS:
-            yield path, _posting_token(spec, item)
-        elif spec.kind is FieldKind.MONEY:
-            yield path, f"{item.currency}:{_norm_number(item.amount)}"
-            yield f"{path}.Amount", _norm_number(item.amount)
-            yield f"{path}.Currency", item.currency
-        elif spec.kind is FieldKind.MEASURE:
-            yield path, f"{_norm_number(item.value)} {item.unit}"
-        elif spec.kind in (FieldKind.PERSON, FieldKind.ORGANIZATION,
-                           FieldKind.LOCATION, FieldKind.ORG_OR_PERSON):
-            yield from _leaf_postings(item, type(item), path)
-        elif spec.kind in model.LIST_KINDS:
-            for element in item:
-                yield from _leaf_postings(element, type(element), path)
+        if not spec.records or spec.kind is FieldKind.MONEY:
+            yield path, _posting_token(spec, value)
+        if spec.records:
+            for item in value if spec.kind in model.LIST_KINDS else (value,):
+                yield from _leaf_postings(item, path)
 
 
 def build_index(paths: Iterable) -> CorpusIndex:
@@ -124,11 +122,8 @@ def build_index(paths: Iterable) -> CorpusIndex:
         index.docs.append(IndexedDoc(doc_id, str(path), form))
         for event in form.events:
             variant = model.ELEMENT_OF_EVENT[type(event)]
-            for leaf_path, token in _leaf_postings(event, type(event), ""):
+            for leaf_path, token in _leaf_postings(event, ""):
                 index.postings.setdefault((variant, leaf_path, token), set()).add(doc_id)
-        if form.head.dateline_time is not None:
-            index.time_index.append((form.head.dateline_time, doc_id))
-    index.time_index.sort(key=lambda pair: (pair[0], pair[1]))
     return index
 
 
@@ -163,40 +158,16 @@ class QueryExpr:
     until: Optional[datetime] = None
 
 
-def _resolve_path(variant_cls: type, dotted: str) -> Optional[tuple[FieldSpec, ...]]:
-    """Resolve a dotted path; person-or-organization hops try both sides."""
-
-    def step(classes: tuple[type, ...], parts: list[str]):
-        if not parts:
-            return None
-        head, *rest = parts
-        for cls in classes:
-            spec = model.spec_by_element(cls, head)
-            if spec is None:
-                continue
-            if not rest:
-                return (spec,)
-            nested = {
-                FieldKind.PERSON: (model.Person,),
-                FieldKind.PERSON_LIST: (model.Person,),
-                FieldKind.ORGANIZATION: (model.Organization,),
-                FieldKind.ORG_LIST: (model.Organization,),
-                FieldKind.LOCATION: (model.Location,),
-                FieldKind.MONEY: (model.Money,),
-                FieldKind.ORG_OR_PERSON: (model.Organization, model.Person),
-                FieldKind.ORG_OR_PERSON_LIST: (model.Organization, model.Person),
-            }.get(spec.kind)
-            if nested is None:
-                continue
-            tail = step(nested, rest)
-            if tail is not None:
-                return (spec,) + tail
-        return None
-
-    return step((variant_cls,), dotted.split("."))
-
-
 _TOKEN_SPLIT_RE = re.compile(r'"[^"]*"|\S+')
+
+_DATELINE = (model.spec_by_element(model.Head, "DatelineTime"),)
+
+
+def _is_nan(literal: str) -> bool:
+    try:
+        return Decimal(literal).is_nan()
+    except InvalidOperation:
+        return False
 
 
 def parse_query(text: str) -> QueryExpr:
@@ -248,15 +219,15 @@ def parse_query(text: str) -> QueryExpr:
                 sort_order = SortOrder(tokens[i][0].lower())
                 i += 1
             if path_token == "DatelineTime":
-                sort_path = "DatelineTime"
+                sort_path, sort_specs = path_token, _DATELINE
                 continue
             rel = split_variant(path_token, path_pos)
             if rel is None:
                 raise QueryError("sort path needs a field", path_pos)
-            specs = _resolve_path(model.EVENT_TYPES[variant], rel)
+            specs = model.resolve_path(model.EVENT_TYPES[variant], rel)
             if specs is None:
                 raise QueryError(f"unknown field path {path_token!r}", path_pos)
-            if specs[-1].kind not in _ORDERABLE:
+            if specs[-1].kind not in model.ORDERED_KINDS:
                 raise QueryError(
                     f"sort field {path_token!r} is not numeric, date, or money",
                     path_pos)
@@ -280,21 +251,24 @@ def parse_query(text: str) -> QueryExpr:
         if i + 2 >= len(tokens):
             raise QueryError(f"predicate on {token!r} needs an operator and value", pos)
         op_token, op_pos = tokens[i + 1]
-        value_token, _ = tokens[i + 2]
+        value_token, value_pos = tokens[i + 2]
         if op_token not in _ALL_OPS:
             raise QueryError(f"unknown operator {op_token!r}", op_pos)
-        specs = _resolve_path(model.EVENT_TYPES[variant], rel)
+        specs = model.resolve_path(model.EVENT_TYPES[variant], rel)
         if specs is None:
             raise QueryError(f"unknown field path {token!r}", pos)
         kind = specs[-1].kind
-        if op_token in _COMPARE_OPS and kind not in _ORDERABLE:
+        value = value_token.strip('"')
+        if op_token in _COMPARE_OPS and kind not in model.ORDERED_KINDS:
             raise QueryError(
                 f"operator {op_token!r} needs a numeric, date, or money field", op_pos)
         if kind is FieldKind.MONEY and op_token != "contains" \
                 and not _MONEY_LITERAL_RE.match(value_token):
             raise QueryError(
                 f"money literal must look like USD:100.50, got {value_token!r}", pos)
-        predicates.append(Predicate(rel, op_token, value_token.strip('"'), specs))
+        if kind in (FieldKind.INT, FieldKind.DECIMAL) and _is_nan(value):
+            raise QueryError(f"{value_token!r} is not a number", value_pos)
+        predicates.append(Predicate(rel, op_token, value, specs))
         i += 3
     if variant is None:
         raise QueryError("query names no event type")
@@ -305,65 +279,35 @@ def parse_query(text: str) -> QueryExpr:
 
 # -- evaluation --------------------------------------------------------------
 
-def _values_at(event, specs: tuple[FieldSpec, ...]):
-    """All populated values at a path; lists and either-type hops fan out."""
-    values = [event]
-    for spec in specs:
-        next_values = []
-        for value in values:
-            if value is None:
-                continue
-            item = getattr(value, spec.attr, None)
-            if item is None:
-                continue
-            if isinstance(item, tuple):
-                next_values.extend(item)
-            else:
-                next_values.append(item)
-        values = next_values
-    return [v for v in values if v is not None]
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _text(spec: FieldSpec, value) -> str:
+    """What ``contains`` and text equality see: the document token, or the
+    index text of a money or measure value."""
+    if isinstance(value, (Money, Measure)):
+        return _posting_token(spec, value)
+    return model.leaf_token(spec, value)
 
 
 def _predicate_holds(pred: Predicate, event) -> bool:
     spec = pred.specs[-1]
     kind = spec.kind
-    values = _values_at(event, pred.specs)
-    if not values:
-        return False
-    op = pred.op
-    for value in values:
-        if op == "contains":
-            if isinstance(value, Money):
-                token = f"{value.currency}:{_norm_number(value.amount)}"
-            elif kind is FieldKind.MEASURE:
-                token = f"{_norm_number(value.value)} {value.unit}"
-            else:
-                token = model.leaf_token(spec, value)
-            if pred.value.lower() in token.lower():
-                return True
-            continue
-        if kind is FieldKind.MEASURE:
-            lhs = f"{_norm_number(value.value)} {value.unit}"
-            if op == "=" and lhs == pred.value:
-                return True
-            if op == "!=" and lhs != pred.value:
+    for value in model.values_at(event, pred.specs):
+        if pred.op == "contains":
+            if pred.value.lower() in _text(spec, value).lower():
                 return True
             continue
         if kind is FieldKind.MONEY:
-            match = _MONEY_LITERAL_RE.match(pred.value)
-            currency, amount = match.group(1), Decimal(match.group(2))
+            currency, amount = _MONEY_LITERAL_RE.match(pred.value).groups()
             if value.currency != currency:
                 raise QueryError(
                     f"cannot compare {value.currency} amount with {currency} literal")
-            lhs, rhs = value.amount, amount
-        elif kind is FieldKind.INT:
+            lhs, rhs = value.amount, Decimal(amount)
+        elif kind in (FieldKind.INT, FieldKind.DECIMAL):
             try:
                 lhs, rhs = Decimal(value), Decimal(pred.value)
-            except InvalidOperation:
-                continue
-        elif kind is FieldKind.DECIMAL:
-            try:
-                lhs, rhs = value, Decimal(pred.value)
             except InvalidOperation:
                 continue
         elif kind is FieldKind.TIMESTAMP:
@@ -373,18 +317,8 @@ def _predicate_holds(pred: Predicate, event) -> bool:
                 continue
             lhs, rhs = value, rhs.replace(tzinfo=timezone.utc)
         else:
-            lhs, rhs = model.leaf_token(spec, value), pred.value
-        if op == "=" and lhs == rhs:
-            return True
-        if op == "!=" and lhs != rhs:
-            return True
-        if op == "<" and lhs < rhs:
-            return True
-        if op == "<=" and lhs <= rhs:
-            return True
-        if op == ">" and lhs > rhs:
-            return True
-        if op == ">=" and lhs >= rhs:
+            lhs, rhs = _text(spec, value), pred.value
+        if _COMPARE[pred.op](lhs, rhs):
             return True
     return False
 
@@ -429,7 +363,7 @@ def _candidate_ids(index: CorpusIndex, query: QueryExpr) -> Optional[set[str]]:
         if kind in (FieldKind.INT, FieldKind.DECIMAL):
             try:
                 token = _norm_number(Decimal(pred.value))
-            except InvalidOperation:
+            except (InvalidOperation, Overflow):   # not a number, or out of range
                 token = pred.value
         else:
             token = pred.value
@@ -450,36 +384,19 @@ def evaluate_query(index: CorpusIndex, query: QueryExpr) -> list[QueryHit]:
         if not events:
             continue
         sort_key = None
-        if query.sort_path == "DatelineTime":
-            stamp = doc.form.head.dateline_time
-            if stamp is not None:
-                sort_key = stamp
-        elif query.sort_path is not None:
-            for event in events:
-                values = _values_at(event, query.sort_specs)
-                if values:
-                    sort_key = values[0]
-                    break
-        if sort_key is None:
-            display = "-"
-        elif isinstance(sort_key, Money):
-            display = f"{sort_key.currency}:{_norm_number(sort_key.amount)}"
-        elif isinstance(sort_key, datetime):
-            display = sort_key.strftime(model.TIMESTAMP_FORMAT)
-        else:
-            display = _norm_number(sort_key)
+        if query.sort_path is not None:
+            records = (doc.form.head,) if query.sort_path == "DatelineTime" else events
+            sort_key = next((value for record in records
+                             for value in model.values_at(record, query.sort_specs)), None)
+        display = "-" if sort_key is None else _posting_token(query.sort_specs[-1], sort_key)
         hits.append((sort_key, QueryHit(doc.doc_id, doc.path, display)))
     if query.sort_path is not None:
-        def order_key(pair):
-            sort_key, hit = pair
-            if sort_key is None:
-                return (1, 0)
-            value = sort_key.amount if isinstance(sort_key, Money) else sort_key
-            if isinstance(value, datetime):
-                value = value.timestamp()
-            value = float(value)
-            return (0, -value if query.sort_order is SortOrder.DESC else value)
-        hits.sort(key=order_key)  # stable: equal keys keep doc order
+        keyed = [pair for pair in hits if pair[0] is not None]
+        # exact values; the sort is stable under reverse too, so equal keys
+        # keep doc order; hits without a key follow in doc order
+        keyed.sort(key=lambda pair: pair[0].amount if isinstance(pair[0], Money) else pair[0],
+                   reverse=query.sort_order is SortOrder.DESC)
+        hits = keyed + [pair for pair in hits if pair[0] is None]
     return [hit for _, hit in hits]
 
 
@@ -558,14 +475,9 @@ def resolve_event_country(event) -> Optional[str]:
         if location is not None and location.country:
             return location.country
     for spec in model.specs_for(type(event)):
-        if spec.kind in (FieldKind.PERSON, FieldKind.ORG_OR_PERSON):
-            value = getattr(event, spec.attr)
+        for value in model.values_at(event, (spec,)):
             if isinstance(value, model.Person) and value.country:
                 return value.country
-        elif spec.kind in (FieldKind.PERSON_LIST, FieldKind.ORG_OR_PERSON_LIST):
-            for item in getattr(event, spec.attr):
-                if isinstance(item, model.Person) and item.country:
-                    return item.country
     return None
 
 

@@ -91,8 +91,11 @@ def format_decimal(value: Decimal) -> str:
 # Field schema
 #
 # Every document type declares its children once, in canonical (output)
-# order. The specs drive construction-time normalization, validation, the
-# XML codec, rule-template compilation, and query path resolution.
+# order. Each spec also carries the record classes its kind holds
+# (``records``), so path resolution, validation, the XML codec, the
+# rule-template compiler and the corpus index all branch on the spec, not on
+# their own kind lists. ``resolve_path`` and ``values_at`` are the one path
+# resolver and value walker over this schema.
 
 class FieldKind(Enum):
     TEXT = "text"
@@ -140,12 +143,13 @@ class FieldSpec:
     min_value: Optional[Decimal] = None
     max_value: Optional[Decimal] = None
     min_exclusive: bool = False
+    records: tuple[type, ...] = ()   # record classes a value may be; () for leaves
 
 
 def _spec(element, attr, kind, enum=None, lo=None, hi=None, lo_open=False):
     lo = Decimal(lo) if lo is not None else None
     hi = Decimal(hi) if hi is not None else None
-    return FieldSpec(element, attr, kind, enum, lo, hi, lo_open)
+    return FieldSpec(element, attr, kind, enum, lo, hi, lo_open, _RECORDS.get(kind, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +484,20 @@ class NewsForm(_Record):
             object.__setattr__(self, "events", tuple(self.events))
 
 
+# The record classes of each composite kind; person-or-organization
+# values try Organization first.
+_RECORDS = {
+    FieldKind.MONEY: (Money,),
+    FieldKind.PERSON: (Person,),
+    FieldKind.PERSON_LIST: (Person,),
+    FieldKind.ORGANIZATION: (Organization,),
+    FieldKind.ORG_LIST: (Organization,),
+    FieldKind.LOCATION: (Location,),
+    FieldKind.ORG_OR_PERSON: (Organization, Person),
+    FieldKind.ORG_OR_PERSON_LIST: (Organization, Person),
+}
+
+
 # ---------------------------------------------------------------------------
 # Child registry, in canonical output order.
 #
@@ -729,11 +747,10 @@ EVENT_TYPES: dict[str, type] = {
     "Weather": Weather,
 }
 
-EVENT_ELEMENTS = tuple(EVENT_TYPES)
 ELEMENT_OF_EVENT = {cls: name for name, cls in EVENT_TYPES.items()}
 
-VALUE_ELEMENTS = {Person: "Person", Organization: "Organization",
-                  Location: "Location", Money: "Money"}
+_SPEC_OF_ELEMENT = {cls: {spec.element: spec for spec in specs}
+                    for cls, specs in CHILD_SPECS.items()}
 
 
 def specs_for(cls: type) -> tuple[FieldSpec, ...]:
@@ -741,10 +758,46 @@ def specs_for(cls: type) -> tuple[FieldSpec, ...]:
 
 
 def spec_by_element(cls: type, element: str) -> Optional[FieldSpec]:
-    for spec in CHILD_SPECS[cls]:
-        if spec.element == element:
-            return spec
-    return None
+    return _SPEC_OF_ELEMENT[cls].get(element)
+
+
+def resolve_path(cls: type, dotted: str) -> Optional[tuple[FieldSpec, ...]]:
+    """Spec chain of a dotted element path below a record class, or None.
+
+    A hop through a field of several record classes (person or
+    organization) tries each class in turn; list fields resolve like
+    single ones.
+    """
+
+    def step(classes: tuple[type, ...], parts: list[str]):
+        head, *rest = parts
+        for owner in classes:
+            spec = spec_by_element(owner, head)
+            if spec is None:
+                continue
+            if not rest:
+                return (spec,)
+            tail = step(spec.records, rest)
+            if tail is not None:
+                return (spec,) + tail
+        return None
+
+    return step((cls,), dotted.split("."))
+
+
+def values_at(record, specs: tuple[FieldSpec, ...]) -> list:
+    """All populated values at a spec chain; list fields fan out."""
+    values = [record]
+    for spec in specs:
+        next_values = []
+        for value in values:
+            item = getattr(value, spec.attr, None)
+            if isinstance(item, tuple):
+                next_values.extend(v for v in item if v is not None)
+            elif item is not None:
+                next_values.append(item)
+        values = next_values
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -847,10 +900,13 @@ def _walk(out, path, record):
         if value is None:
             continue
         child = _join(path, spec.element)
-        if spec.kind in LEAF_KINDS:
-            _check_leaf(out, child, spec, value)
-        elif spec.kind is FieldKind.MONEY:
-            _check_record(out, child, value, (Money,))
+        if spec.kind in LIST_KINDS:
+            items = value if isinstance(value, tuple) else (value,)
+            for i, item in enumerate(items, start=1):
+                item_path = child if len(items) == 1 else f"{child}[{i}]"
+                _check_record(out, item_path, item, spec.records)
+        elif spec.records:
+            _check_record(out, child, value, spec.records)
         elif spec.kind is FieldKind.MEASURE:
             if not isinstance(value, Measure):
                 out.append(Finding(child, "type", f"expected Measure, got {type(value).__name__}"))
@@ -859,24 +915,8 @@ def _walk(out, path, record):
                     out.append(Finding(child, "type", "measure value must be a finite Decimal"))
                 if not isinstance(value.unit, str) or not _TOKEN_RE.match(value.unit):
                     out.append(Finding(child, "unit", f"measure unit must be a token: {value.unit!r}"))
-        elif spec.kind is FieldKind.PERSON:
-            _check_record(out, child, value, (Person,))
-        elif spec.kind is FieldKind.ORGANIZATION:
-            _check_record(out, child, value, (Organization,))
-        elif spec.kind is FieldKind.LOCATION:
-            _check_record(out, child, value, (Location,))
-        elif spec.kind is FieldKind.ORG_OR_PERSON:
-            _check_record(out, child, value, (Organization, Person))
-        elif spec.kind in LIST_KINDS:
-            expected = {
-                FieldKind.PERSON_LIST: (Person,),
-                FieldKind.ORG_LIST: (Organization,),
-                FieldKind.ORG_OR_PERSON_LIST: (Organization, Person),
-            }[spec.kind]
-            items = value if isinstance(value, tuple) else (value,)
-            for i, item in enumerate(items, start=1):
-                item_path = child if len(items) == 1 else f"{child}[{i}]"
-                _check_record(out, item_path, item, expected)
+        else:
+            _check_leaf(out, child, spec, value)
 
 
 def _check_event_rules(out, path, event):
@@ -920,7 +960,7 @@ def validate(doc: NewsForm) -> ValidationReport:
 @dataclass(frozen=True)
 class _SentimentRule:
     variant: str
-    field: Optional[str]
+    spec: Optional[FieldSpec]   # None: the row matches every event
     value: Optional[str]
     sentiment: Sentiment
 
@@ -945,9 +985,10 @@ def _sentiment_rules() -> tuple[_SentimentRule, ...]:
             field, value = cond.split("=", 1)
         else:
             field, value = cond, None
-        if field is not None and spec_by_element(EVENT_TYPES[variant], field) is None:
+        spec = None if field is None else spec_by_element(EVENT_TYPES[variant], field)
+        if field is not None and spec is None:
             raise ValueError(f"sentiment.tsv:{lineno}: unknown field {field!r}")
-        rules.append(_SentimentRule(variant, field, value, Sentiment(sentiment)))
+        rules.append(_SentimentRule(variant, spec, value, Sentiment(sentiment)))
     return tuple(rules)
 
 
@@ -972,12 +1013,11 @@ def classify_sentiment(event: NewsEvent) -> Sentiment:
     for rule in _sentiment_rules():
         if rule.variant != name:
             continue
-        if rule.field is None:
+        if rule.spec is None:
             return rule.sentiment
-        spec = spec_by_element(type(event), rule.field)
-        value = getattr(event, spec.attr)
+        value = getattr(event, rule.spec.attr)
         if value is None:
             continue
-        if rule.value is None or leaf_token(spec, value) == rule.value:
+        if rule.value is None or leaf_token(rule.spec, value) == rule.value:
             return rule.sentiment
     return Sentiment.OTHER

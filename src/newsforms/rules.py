@@ -105,18 +105,7 @@ class ExtractionRule:
     template: Template
     priority: int
     order: int
-
-    @property
-    def slots(self) -> dict:
-        out = {}
-        def walk(atoms):
-            for atom in atoms:
-                if isinstance(atom, Slot):
-                    out[atom.var] = atom.kind
-                elif isinstance(atom, OptionalGroup):
-                    walk(atom.atoms)
-        walk(self.atoms)
-        return out
+    slots: dict  # slot variable -> ReadingKind
 
 
 _SLOT_RE = re.compile(r"^\?([A-Za-z]+)(?::([A-Za-z][A-Za-z0-9_]*))?$")
@@ -211,36 +200,13 @@ def _compile_template_value(rule_id, spec: FieldSpec, elem: ET.Element, slots):
                 f"element <{spec.element}>",
             )
         return VarRef(var)
-    if spec.kind in model.LEAF_KINDS or spec.kind is FieldKind.MEASURE:
-        if children:
-            raise RuleError(rule_id, f"<{spec.element}> must hold a value, not elements")
-        try:
-            value = xmlcodec._parse_field(elem, spec, spec.element)
-        except ValueError as exc:
-            raise RuleError(rule_id, f"bad constant for <{spec.element}>: {exc}") from None
-        if spec.kind in model.LEAF_KINDS:
-            findings: list = []
-            model._check_leaf(findings, spec.element, spec, value)
-            if findings:
-                raise RuleError(
-                    rule_id, f"bad constant for <{spec.element}>: {findings[0].message}")
-        return value
-    # composite constant or mixed composite with variable leaves
-    cls = {
-        FieldKind.MONEY: model.Money,
-        FieldKind.PERSON: model.Person,
-        FieldKind.PERSON_LIST: model.Person,
-        FieldKind.ORGANIZATION: model.Organization,
-        FieldKind.ORG_LIST: model.Organization,
-        FieldKind.LOCATION: model.Location,
-    }.get(spec.kind)
-    if cls is None:
-        # person-or-organization fields accept a wrapped constant only
-        try:
-            return xmlcodec._parse_field(elem, spec, spec.element)
-        except ValueError as exc:
-            raise RuleError(rule_id, f"bad constant for <{spec.element}>: {exc}") from None
-    if any((child.text or "").strip().startswith("?") for child in children):
+    if not spec.records and children:
+        raise RuleError(rule_id, f"<{spec.element}> must hold a value, not elements")
+    # a record of one class may mix constant and variable leaves;
+    # person-or-organization fields accept a wrapped constant only
+    if len(spec.records) == 1 and \
+            any((child.text or "").strip().startswith("?") for child in children):
+        cls = spec.records[0]
         parts = []
         for child in children:
             child_spec = model.spec_by_element(cls, child.tag)
@@ -249,9 +215,16 @@ def _compile_template_value(rule_id, spec: FieldSpec, elem: ET.Element, slots):
             parts.append((child_spec, _compile_template_value(rule_id, child_spec, child, slots)))
         return Composite(cls, tuple(parts))
     try:
-        return xmlcodec._parse_field(elem, spec, spec.element)
+        value = xmlcodec._parse_field(elem, spec, spec.element)
     except ValueError as exc:
         raise RuleError(rule_id, f"bad constant for <{spec.element}>: {exc}") from None
+    if spec.kind in model.LEAF_KINDS:
+        findings: list = []
+        model._check_leaf(findings, spec.element, spec, value)
+        if findings:
+            raise RuleError(
+                rule_id, f"bad constant for <{spec.element}>: {findings[0].message}")
+    return value
 
 
 def _compile_template(rule_id: str, source: str, slots) -> Template:
@@ -309,7 +282,8 @@ def compile_rules(source: str) -> list[ExtractionRule]:
         collect(atoms)
         template = _compile_template(rule_id, template_src.strip(), slots)
         rules.append(ExtractionRule(rule_id, atoms, template,
-                                    priority=_literal_count(atoms), order=order))
+                                    priority=_literal_count(atoms), order=order,
+                                    slots=slots))
     return rules
 
 
@@ -399,10 +373,6 @@ class _BindError(Exception):
     pass
 
 
-def _mention_surface(parse: SentenceParse, mention: EntityMention) -> str:
-    return parse.mention_text(mention)
-
-
 def _reading_for(mention: EntityMention, kind: ReadingKind) -> EntityReading:
     for reading in mention.readings:
         if reading.kind is kind:
@@ -415,19 +385,12 @@ def _convert(spec: FieldSpec, kind: ReadingKind, mention: EntityMention,
     reading = _reading_for(mention, kind)
     value = reading.value
     fk = spec.kind
-    if fk in (FieldKind.PERSON, FieldKind.PERSON_LIST,
-              FieldKind.ORGANIZATION, FieldKind.ORG_LIST,
-              FieldKind.ORG_OR_PERSON, FieldKind.ORG_OR_PERSON_LIST,
-              FieldKind.LOCATION, FieldKind.MONEY):
+    if spec.records or fk in (FieldKind.DECIMAL, FieldKind.MEASURE):
         return value
     if fk is FieldKind.INT:
         if value != value.to_integral_value():
             raise _BindError(f"{value} is not an integer count")
         return int(value)
-    if fk is FieldKind.DECIMAL:
-        return value
-    if fk is FieldKind.MEASURE:
-        return value
     if fk is FieldKind.COUNTRY:
         if isinstance(value, model.Location) and value.country:
             return value.country
@@ -443,7 +406,7 @@ def _convert(spec: FieldSpec, kind: ReadingKind, mention: EntityMention,
             return value.ticker
         raise _BindError("organization has no ticker")
     if fk is FieldKind.ENUM:
-        token = value if isinstance(value, str) else _mention_surface(parse, mention)
+        token = value if isinstance(value, str) else parse.mention_text(mention)
         try:
             return spec.enum(token)
         except ValueError:
@@ -454,12 +417,12 @@ def _convert(spec: FieldSpec, kind: ReadingKind, mention: EntityMention,
         return value.function
     if isinstance(value, str):
         return value
-    return _mention_surface(parse, mention)
+    return parse.mention_text(mention)
 
 
 def _alternate_values(spec: FieldSpec, kind: ReadingKind, mention: EntityMention):
     """Other person/organization readings a slot could have taken."""
-    if spec.kind not in (FieldKind.ORG_OR_PERSON, FieldKind.ORG_OR_PERSON_LIST):
+    if len(spec.records) < 2:
         return ()
     other = (ReadingKind.ORGANIZATION if kind is ReadingKind.PERSON
              else ReadingKind.PERSON)
@@ -611,9 +574,10 @@ def merge_fragments(fragments: Sequence[Fragment]) -> MergeOutcome:
 
 @dataclass(frozen=True)
 class Condition:
-    path: str
-    op: str          # set | empty | ambiguous | eq | ne | lt | gt
-    value: Optional[str] = None  # token or comparison path
+    specs: tuple[FieldSpec, ...]    # the field tested
+    op: str                         # set | empty | ambiguous | eq | ne | lt | gt
+    value: Optional[str] = None     # token compared against, unless ...
+    value_specs: Optional[tuple[FieldSpec, ...]] = None  # ... it names a field
 
 
 @dataclass(frozen=True)
@@ -622,62 +586,45 @@ class CommonsenseRule:
     variant: str
     conditions: tuple[Condition, ...]
     action: str      # RejectFragment | DropField | PreferReading
-    target: Optional[str] = None
+    target: Optional[FieldSpec] = None   # the field DropField/PreferReading acts on
+    prefer: Optional[type] = None        # the record class PreferReading wants
 
 
 _ACTIONS = {"RejectFragment", "DropField", "PreferReading"}
+_PREFERABLE = {"Person": model.Person, "Organization": model.Organization}
 
 
-def _resolve_path(cls: type, path: str):
-    """Spec chain for a dotted field path, or None when it does not resolve."""
-    specs = []
-    current: Optional[type] = cls
-    for part in path.split("."):
-        if current is None:
-            return None
-        spec = model.spec_by_element(current, part)
-        if spec is None:
-            return None
-        specs.append(spec)
-        current = {
-            FieldKind.PERSON: model.Person,
-            FieldKind.ORGANIZATION: model.Organization,
-            FieldKind.LOCATION: model.Location,
-            FieldKind.MONEY: model.Money,
-        }.get(spec.kind)
-    return tuple(specs)
-
-
-def _path_value(event, specs):
-    value = event
-    for spec in specs:
-        if value is None:
-            return None, specs[-1]
-        value = getattr(value, spec.attr)
-    if isinstance(value, tuple) and not value:
-        value = None
-    return value, specs[-1]
+def _kb_path(cls: type, path: str) -> Optional[tuple[FieldSpec, ...]]:
+    """Spec chain of a condition path, or None. Conditions read one value,
+    so the path may end at, but not pass through, a list field or a field
+    of several record classes."""
+    specs = model.resolve_path(cls, path)
+    if specs is None or any(spec.kind in model.LIST_KINDS or len(spec.records) > 1
+                            for spec in specs[:-1]):
+        return None
+    return specs
 
 
 def _parse_condition(rule_id: str, variant_cls: type, atom: str) -> Condition:
     atom = atom.strip()
     for op_text, op in (("!=", "ne"), ("<", "lt"), (">", "gt"), ("=", "eq")):
         if op_text in atom:
-            lhs, rhs = atom.split(op_text, 1)
-            lhs, rhs = lhs.strip(), rhs.strip()
-            if _resolve_path(variant_cls, lhs) is None:
-                raise RuleError(rule_id, f"unknown field path {lhs!r}")
-            return Condition(lhs, op, rhs)
-    parts = atom.split()
-    if len(parts) == 2 and parts[1] in ("set", "empty", "ambiguous"):
-        path, op = parts[0], parts[1]
-    elif len(parts) == 1:
-        path, op = parts[0], "set"
+            lhs, op_value = (side.strip() for side in atom.split(op_text, 1))
+            break
     else:
-        raise RuleError(rule_id, f"bad condition {atom!r}")
-    if _resolve_path(variant_cls, path) is None:
-        raise RuleError(rule_id, f"unknown field path {path!r}")
-    return Condition(path, op)
+        parts = atom.split()
+        if len(parts) == 2 and parts[1] in ("set", "empty", "ambiguous"):
+            lhs, op = parts
+        elif len(parts) == 1:
+            lhs, op = parts[0], "set"
+        else:
+            raise RuleError(rule_id, f"bad condition {atom!r}")
+        op_value = None
+    specs = _kb_path(variant_cls, lhs)
+    if specs is None:
+        raise RuleError(rule_id, f"unknown field path {lhs!r}")
+    value_specs = _kb_path(variant_cls, op_value) if op_value else None
+    return Condition(specs, op, None if value_specs else op_value, value_specs)
 
 
 def compile_kb(source: str) -> list[CommonsenseRule]:
@@ -697,19 +644,22 @@ def compile_kb(source: str) -> list[CommonsenseRule]:
         cls = model.EVENT_TYPES[variant]
         conditions = tuple(_parse_condition(rule_id, cls, atom)
                            for atom in when.split("&"))
-        target_value = None if target in ("", "-") else target
+        target_spec = prefer = None
         if action == "DropField":
-            if target_value is None or model.spec_by_element(cls, target_value) is None:
+            target_spec = model.spec_by_element(cls, target)
+            if target_spec is None:
                 raise RuleError(rule_id, f"DropField target {target!r} is not a field")
         if action == "PreferReading":
-            if target_value is None or ":" not in target_value:
+            if ":" not in target:
                 raise RuleError(rule_id, "PreferReading target must be Field:Kind")
-            field_name, kind_name = target_value.split(":", 1)
-            if model.spec_by_element(cls, field_name) is None:
+            field_name, kind_name = target.split(":", 1)
+            target_spec = model.spec_by_element(cls, field_name)
+            if target_spec is None:
                 raise RuleError(rule_id, f"unknown field {field_name!r}")
-            if kind_name not in ("Person", "Organization"):
+            prefer = _PREFERABLE.get(kind_name)
+            if prefer is None:
                 raise RuleError(rule_id, "PreferReading kind must be Person or Organization")
-        rules.append(CommonsenseRule(rule_id, variant, conditions, action, target_value))
+        rules.append(CommonsenseRule(rule_id, variant, conditions, action, target_spec, prefer))
     return rules
 
 
@@ -721,27 +671,28 @@ def load_kb(directory) -> list[CommonsenseRule]:
     return rules
 
 
-def _condition_holds(cond: Condition, draft: EventDraft, cls: type) -> bool:
-    specs = _resolve_path(cls, cond.path)
-    value, last_spec = _path_value(draft.event, specs)
+def _value_at(event, specs):
+    values = model.values_at(event, specs)
+    return values[0] if values else None
+
+
+def _condition_holds(cond: Condition, draft: EventDraft) -> bool:
+    value = _value_at(draft.event, cond.specs)
     if cond.op == "set":
         return value is not None
     if cond.op == "empty":
         return value is None
     if cond.op == "ambiguous":
-        return bool(draft.alternatives.get(specs[0].attr))
+        return bool(draft.alternatives.get(cond.specs[0].attr))
     if value is None:
         return False
-    token = model.leaf_token(last_spec, value)
-    rhs_specs = _resolve_path(cls, cond.value) if cond.value else None
-    if rhs_specs is not None:
-        rhs_value, rhs_spec = _path_value(draft.event, rhs_specs)
+    token = model.leaf_token(cond.specs[-1], value)
+    rhs_value, rhs_token = None, cond.value
+    if cond.value_specs is not None:
+        rhs_value = _value_at(draft.event, cond.value_specs)
         if rhs_value is None:
             return False
-        rhs_token = model.leaf_token(rhs_spec, rhs_value)
-    else:
-        rhs_token = cond.value
-        rhs_value = None
+        rhs_token = model.leaf_token(cond.value_specs[-1], rhs_value)
     if cond.op == "eq":
         return token == rhs_token
     if cond.op == "ne":
@@ -776,7 +727,7 @@ def apply_commonsense(events: Sequence, kb: Sequence[CommonsenseRule]):
         for rule in kb:
             if rule.variant != name:
                 continue
-            if not all(_condition_holds(c, draft, cls) for c in rule.conditions):
+            if not all(_condition_holds(c, draft) for c in rule.conditions):
                 continue
             if rule.action == "RejectFragment":
                 diagnostics.append(Diagnostic(
@@ -784,25 +735,23 @@ def apply_commonsense(events: Sequence, kb: Sequence[CommonsenseRule]):
                     f"{name}[{index + 1}] removed"))
                 rejected = True
                 break
+            spec = rule.target
             if rule.action == "DropField":
-                spec = model.spec_by_element(cls, rule.target)
                 cleared = () if spec.kind in model.LIST_KINDS else None
                 draft.event = replace(draft.event, **{spec.attr: cleared})
                 draft.alternatives.pop(spec.attr, None)
                 diagnostics.append(Diagnostic(
                     "commonsense", rule.rule_id, "DropField",
-                    f"{name}[{index + 1}]/{rule.target} cleared"))
+                    f"{name}[{index + 1}]/{spec.element} cleared"))
             elif rule.action == "PreferReading":
-                field_name, kind_name = rule.target.split(":", 1)
-                spec = model.spec_by_element(cls, field_name)
-                wanted = model.Organization if kind_name == "Organization" else model.Person
                 alts = draft.alternatives.get(spec.attr, ())
-                chosen = next((v for v in alts if isinstance(v, wanted)), None)
+                chosen = next((v for v in alts if isinstance(v, rule.prefer)), None)
                 if chosen is not None:
                     draft.event = replace(draft.event, **{spec.attr: chosen})
                     diagnostics.append(Diagnostic(
                         "commonsense", rule.rule_id, "PreferReading",
-                        f"{name}[{index + 1}]/{field_name} rebound to {kind_name}"))
+                        f"{name}[{index + 1}]/{spec.element} rebound to "
+                        f"{rule.prefer.__name__}"))
                 draft.alternatives.pop(spec.attr, None)
         if not rejected:
             survivors.append(draft)

@@ -177,22 +177,23 @@ def _leaf_text(elem: ET.Element, path: str) -> str:
 
 
 def _parse_field(elem: ET.Element, spec: model.FieldSpec, path: str):
+    if len(spec.records) > 1:
+        return _parse_org_or_person(elem, path)
+    if spec.kind is FieldKind.MONEY:
+        return _parse_money(elem, path)
+    if spec.records:
+        return _parse_record(elem, spec.records[0], path)
     kind = spec.kind
-    if kind in (FieldKind.TEXT, FieldKind.TOKEN, FieldKind.COUNTRY,
-                FieldKind.STATE, FieldKind.CURRENCY, FieldKind.TICKER):
-        return _leaf_text(elem, path)
+    text = _leaf_text(elem, path)
     if kind is FieldKind.INT:
-        text = _leaf_text(elem, path)
         if not _INT_RE.match(text):
             raise FieldTypeError(path, f"not an integer: {text!r}")
         return int(text)
     if kind is FieldKind.DECIMAL:
-        text = _leaf_text(elem, path)
         if not _DECIMAL_RE.match(text):
             raise FieldTypeError(path, f"not a decimal number: {text!r}")
         return Decimal(text)
     if kind is FieldKind.TIMESTAMP:
-        text = _leaf_text(elem, path)
         try:
             stamp = datetime.strptime(text, model.TIMESTAMP_FORMAT)
         except ValueError:
@@ -201,28 +202,16 @@ def _parse_field(elem: ET.Element, spec: model.FieldSpec, path: str):
             ) from None
         return stamp.replace(tzinfo=timezone.utc)
     if kind is FieldKind.ENUM:
-        text = _leaf_text(elem, path)
         try:
             return spec.enum(text)
         except ValueError:
             return text  # kept verbatim; validate() reports the vocabulary error
     if kind is FieldKind.MEASURE:
-        text = _leaf_text(elem, path)
         match = _MEASURE_RE.match(text)
         if not match:
             raise FieldTypeError(path, f"not a 'value unit' measure: {text!r}")
         return Measure(Decimal(match.group(1)), match.group(2))
-    if kind is FieldKind.MONEY:
-        return _parse_money(elem, path)
-    if kind is FieldKind.LOCATION:
-        return _parse_record(elem, Location, path)
-    if kind in (FieldKind.PERSON, FieldKind.PERSON_LIST):
-        return _parse_record(elem, Person, path)
-    if kind in (FieldKind.ORGANIZATION, FieldKind.ORG_LIST):
-        return _parse_record(elem, Organization, path)
-    if kind in (FieldKind.ORG_OR_PERSON, FieldKind.ORG_OR_PERSON_LIST):
-        return _parse_org_or_person(elem, path)
-    raise AssertionError(f"unhandled field kind {kind}")
+    return text
 
 
 def _parse_money(elem: ET.Element, path: str) -> Money:
@@ -297,25 +286,14 @@ def serialize_newsform(doc: NewsForm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _leaf_value_text(spec: model.FieldSpec, value) -> str:
-    if spec.kind is FieldKind.TIMESTAMP:
-        return value.strftime(model.TIMESTAMP_FORMAT)
-    if isinstance(value, Decimal):
-        return format_decimal(value)
-    return escape(model.leaf_token(spec, value))
-
-
 def _inline(element: str, record) -> str:
     """Single-line form used for person/organization/money values."""
-    if isinstance(record, Money):
-        return (f"<{element}><Amount>{format_decimal(record.amount)}</Amount>"
-                f"<Currency>{escape(record.currency)}</Currency></{element}>")
     parts = []
     for spec in model.specs_for(type(record)):
         value = getattr(record, spec.attr)
         if value is None:
             continue
-        parts.append(f"<{spec.element}>{_leaf_value_text(spec, value)}</{spec.element}>")
+        parts.append(f"<{spec.element}>{escape(model.leaf_token(spec, value))}</{spec.element}>")
     if not parts:
         return f"<{element}/>"
     return f"<{element}>{''.join(parts)}</{element}>"
@@ -329,47 +307,30 @@ def _needs_wrapper(record) -> bool:
     return True
 
 
-def _inline_org_or_person(element: str, record) -> str:
-    if _needs_wrapper(record):
-        kind = "Person" if isinstance(record, Person) else "Organization"
-        inner = _inline(kind, record)
-        return f"<{element}>{inner}</{element}>"
-    return _inline(element, record)
+def _inline_field(spec: model.FieldSpec, value) -> str:
+    """Single-line form of any value but a location."""
+    if len(spec.records) > 1 and _needs_wrapper(value):
+        return f"<{spec.element}>{_inline(type(value).__name__, value)}</{spec.element}>"
+    if spec.records:
+        return _inline(spec.element, value)
+    if spec.kind is FieldKind.MEASURE:
+        text = f"{format_decimal(value.value)} {escape(value.unit)}"
+    else:
+        text = escape(model.leaf_token(spec, value))
+    return f"<{spec.element}>{text}</{spec.element}>"
 
 
 def _write_record(lines: list[str], record, element: str, indent: str):
-    specs = model.specs_for(type(record))
-    populated = [(s, getattr(record, s.attr)) for s in specs]
-    populated = [(s, v) for s, v in populated if v is not None and v != ()]
+    populated = [(spec, item) for spec in model.specs_for(type(record))
+                 for item in model.values_at(record, (spec,))]
     if not populated:
         lines.append(f"{indent}<{element}/>")
         return
     lines.append(f"{indent}<{element}>")
     inner = indent + "  "
-    for spec, value in populated:
-        kind = spec.kind
-        if kind in model.LEAF_KINDS:
-            lines.append(f"{inner}<{spec.element}>{_leaf_value_text(spec, value)}</{spec.element}>")
-        elif kind is FieldKind.MEASURE:
-            text = f"{format_decimal(value.value)} {escape(value.unit)}"
-            lines.append(f"{inner}<{spec.element}>{text}</{spec.element}>")
-        elif kind is FieldKind.MONEY:
-            lines.append(inner + _inline(spec.element, value))
-        elif kind in (FieldKind.PERSON, FieldKind.ORGANIZATION):
-            lines.append(inner + _inline(spec.element, value))
-        elif kind is FieldKind.ORG_OR_PERSON:
-            lines.append(inner + _inline_org_or_person(spec.element, value))
-        elif kind is FieldKind.LOCATION:
-            _write_record(lines, value, spec.element, inner)
-        elif kind is FieldKind.PERSON_LIST:
-            for person in value:
-                lines.append(inner + _inline(spec.element, person))
-        elif kind is FieldKind.ORG_LIST:
-            for org in value:
-                lines.append(inner + _inline(spec.element, org))
-        elif kind is FieldKind.ORG_OR_PERSON_LIST:
-            for item in value:
-                lines.append(inner + _inline_org_or_person(spec.element, item))
+    for spec, item in populated:
+        if isinstance(item, Location):
+            _write_record(lines, item, spec.element, inner)
         else:
-            raise AssertionError(f"unhandled field kind {kind}")
+            lines.append(inner + _inline_field(spec, item))
     lines.append(f"{indent}</{element}>")

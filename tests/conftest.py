@@ -212,6 +212,18 @@ def generator():
     return DocGenerator(seed=990125)
 
 
+def schema_paths(cls: type, prefix: str = "") -> set[str]:
+    """Every dotted element path below a record class, following each
+    record class a field may hold."""
+    paths = set()
+    for spec in model.specs_for(cls):
+        path = prefix + spec.element
+        paths.add(path)
+        for record in spec.records:
+            paths |= schema_paths(record, path + ".")
+    return paths
+
+
 # ---------------------------------------------------------------------------
 # Fixture corpus: six hand-authored documents exercising the query engine.
 

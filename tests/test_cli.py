@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +44,6 @@ def test_extract_empty_file(capsys, tmp_path):
 
 
 def test_extract_stdin(capsys, monkeypatch):
-    import io
     monkeypatch.setattr(sys, "stdin", io.StringIO(INTRO_TEXT))
     code, out, err = run(capsys, "extract", "-")
     assert code == 0
@@ -135,6 +135,31 @@ def test_query_unknown_path_is_exit_3_with_caret(capsys, corpus_dir):
 def test_query_missing_corpus_is_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "query", tmp_path / "nowhere", "Deal")
     assert code == 2
+
+
+def test_query_nan_literal_is_exit_3(capsys, corpus_dir):
+    code, out, err = run(capsys, "query", corpus_dir, "Deal.Stake < NaN")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: 'NaN' is not a number")
+
+
+@pytest.mark.parametrize("command", ["extract", "validate"])
+def test_undecodable_file_is_exit_2_with_one_error_line(capsys, tmp_path, command):
+    story = tmp_path / "latin1.txt"
+    story.write_bytes("Un sismo sacudió Bogotá.".encode("latin-1"))
+    code, out, err = run(capsys, command, story)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "latin1.txt" in err
+
+
+@pytest.mark.parametrize("command", ["extract", "validate"])
+def test_undecodable_stdin_is_exit_2(capsys, monkeypatch, command):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"),
+                                                       encoding="utf-8"))
+    code, out, err = run(capsys, command, "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: -: ") and err.count("\n") == 1
 
 
 def test_stats_output(capsys, corpus_dir):

@@ -10,6 +10,7 @@ from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newsforms import corpus, model
 from newsforms.model import FieldKind, Money, NewsForm
@@ -25,7 +26,7 @@ from newsforms.corpus import (
 )
 from newsforms.xmlcodec import serialize_newsform
 
-from conftest import fixture_documents
+from conftest import fixture_documents, schema_paths
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,6 @@ def test_rebuild_determinism(corpus_dir):
     second = build_index(paths)
     assert first.postings == second.postings
     assert [d.doc_id for d in first.docs] == [d.doc_id for d in second.docs]
-    assert first.time_index == second.time_index
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +308,80 @@ def test_sort_stability_preserves_doc_order(tmp_path):
     ids = query(index, parse_query(
         "InjuryFatality sort InjuryFatality.KilledCount asc"))
     assert ids == ["d0001", "d0002", "d0003", "d0004"]
+
+
+def _write_docs(directory, events):
+    for n, event in enumerate(events):
+        (directory / f"c{n}.newsform.xml").write_text(
+            serialize_newsform(NewsForm(events=(event,))))
+    return build_index(corpus_paths(directory))
+
+
+def test_sort_orders_exact_values_and_keeps_doc_order_for_ties(tmp_path):
+    # as floats all three stakes are 1.0 and would stay in doc order
+    index = _write_docs(tmp_path, [
+        model.Deal(stake=Decimal("1.00000000000000000001")),
+        model.Deal(stake=Decimal("1.00000000000000000002")),
+        model.Deal(),
+        model.Deal(stake=Decimal("1.00000000000000000002")),
+    ])
+    assert query(index, parse_query("Deal sort Deal.Stake desc")) == \
+        ["d0002", "d0004", "d0001", "d0003"]
+    assert query(index, parse_query("Deal sort Deal.Stake asc")) == \
+        ["d0001", "d0002", "d0004", "d0003"]
+
+
+def test_sort_on_large_ints_is_exact(tmp_path):
+    index = _write_docs(tmp_path, [model.IPO(shares=2**53 + 1), model.IPO(shares=2**53)])
+    assert query(index, parse_query("IPO sort IPO.Shares asc")) == ["d0002", "d0001"]
+
+
+@pytest.mark.parametrize("text", [
+    "Deal.Stake < NaN", "Deal.Stake = sNaN", "IPO.Shares > nan",
+    "Deal.DealValue.Amount >= -NaN", 'Deal.Stake != "NaN"',
+])
+def test_nan_literal_on_a_numeric_field_is_a_query_error(text):
+    with pytest.raises(QueryError):
+        parse_query(text)
+
+
+def test_literal_beyond_the_decimal_range_matches_nothing(index):
+    assert query(index, parse_query("InjuryFatality.KilledCount = 1e999999999")) == []
+
+
+_QUERY_OPS = ["=", "!=", "<", "<=", ">", ">=", "contains"]
+_QUERY_LITERALS = ["NaN", "sNaN", "-Infinity", "1e999999999", "1e-999999999", "0.5",
+                   "143", "USD:1", "JPY:5000", "19990125T181917Z", '"a b"', '"',
+                   "BEL", "Bad", "COL", '"75 mph"']
+_QUERY_WORDS = sorted(model.EVENT_TYPES) + _QUERY_OPS + _QUERY_LITERALS + [
+    "and", "AND", "sort", "asc", "desc", "since", "until", "DatelineTime"]
+_QUERY_PATHS = sorted(f"{variant}.{path}" for variant, cls in model.EVENT_TYPES.items()
+                      for path in schema_paths(cls))
+# paths the fixture corpus populates, so that predicates reach the comparisons
+_POPULATED_PATHS = sorted({
+    f"{model.ELEMENT_OF_EVENT[type(event)]}.{path}"
+    for doc in fixture_documents().values() for event in doc.events
+    for path in schema_paths(type(event))
+    if model.values_at(event, model.resolve_path(type(event), path))})
+_PREDICATE = st.builds("{} {} {}".format, st.sampled_from(_POPULATED_PATHS),
+                       st.sampled_from(_QUERY_OPS),
+                       st.one_of(st.sampled_from(_QUERY_LITERALS), st.text(max_size=6)))
+_QUERY_TEXT = st.one_of(
+    st.text(),
+    _PREDICATE,
+    st.lists(st.one_of(_PREDICATE, st.sampled_from(_QUERY_WORDS),
+                       st.sampled_from(_QUERY_PATHS), st.text(max_size=6)),
+             max_size=6).map(" ".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_QUERY_TEXT)
+def test_any_query_text_returns_or_raises_query_error(index, text):
+    try:
+        corpus.evaluate_query(index, parse_query(text))
+    except QueryError:
+        pass
 
 
 # ---------------------------------------------------------------------------

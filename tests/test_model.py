@@ -24,6 +24,8 @@ from newsforms.model import (
 )
 from newsforms.vocab import Cause, Sentiment, Sex
 
+from conftest import schema_paths
+
 
 def earthquake_doc(latitude="4.29") -> NewsForm:
     return NewsForm(
@@ -233,3 +235,47 @@ def test_wrong_python_types_are_reported_not_raised():
     doc = NewsForm(events=(Trip(visitor=Person(family=42), visitor_count="9"),))
     codes = {f.code for f in validate(doc).errors}
     assert codes == {"type"}
+
+
+# ---------------------------------------------------------------------------
+# Path resolution
+
+def test_resolve_path_covers_every_schema_path():
+    total = 0
+    for cls in model.EVENT_TYPES.values():
+        for path in schema_paths(cls):
+            specs = model.resolve_path(cls, path)
+            assert specs is not None, path
+            assert [s.element for s in specs] == path.split("."), path
+            total += 1
+    assert total == 675
+
+
+def test_resolve_path_tries_organization_then_person():
+    org_side = model.resolve_path(model.EconomicRelease, "Source.Sport")
+    person_side = model.resolve_path(model.EconomicRelease, "Source.Sex")
+    assert org_side[-1] is model.spec_by_element(Organization, "Sport")
+    assert person_side[-1] is model.spec_by_element(Person, "Sex")
+    assert model.resolve_path(model.EconomicRelease, "Source.Email")[-1] \
+        is model.spec_by_element(Organization, "Email")
+
+
+def test_resolve_path_rejects_unknown_and_leaf_hops():
+    for path in ("Nope", "Stake.Amount", "DealValue.Amount.X", "", "Target."):
+        assert model.resolve_path(Deal, path) is None, path
+
+
+def test_record_classes_follow_the_field_kind():
+    records = {spec.element: spec.records for spec in model.specs_for(InjuryFatality)}
+    assert records["Killed"] == (Person,)
+    assert records["Source"] == (Organization, Person)
+    assert records["AtLocation"] == (Location,)
+    assert records["KilledCount"] == ()
+    assert model.spec_by_element(Deal, "DealValue").records == (Money,)
+
+
+def test_values_at_fans_out_over_lists():
+    event = InjuryFatality(killed=(Person(family="A"), Person(given="B"), Person(family="C")))
+    specs = model.resolve_path(InjuryFatality, "Killed.Family")
+    assert model.values_at(event, specs) == ["A", "C"]
+    assert model.values_at(InjuryFatality(), specs) == []

@@ -29,7 +29,7 @@ from newsforms.rules import (
 )
 from newsforms.vocab import Cause, FedAction, InterestRateName, Judgment
 
-from conftest import INTRO_TEXT
+from conftest import INTRO_TEXT, schema_paths
 
 INJURED_RULE = ("?Person was injured => "
               "<InjuryFatality><Injured>?Person</Injured></InjuryFatality>")
@@ -301,6 +301,37 @@ def test_kb_compile_errors():
         compile_kb("x\tLegalEvent\tNoSuchField set\tRejectFragment\t-\n")
     with pytest.raises(RuleError):
         compile_kb("x\tLegalEvent\tJudgment=Innocent\tExplode\t-\n")
+
+
+def _kb_accepts(variant, path):
+    try:
+        compile_kb(f"x\t{variant}\t{path} set\tRejectFragment\t-\n")
+    except RuleError:
+        return False
+    return True
+
+
+def test_kb_paths_end_at_but_do_not_pass_through_lists_or_either_fields():
+    accepted = [(variant, path) for variant, cls in model.EVENT_TYPES.items()
+                for path in schema_paths(cls) if _kb_accepts(variant, path)]
+    assert len(accepted) == 379
+    assert _kb_accepts("Competition", "Team.Sport")
+    assert _kb_accepts("InjuryFatality", "Killed")
+    assert _kb_accepts("InjuryFatality", "Source")
+    assert not _kb_accepts("InjuryFatality", "Source.Family")
+    assert not _kb_accepts("InjuryFatality", "Killed.Family")
+    assert not _kb_accepts("InjuryFatality", "Nope")
+
+
+def test_kb_right_hand_side_names_a_field_only_on_the_kb_path_language():
+    by_path, = compile_kb("x\tCompetition\tSport!=Team.Sport\tRejectFragment\t-\n")
+    assert by_path.conditions[0].value_specs is not None
+    by_token, = compile_kb("x\tInjuryFatality\tCauseEvent=Source.Family"
+                           "\tRejectFragment\t-\n")
+    assert by_token.conditions[0].value == "Source.Family"
+    events, _ = apply_commonsense([InjuryFatality(cause_event="Source.Family")],
+                                  [by_token])
+    assert events == []
 
 
 # ---- end-to-end -----------------------------------------------------------------
