@@ -38,11 +38,14 @@ def _load_resources(args):
     for name, directory in dirs.items():
         if not directory.is_dir():
             raise ResourceError(f"{name} directory does not exist: {directory}")
-    try:
-        lexicons = load_lexicon_set(dirs["lexicons"])
-    except (OSError, LexiconError) as exc:
-        raise ResourceError(f"cannot load lexicons: {exc}") from exc
-    return lexicons, rules_mod.load_rules(dirs["rules"]), rules_mod.load_kb(dirs["kb"])
+    loaded = []
+    for name, load in (("lexicons", load_lexicon_set), ("rules", rules_mod.load_rules),
+                       ("kb", rules_mod.load_kb)):
+        try:
+            loaded.append(load(dirs[name]))
+        except (OSError, UnicodeDecodeError, LexiconError) as exc:
+            raise ResourceError(f"cannot load {name} from {dirs[name]}: {exc}") from exc
+    return loaded
 
 
 def _read_input(name: str) -> str:

@@ -26,7 +26,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from decimal import Decimal, InvalidOperation, Overflow
+from decimal import Context, Decimal, InvalidOperation, Overflow
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional
@@ -51,8 +51,12 @@ class QueryError(ValueError):
 
 
 def _norm_number(value) -> str:
+    """Canonical text of a number: trailing zeros stripped, never rounded."""
     dec = value if isinstance(value, Decimal) else Decimal(value)
-    return format(dec.normalize(), "f")
+    norm = dec.normalize()
+    if norm != dec and dec.is_finite():   # rounded to the context's precision
+        norm = dec.normalize(Context(prec=len(dec.as_tuple().digits)))
+    return format(norm, "f")
 
 
 def _posting_token(spec: FieldSpec, value) -> str:

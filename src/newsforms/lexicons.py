@@ -9,7 +9,10 @@ all of them, in load order, so downstream stages see every ambiguity
 A manifest file in the lexicon directory lists the files to load, in
 order; a second column ``ci`` marks a lexicon as case-insensitive (number
 words, units, pronouns). Proper-noun lexicons are case-sensitive.
-"""
+
+All files load into one index keyed by the case-folded surface, so a
+lookup is one dictionary probe; entries of a case-sensitive file keep
+their exact surface and match only that."""
 
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class EntryKind(Enum):
@@ -61,35 +64,6 @@ class LexiconEntry:
         return default
 
 
-def _normalize_surface(surface: str, case_sensitive: bool) -> str:
-    key = " ".join(surface.split())
-    return key if case_sensitive else key.casefold()
-
-
-@dataclass
-class Lexicon:
-    name: str
-    case_sensitive: bool = True
-    entries: dict[str, list[LexiconEntry]] = field(default_factory=dict)
-    max_words: int = 0
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self.entries.values())
-
-    def add(self, entry: LexiconEntry):
-        key = _normalize_surface(entry.surface, self.case_sensitive)
-        bucket = self.entries.setdefault(key, [])
-        for existing in bucket:
-            if (existing.kind, existing.normalized) == (entry.kind, entry.normalized):
-                return  # duplicate (surface, kind, normalized) triple
-        bucket.append(entry)
-        self.max_words = max(self.max_words, len(key.split()))
-
-    def lookup(self, surface: str) -> list[LexiconEntry]:
-        key = _normalize_surface(surface, self.case_sensitive)
-        return list(self.entries.get(key, ()))
-
-
 def _parse_attrs(raw: str, path, lineno: int) -> tuple[tuple[str, str], ...]:
     attrs: list[tuple[str, str]] = []
     seen = set()
@@ -124,10 +98,30 @@ def _check_coordinates(entry: LexiconEntry, path, lineno: int):
             raise LexiconError(path, lineno, f"{key} out of range: {raw}")
 
 
-def load_lexicon(path, name: Optional[str] = None, case_sensitive: bool = True) -> Lexicon:
-    """Load one TSV lexicon; malformed lines raise with their line number."""
-    path = Path(path)
-    lexicon = Lexicon(name=name or path.stem, case_sensitive=case_sensitive)
+
+
+@dataclass
+class LexiconSet:
+    """One index over every loaded entry: the case-folded, whitespace-normalised
+    surface maps to ``(exact surface, or None in a ci file; entry)`` pairs in
+    load order."""
+
+    index: dict[str, list[tuple[Optional[str], LexiconEntry]]] = field(default_factory=dict)
+    max_words: int = 0
+
+    def __len__(self) -> int:
+        return sum(len(bucket) for bucket in self.index.values())
+
+    def lookup(self, surface: str) -> list[LexiconEntry]:
+        exact = " ".join(surface.split())
+        return [entry for key, entry in self.index.get(exact.casefold(), ())
+                if key is None or key == exact]
+
+
+def _add_file(lexicons: LexiconSet, path: Path, case_sensitive: bool):
+    """Add one TSV lexicon; malformed lines raise with their line number. A
+    (surface, kind, normalized) triple repeated within the file is kept once."""
+    seen = set()
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
@@ -147,28 +141,21 @@ def load_lexicon(path, name: Optional[str] = None, case_sensitive: bool = True) 
         entry = LexiconEntry(surface, kind, normalized, attrs)
         if kind in (EntryKind.CITY, EntryKind.COUNTRY):
             _check_coordinates(entry, path, lineno)
-        lexicon.add(entry)
-    return lexicon
+        exact = " ".join(surface.split())
+        key = exact if case_sensitive else None   # None matches in any case
+        folded = exact.casefold()
+        if (key, folded, kind, normalized) in seen:
+            continue
+        seen.add((key, folded, kind, normalized))
+        lexicons.index.setdefault(folded, []).append((key, entry))
+        lexicons.max_words = max(lexicons.max_words, len(exact.split()))
 
 
-class LexiconSet:
-    """Ordered collection of lexicons with union lookup."""
-
-    def __init__(self, lexicons: Iterable[Lexicon] = ()):
-        self.lexicons = list(lexicons)
-
-    def __len__(self) -> int:
-        return sum(len(lx) for lx in self.lexicons)
-
-    @property
-    def max_words(self) -> int:
-        return max((lx.max_words for lx in self.lexicons), default=0)
-
-    def lookup(self, surface: str) -> list[LexiconEntry]:
-        found: list[LexiconEntry] = []
-        for lexicon in self.lexicons:
-            found.extend(lexicon.lookup(surface))
-        return found
+def load_lexicon(path, case_sensitive: bool = True) -> LexiconSet:
+    """Load one TSV lexicon as a set of its own."""
+    lexicons = LexiconSet()
+    _add_file(lexicons, Path(path), case_sensitive)
+    return lexicons
 
 
 def load_lexicon_set(directory) -> LexiconSet:
@@ -177,7 +164,7 @@ def load_lexicon_set(directory) -> LexiconSet:
     manifest = directory / "manifest"
     if not manifest.is_file():
         raise FileNotFoundError(f"no lexicon manifest at {manifest}")
-    lexicons = []
+    lexicons = LexiconSet()
     for lineno, raw in enumerate(manifest.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -188,5 +175,5 @@ def load_lexicon_set(directory) -> LexiconSet:
         unknown = flags - {"ci"}
         if unknown:
             raise LexiconError(manifest, lineno, f"unknown flag(s) {sorted(unknown)}")
-        lexicons.append(load_lexicon(directory / filename, case_sensitive="ci" not in flags))
-    return LexiconSet(lexicons)
+        _add_file(lexicons, directory / filename, case_sensitive="ci" not in flags)
+    return lexicons

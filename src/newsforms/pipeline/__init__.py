@@ -1,5 +1,5 @@
-"""Text-analysis pipeline: sentences, tags, noun groups, entities,
-reference resolution.
+"""Text-analysis pipeline: sentences, tags, entities, reference
+resolution, and noun groups for the debug dump.
 
 All stages are pure given immutable lexicons; identical input text and
 lexicons produce identical parses.
@@ -35,23 +35,21 @@ def analyze(text: str, lexicons: LexiconSet) -> list[SentenceParse]:
     parses = []
     for span in split_sentences(text):
         tokens = tag_pos(text, span)
-        groups = chunk_noun_groups(tokens)
         mentions = parse_entities(tokens, lexicons)
         parses.append(SentenceParse(start=span[0], end=span[1],
-                                    tokens=tuple(tokens),
-                                    noun_groups=tuple(groups),
-                                    mentions=tuple(mentions)))
+                                    tokens=tuple(tokens), mentions=tuple(mentions)))
     return resolve_references(parses)
 
 
 def dump_parses(parses: list[SentenceParse]) -> str:
-    """Line-oriented debug dump: tokens, then group and mention overlays."""
+    """Line-oriented debug dump: tokens, then noun groups (chunked here,
+    as nothing else reads them) and mentions."""
     lines: list[str] = []
     for index, parse in enumerate(parses):
         lines.append(f"sentence\t{index}\t{parse.start}\t{parse.end}")
         for token in parse.tokens:
             lines.append(f"{token.start}\t{token.text}\t{token.pos.value}")
-        for group in parse.noun_groups:
+        for group in chunk_noun_groups(parse.tokens):
             lines.append(f"group\t[{group.first}..{group.last}]\thead={group.head}")
         for mention in parse.mentions:
             kinds = ",".join(r.kind.value for r in mention.readings)

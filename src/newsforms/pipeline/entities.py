@@ -107,30 +107,40 @@ class _Scanner:
         self.tokens = tokens
         self.lexicons = lexicons
         self.n = len(tokens)
+        self._windows: list[Optional[list[list[LexiconEntry]]]] = [None] * self.n
+        self._org_scan_end = 0  # a failed org-suffix scan from any start before it
 
     # -- lexicon access helpers ---------------------------------------
 
+    def windows(self, i: int) -> list[list[LexiconEntry]]:
+        """Entries of each window starting at i, looked up once on first use:
+        item k is the window i..i+k. Windows stop before punctuation other
+        than a comma and at ``max_words`` tokens."""
+        table = self._windows[i]
+        if table is None:
+            table = self._windows[i] = []
+            for last in range(i, min(i + self.lexicons.max_words, self.n)):
+                if self.tokens[last].pos is Pos.PUNCT and self.tokens[last].text != ",":
+                    break
+                table.append(self.lexicons.lookup(_window_surface(self.tokens, i, last)))
+        return table
+
     def entries_at(self, first: int, last: int, kinds) -> list[LexiconEntry]:
-        if last >= self.n:
+        table = self.windows(first)
+        if last - first >= len(table):
             return []
-        if any(t.pos is Pos.PUNCT and t.text != "," for t in self.tokens[first:last + 1]):
-            return []
-        surface = _window_surface(self.tokens, first, last)
-        return [e for e in self.lexicons.lookup(surface) if e.kind in kinds]
+        return [e for e in table[last - first] if e.kind in kinds]
 
     def single(self, i: int, kind: EntryKind) -> Optional[LexiconEntry]:
         entries = self.entries_at(i, i, {kind})
         return entries[0] if entries else None
 
-    def longest(self, i: int, kinds, max_len: Optional[int] = None):
+    def longest(self, i: int, kinds):
         """Longest lexicon window starting at i restricted to the given kinds."""
-        limit = min(self.lexicons.max_words, self.n - i)
-        if max_len is not None:
-            limit = min(limit, max_len)
-        for length in range(limit, 0, -1):
-            entries = self.entries_at(i, i + length - 1, kinds)
+        for last in range(i + len(self.windows(i)) - 1, i - 1, -1):
+            entries = self.entries_at(i, last, kinds)
             if entries:
-                return i + length - 1, entries
+                return last, entries
         return None
 
     # -- quantity grammar ----------------------------------------------
@@ -204,7 +214,7 @@ class _Scanner:
             return None
         value, j = quant
         # "two to three hours" takes the first bound
-        if j < self.n and self.tokens[j].text.lower() == "to":
+        if j + 1 < self.n and self.tokens[j].text.lower() == "to":
             second = self.quant_at(j + 1)
             if second is not None:
                 tail = self.tail_reading(value, second[1])
@@ -261,6 +271,9 @@ class _Scanner:
             given = given_entry.normalized
             sex = sex or given_entry.attr("sex")
             j += 1
+        has_title = prefix is not None or functions
+        if not has_title and not given:
+            return None  # a bare capitalized run is the fallback's job
         family_parts: list[str] = []
         while j < self.n and self.tokens[j].pos is Pos.PROPN:
             if self.single(j, EntryKind.GIVEN_NAME) and not family_parts and given is None:
@@ -268,9 +281,6 @@ class _Scanner:
             family_parts.append(self.tokens[j].text)
             j += 1
         family = " ".join(family_parts) or None
-        has_title = prefix is not None or functions
-        if not has_title and not given:
-            return None  # a bare capitalized run is the fallback's job
         if has_title and not given and not family:
             # attributive use ("justice system", "police car") is no mention
             if j < self.n and self.tokens[j].pos is Pos.NOUN:
@@ -313,15 +323,15 @@ class _Scanner:
             return (tok.text[0].isalpha() and tok.text[0].isupper()
                     and tok.pos not in closed)
 
-        if not name_like(self.tokens[i]):
+        if i < self._org_scan_end or not name_like(self.tokens[i]):
             return None
         j = i
         while j < self.n and name_like(self.tokens[j]) \
                 and self.single(j, EntryKind.ORG_SUFFIX) is None:
             j += 1
-        if j >= self.n or j == i:
-            return None
-        if self.single(j, EntryKind.ORG_SUFFIX) is None:
+        if j >= self.n or j == i or self.single(j, EntryKind.ORG_SUFFIX) is None:
+            # a scan from a later start before j stops at j too, and fails
+            self._org_scan_end = j
             return None
         name = _window_surface(self.tokens, i, j)
         org = model.Organization(full_name=name)

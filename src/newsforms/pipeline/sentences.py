@@ -8,6 +8,8 @@ without overlap.
 
 from __future__ import annotations
 
+import re
+
 # Lowercase abbreviations that take a trailing period without ending a
 # sentence. Words with internal periods (U.S., e.g.) are recognized by
 # shape and need not be listed.
@@ -16,8 +18,8 @@ ABBREVIATIONS = frozenset("""
     ltd co jr sr jan feb mar apr jun jul aug sep sept oct nov dec
 """.split())
 
-_TERMINATORS = ".?!"
-_TRAILERS = "\"')]”’"
+_TERMINATORS = re.compile(r"[.?!]")
+_RUN = ".?!\"')]”’"  # a terminator run: terminators, closing quotes and brackets
 
 
 def _preceding_word(text: str, i: int) -> str:
@@ -28,28 +30,34 @@ def _preceding_word(text: str, i: int) -> str:
 
 
 def _is_boundary(text: str, i: int, j: int) -> bool:
-    """Is the terminator run text[i:j] a sentence end?"""
-    if text[i] == ".":
-        if 0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
-            return False  # decimal point
-        word = _preceding_word(text, i)
-        if "." in word:
-            return False  # internal-period abbreviation: U.S., e.g.
-        if word.lower() in ABBREVIATIONS:
+    """Is the terminator run text[i:j] a sentence end?
+
+    The run is judged once, not once per terminator: it ends a sentence
+    when a sentence can start after it and it holds a ``?`` or ``!``, or
+    its first period ends the word before it (a later period follows one
+    in its own word). The next text is checked first, so the walk back
+    over the word runs at most once per word.
+    """
+    if j < len(text):
+        if not text[j].isspace():
             return False
-        if len(word) == 1 and word.isalpha() and word.isupper():
-            return False  # initial: "E."
-    if j >= len(text):
+        k = j
+        while k < len(text) and text[k].isspace():
+            k += 1
+        if k < len(text) and not (text[k].isupper() or text[k].isdigit()
+                                  or text[k] in "\"'“‘(["):
+            return False
+    run = text[i:j]
+    if "?" in run or "!" in run:
         return True
-    if not text[j].isspace():
+    if 0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
+        return False  # decimal point
+    word = _preceding_word(text, i)
+    if "." in word:
+        return False  # internal-period abbreviation: U.S., e.g.
+    if word.lower() in ABBREVIATIONS:
         return False
-    k = j
-    while k < len(text) and text[k].isspace():
-        k += 1
-    if k >= len(text):
-        return True
-    nxt = text[k]
-    return nxt.isupper() or nxt.isdigit() or nxt in "\"'“‘(["
+    return not (len(word) == 1 and word.isalpha() and word.isupper())  # initial: "E."
 
 
 def split_sentences(text: str) -> list[tuple[int, int]]:
@@ -60,19 +68,16 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     while start < n and text[start].isspace():
         start += 1
     i = start
-    while i < n:
-        if text[i] in _TERMINATORS:
-            j = i + 1
-            while j < n and text[j] in _TERMINATORS + _TRAILERS:
-                j += 1
-            if _is_boundary(text, i, j):
-                spans.append((start, j))
-                start = j
-                while start < n and text[start].isspace():
-                    start += 1
-                i = start
-                continue
-        i += 1
+    while (terminator := _TERMINATORS.search(text, i)) is not None:
+        i = j = terminator.start()
+        while j < n and text[j] in _RUN:
+            j += 1
+        if _is_boundary(text, i, j):
+            spans.append((start, j))
+            start = j
+            while start < n and text[start].isspace():
+                start += 1
+        i = j
     if start < n:
         end = n
         while end > start and text[end - 1].isspace():

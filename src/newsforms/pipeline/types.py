@@ -91,7 +91,6 @@ class SentenceParse:
     start: int  # character span of the sentence in the source
     end: int
     tokens: tuple[Token, ...]
-    noun_groups: tuple[NounGroup, ...]
     mentions: tuple[EntityMention, ...]
 
     def mention_text(self, mention: EntityMention) -> str:

@@ -75,6 +75,20 @@ def test_extract_missing_resources_is_exit_2(capsys, intro_file, tmp_path):
     assert "does not exist" in err
 
 
+@pytest.mark.parametrize("name, filename", [
+    ("lexicons", "cities.tsv"), ("rules", "core.rules"), ("kb", "commonsense.tsv"),
+])
+def test_undecodable_resource_file_is_exit_2(capsys, intro_file, tmp_path, name, filename):
+    directory = tmp_path / name
+    directory.mkdir()
+    (directory / filename).write_bytes(b"\xff\xfe")
+    if name == "lexicons":
+        (directory / "manifest").write_text(f"{filename}\n")
+    code, out, err = run(capsys, f"--{name}", directory, "extract", intro_file)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot load {name} from ") and err.count("\n") == 1
+
+
 def test_extract_outputs_are_byte_deterministic(capsys, intro_file):
     code1, out1, _ = run(capsys, "extract", intro_file)
     code2, out2, _ = run(capsys, "extract", intro_file)

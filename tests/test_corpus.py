@@ -336,6 +336,16 @@ def test_sort_on_large_ints_is_exact(tmp_path):
     assert query(index, parse_query("IPO sort IPO.Shares asc")) == ["d0002", "d0001"]
 
 
+def test_numbers_beyond_28_digits_post_and_display_exactly(tmp_path):
+    big = 123456789012345678901234567890
+    index = _write_docs(tmp_path, [model.IPO(shares=big), model.IPO(shares=big + 1)])
+    hits = corpus.evaluate_query(index, parse_query("IPO sort IPO.Shares desc"))
+    assert [(h.doc_id, h.sort_value) for h in hits] == [("d0002", str(big + 1)),
+                                                        ("d0001", str(big))]
+    assert query(index, parse_query(f"IPO.Shares = {big}")) == ["d0001"]
+    assert query(index, parse_query(f"IPO.Shares = {big + 1}")) == ["d0002"]
+
+
 @pytest.mark.parametrize("text", [
     "Deal.Stake < NaN", "Deal.Stake = sNaN", "IPO.Shares > nan",
     "Deal.DealValue.Amount >= -NaN", 'Deal.Stake != "NaN"',

@@ -1,9 +1,13 @@
 """Entity identification and reference resolution."""
 
+from collections import Counter
 from decimal import Decimal
 
+import pytest
+
+from newsforms.lexicons import load_lexicon_set
 from newsforms.model import Location, Money, Person
-from newsforms.pipeline import analyze
+from newsforms.pipeline import analyze, chunk_noun_groups, entities, split_sentences, tag_pos
 from newsforms.pipeline.types import ReadingKind
 
 from conftest import INTRO_TEXT, JOSPIN_TEXT
@@ -129,7 +133,7 @@ def test_mentions_lie_within_groups_number_runs_or_name_spans(lexicons):
                  "The Department of Justice sued a United Airlines Boeing 777."):
         for parse in analyze(text, lexicons):
             grouped = set()
-            for group in parse.noun_groups:
+            for group in chunk_noun_groups(parse.tokens):
                 grouped.update(range(group.first, group.last + 1))
             for mention in parse.mentions:
                 for i in range(mention.first, mention.last + 1):
@@ -247,3 +251,42 @@ def test_storm_words_stay_free_for_pattern_literals(lexicons):
     assert "Hurricane Floyd" not in texts
     _, floyd = mention_by_text(parses, "Floyd")
     assert floyd.readings[0].value.given == "Floyd"
+
+
+def test_each_token_window_is_looked_up_at_most_once(data_root, monkeypatch):
+    lexicons = load_lexicon_set(data_root / "lexicons")
+    calls = []
+    lookup = lexicons.lookup
+    monkeypatch.setattr(lexicons, "lookup", lambda surface: calls.append(surface) or lookup(surface))
+    text = (INTRO_TEXT + " " + JOSPIN_TEXT + " Mr. John Smith of Washington, D.C., paid "
+            "twenty five million dollars, $2 million, for 3 to 4 miles of New York.")
+    for span in split_sentences(text):
+        tokens = tag_pos(text, span)
+        calls.clear()
+        entities.parse_entities(tokens, lexicons)
+        n = len(tokens)
+        windows = Counter(entities._window_surface(tokens, i, last) for i in range(n)
+                          for last in range(i, min(i + lexicons.max_words, n)))
+        assert calls and Counter(calls) <= windows, text[span[0]:span[1]]
+
+
+@pytest.mark.parametrize("word", ["Western ", "Hurricane "])
+def test_capitalised_runs_scan_in_linear_time(lexicons, monkeypatch, word):
+    # a run no org suffix closes, of adjectives or storm words that no
+    # matcher takes: probes grow with its length, not its square
+    probes = []
+    single = entities._Scanner.single
+    monkeypatch.setattr(entities._Scanner, "single",
+                        lambda self, i, kind: probes.append(i) or single(self, i, kind))
+    counts = []
+    for words in (400, 800):
+        probes.clear()
+        analyze(word * words + "rose.", lexicons)
+        counts.append(len(probes))
+    assert counts[1] <= 2.2 * counts[0], counts
+
+
+def test_trailing_range_word_after_a_number_is_no_error(lexicons):
+    parses = analyze("He paid 3 to", lexicons)
+    _, mention = mention_by_text(parses, "3")
+    assert mention.readings[0].kind is ReadingKind.NUMBER

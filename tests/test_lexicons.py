@@ -121,15 +121,32 @@ def test_loading_is_idempotent(tmp_path):
     assert first == second
 
 
-def test_lookup_preserves_every_loaded_reading(lexicons):
-    # |lookup(s)| equals the number of loaded entries sharing the surface
+def test_lookup_preserves_every_loaded_reading(lexicons, data_root):
+    # lookup(s) is the concatenation, in manifest order, of lookup(s) on
+    # each lexicon file loaded on its own
+    directory = data_root / "lexicons"
+    files = [line.split("\t") for line in (directory / "manifest").read_text().splitlines()
+             if line.strip() and not line.startswith("#")]
+    singles = [load_lexicon(directory / name, case_sensitive=flags != ["ci"])
+               for name, *flags in files]
     for surface in ("New York", "Washington", "Armenia", "Georgia"):
         entries = lexicons.lookup(surface)
-        recount = 0
-        for lexicon in lexicons.lexicons:
-            recount += len(lexicon.lookup(surface))
-        assert len(entries) == recount
+        assert entries == [e for single in singles for e in single.lookup(surface)]
         assert len(entries) >= 2, surface
+
+
+def test_set_lookup_applies_each_files_case_mode(tmp_path):
+    (tmp_path / "places.tsv").write_text("Miles\tCity\tMiles\tcountry=USA\n"
+                                         "Miles\tCity\tMiles\tcountry=USA\n")
+    (tmp_path / "units.tsv").write_text("miles\tUnit\tmiles\tdim=distance\n"
+                                        "Miles\tCity\tMiles\tcountry=USA\n")
+    (tmp_path / "manifest").write_text("places.tsv\nunits.tsv\tci\n")
+    lexicons = load_lexicon_set(tmp_path)
+    assert len(lexicons) == 3   # a triple repeated within a file is kept once
+    assert [e.kind for e in lexicons.lookup("Miles")] == [
+        EntryKind.CITY, EntryKind.UNIT, EntryKind.CITY]
+    assert [e.kind for e in lexicons.lookup(" MILES ")] == [EntryKind.UNIT, EntryKind.CITY]
+    assert lexicons == load_lexicon_set(tmp_path)
 
 
 def test_set_lookup_order_is_load_then_file_order(data_root):

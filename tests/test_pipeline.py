@@ -1,8 +1,12 @@
 """Sentence splitting, part-of-speech tagging, and noun grouping."""
 
+import time
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from newsforms.pipeline import chunk_noun_groups, split_sentences, tag_pos
+from newsforms.pipeline.sentences import ABBREVIATIONS
 from newsforms.pipeline.types import Pos
 
 from conftest import INTRO_TEXT
@@ -60,6 +64,94 @@ def test_spans_cover_all_nonspace_in_order(text):
     for i, ch in enumerate(text):
         if not ch.isspace():
             assert i in covered, f"char {i} {ch!r} uncovered"
+
+
+# ---- the sentence-splitting oracle -------------------------------------------
+# The splitter as first written, judging every terminator of a run on its
+# own and walking back to the start of its word each time (quadratic on
+# long runs and dotted words): the reference for the single-pass one.
+
+def _oracle_preceding_word(text, i):
+    j = i
+    while j > 0 and not text[j - 1].isspace():
+        j -= 1
+    return text[j:i]
+
+
+def _oracle_is_boundary(text, i, j):
+    if text[i] == ".":
+        if 0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
+            return False
+        word = _oracle_preceding_word(text, i)
+        if "." in word or word.lower() in ABBREVIATIONS:
+            return False
+        if len(word) == 1 and word.isalpha() and word.isupper():
+            return False
+    if j >= len(text):
+        return True
+    if not text[j].isspace():
+        return False
+    k = j
+    while k < len(text) and text[k].isspace():
+        k += 1
+    return k >= len(text) or text[k].isupper() or text[k].isdigit() or text[k] in "\"'“‘(["
+
+
+def oracle_split(text):
+    spans = []
+    n = len(text)
+    start = 0
+    while start < n and text[start].isspace():
+        start += 1
+    i = start
+    while i < n:
+        if text[i] in ".?!":
+            j = i + 1
+            while j < n and text[j] in ".?!\"')]”’":
+                j += 1
+            if _oracle_is_boundary(text, i, j):
+                spans.append((start, j))
+                start = j
+                while start < n and text[start].isspace():
+                    start += 1
+                i = start
+                continue
+        i += 1
+    end = n
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    if end > start:
+        spans.append((start, end))
+    return spans
+
+
+_SENTENCE_TEXT = st.one_of(
+    st.text(alphabet="aAbEeMmNnoOrRsStUu019.?!\"')]”’“‘([ \n\t", max_size=80),
+    st.lists(st.sampled_from(["Mr", "U.S", "e.g", "No", "sept", "E", "x", "3", "4.2",
+                              ".", "?", "!", "...", '"', "”", "(", " ", "  ", "\n"]),
+             max_size=30).map("".join),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SENTENCE_TEXT)
+@example("He asked Mr.? Yes.")
+@example('U.S.! "No."  e.g.. Then 3.5. (A) b.')
+def test_single_pass_splitter_matches_the_oracle(text):
+    assert split_sentences(text) == oracle_split(text)
+
+
+def test_later_question_mark_in_a_run_ends_the_sentence():
+    assert spans_text("He asked Mr.? Yes.") == ["He asked Mr.?", "Yes."]
+
+
+@pytest.mark.parametrize("text", ["a." * 32 * 1024, "x" + "." * 64 * 1024 + " y"],
+                         ids=["dotted-word", "terminator-run"])
+def test_64_kb_of_dots_splits_in_linear_time(text):
+    began = time.perf_counter()
+    spans = split_sentences(text)
+    assert time.perf_counter() - began < 5.0   # the oracle takes minutes
+    assert spans == [(0, len(text))]
 
 
 # ---- tagging ---------------------------------------------------------------
