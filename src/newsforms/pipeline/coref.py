@@ -10,7 +10,7 @@ look like PERSON3, ORG1, LOC4 and never mix entity kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import Optional
 
@@ -38,11 +38,8 @@ _PREFIX = {
 class _Entity:
     eid: str
     kind: ReadingKind
+    order: int  # creation index: later entities win lookups
     sex: Optional[Sex] = None
-    full_names: set[str] = field(default_factory=set)
-    families: set[str] = field(default_factory=set)
-    functions: set[str] = field(default_factory=set)
-    values: set[str] = field(default_factory=set)
 
 
 def _value_key(reading: EntityReading) -> Optional[str]:
@@ -78,64 +75,82 @@ def _sex_compatible(a: Optional[Sex], b: Optional[Sex]) -> bool:
 
 
 class _Resolver:
+    """Each lookup returns the latest-created entity carrying the key, so
+    keys map straight to that entity instead of scanning back."""
+
     def __init__(self):
-        self.entities: list[_Entity] = []
         self.counters: dict[str, int] = {}
+        self.created = 0
+        self.full_names: dict[str, _Entity] = {}
+        self.families: dict[str, _Entity] = {}
+        self.functions: dict[str, _Entity] = {}
+        self.values: dict[tuple[ReadingKind, str], _Entity] = {}
+        self.last_person: Optional[_Entity] = None
+        # per sex (None: no sex yet), persons in creation order that may
+        # still agree with it; an entity's sex is set at most once, so one
+        # that stops agreeing never agrees again and is dropped on reaching
+        # the top
+        self.agreeing: dict[Optional[Sex], list[_Entity]] = {
+            sex: [] for sex in (*Sex, None)}
 
     def fresh(self, kind: ReadingKind) -> _Entity:
         prefix = _PREFIX[kind]
         self.counters[prefix] = self.counters.get(prefix, 0) + 1
-        entity = _Entity(eid=f"{prefix}{self.counters[prefix]}", kind=kind)
-        self.entities.append(entity)
+        self.created += 1
+        entity = _Entity(eid=f"{prefix}{self.counters[prefix]}", kind=kind,
+                         order=self.created)
+        if kind is ReadingKind.PERSON:
+            self.last_person = entity
+            for stack in self.agreeing.values():
+                stack.append(entity)
         return entity
 
     def resolve_person(self, person: model.Person, pronoun: bool) -> Optional[_Entity]:
         full, family, function = _person_keys(person)
         if pronoun:
-            for entity in reversed(self.entities):
-                if entity.kind is ReadingKind.PERSON and _sex_compatible(entity.sex, person.sex):
-                    return entity
-            return None
-        for entity in reversed(self.entities):
-            if entity.kind is not ReadingKind.PERSON:
-                continue
-            if full and full in entity.full_names:
-                return entity
-        if family:
-            for entity in reversed(self.entities):
-                if entity.kind is ReadingKind.PERSON and family in entity.families:
-                    return entity
+            if person.sex is None:
+                return self.last_person
+            # a sex outside the vocabulary agrees with persons of no sex only
+            stack = self.agreeing.get(person.sex, self.agreeing[None])
+            while stack and not _sex_compatible(stack[-1].sex, person.sex):
+                stack.pop()
+            return stack[-1] if stack else None
+        if full and full in self.full_names:
+            return self.full_names[full]
+        if family and family in self.families:
+            return self.families[family]
         if function and not family and not person.given:
-            for entity in reversed(self.entities):
-                if entity.kind is ReadingKind.PERSON and function in entity.functions:
-                    return entity
+            return self.functions.get(function)
         return None
 
     def resolve_value(self, reading: EntityReading) -> Optional[_Entity]:
         key = _value_key(reading)
         if key is None:
             return None
-        for entity in reversed(self.entities):
-            if entity.kind is reading.kind and key in entity.values:
-                return entity
-        return None
+        return self.values.get((reading.kind, key))
+
+    @staticmethod
+    def _carry(index: dict, key, entity: _Entity):
+        held = index.get(key)
+        if held is None or held.order < entity.order:
+            index[key] = entity
 
     def record(self, entity: _Entity, reading: EntityReading):
         if reading.kind is ReadingKind.PERSON:
             person = reading.value
             full, family, function = _person_keys(person)
             if full:
-                entity.full_names.add(full)
+                self._carry(self.full_names, full, entity)
             if family:
-                entity.families.add(family)
+                self._carry(self.families, family, entity)
             if function:
-                entity.functions.add(function)
+                self._carry(self.functions, function, entity)
             if entity.sex is None and isinstance(person.sex, Sex):
                 entity.sex = person.sex
         else:
             key = _value_key(reading)
             if key:
-                entity.values.add(key)
+                self._carry(self.values, (entity.kind, key), entity)
 
 
 def resolve_references(parses: list[SentenceParse]) -> list[SentenceParse]:

@@ -14,6 +14,7 @@ to resolve.
 from __future__ import annotations
 
 from decimal import Decimal
+from functools import lru_cache
 from typing import Optional
 
 from .. import model
@@ -54,6 +55,9 @@ def _dec(raw: Optional[str]) -> Optional[Decimal]:
     return Decimal(raw) if raw is not None else None
 
 
+# entries and readings are immutable, so each entry's reading is built and
+# validated once; the bound holds the packaged lexicons (~1,200 entries) thrice
+@lru_cache(maxsize=4096)
 def _reading_from_entry(entry: LexiconEntry) -> Optional[EntityReading]:
     kind = entry.kind
     if kind is EntryKind.CITY:

@@ -9,6 +9,9 @@ A rule file holds ``pattern => template`` rules, one per line-group
 * ``[ ... ]``            optional atom group
 * ``*n``                 skip up to n items
 
+A rule is tried only on sentences that contain all of its non-optional
+literals (those outside ``[...]``) as free tokens.
+
 The template is an event-element XML fragment whose leaves are either
 constant tokens or ``?var`` placeholders. Rules with more literals match
 first; file order breaks ties. Fragments of one event type merge into a
@@ -106,6 +109,7 @@ class ExtractionRule:
     priority: int
     order: int
     slots: dict  # slot variable -> ReadingKind
+    literals: frozenset  # lower-cased literals outside [...]: all must occur
 
 
 _SLOT_RE = re.compile(r"^\?([A-Za-z]+)(?::([A-Za-z][A-Za-z0-9_]*))?$")
@@ -281,9 +285,11 @@ def compile_rules(source: str) -> list[ExtractionRule]:
                     collect(atom.atoms)
         collect(atoms)
         template = _compile_template(rule_id, template_src.strip(), slots)
+        literals = frozenset(atom.text.lower() for atom in atoms
+                             if isinstance(atom, Literal))
         rules.append(ExtractionRule(rule_id, atoms, template,
                                     priority=_literal_count(atoms), order=order,
-                                    slots=slots))
+                                    slots=slots, literals=literals))
     return rules
 
 
@@ -479,13 +485,20 @@ def _instantiate(rule: ExtractionRule, bindings: dict, parse: SentenceParse,
 
 def apply_patterns(parses: Sequence[SentenceParse],
                    rules: Sequence[ExtractionRule]) -> list[Fragment]:
-    """Match every rule against every sentence, highest priority first."""
+    """Match every rule against every sentence, highest priority first.
+
+    A rule is tried only on sentences whose free tokens hold all of its
+    mandatory literals; ``_match_at`` compares literals the same way, so
+    the skipped rules are exactly those that could not match."""
     ordered = sorted(rules, key=lambda r: (-r.priority, r.order))
     fragments: list[Fragment] = []
     for sentence_index, parse in enumerate(parses):
         items = _items_for(parse)
+        words = {item.text.lower() for item in items if item.text is not None}
         sentence_frags: list[tuple[int, Fragment]] = []
         for rule in ordered:
+            if not rule.literals <= words:
+                continue
             pos = 0
             while pos < len(items):
                 result = _match_at(rule.atoms, items, pos)

@@ -92,6 +92,9 @@ def parse_newsform(text: Union[str, bytes]) -> NewsForm:
     Whitespace between elements is insignificant; numeric and enum leaf
     text is normalized into typed fields. Unknown vocabulary tokens are
     kept verbatim for :func:`model.validate` to report.
+
+    Raises XmlSyntaxError, SchemaError or FieldTypeError, and for bytes
+    that are not UTF-8, UnicodeDecodeError; all four are ValueErrors.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")

@@ -1,5 +1,6 @@
 """Entity identification and reference resolution."""
 
+import time
 from collections import Counter
 from decimal import Decimal
 
@@ -9,6 +10,7 @@ from newsforms.lexicons import load_lexicon_set
 from newsforms.model import Location, Money, Person
 from newsforms.pipeline import analyze, chunk_noun_groups, entities, split_sentences, tag_pos
 from newsforms.pipeline.types import ReadingKind
+from newsforms.rules import extract
 
 from conftest import INTRO_TEXT, JOSPIN_TEXT
 
@@ -284,6 +286,51 @@ def test_capitalised_runs_scan_in_linear_time(lexicons, monkeypatch, word):
         analyze(word * words + "rose.", lexicons)
         counts.append(len(probes))
     assert counts[1] <= 2.2 * counts[0], counts
+
+
+def _lookups_per_text(lexicons, monkeypatch, texts, run):
+    calls = []
+    lookup = lexicons.lookup
+    monkeypatch.setattr(lexicons, "lookup", lambda surface: calls.append(surface) or lookup(surface))
+    counts = []
+    for text in texts:
+        calls.clear()
+        run(text)
+        counts.append(len(calls))
+    return counts
+
+
+@pytest.mark.parametrize("unit", ["twenty ", "one hundred twenty three thousand ",
+                                  "five million and "])
+def test_number_word_runs_scan_in_linear_time(lexicons, monkeypatch, unit):
+    texts = [unit * (kb * 1024 // len(unit)) + "people died." for kb in (8, 16)]
+    counts = _lookups_per_text(lexicons, monkeypatch, texts,
+                               lambda text: analyze(text, lexicons))
+    assert counts[1] <= 2.2 * counts[0], counts
+
+
+def test_50_kb_without_a_sentence_terminator_extracts_in_linear_time(
+        lexicons, rules, kb, monkeypatch):
+    clause = INTRO_TEXT.rstrip(".") + " and "
+    texts = [(clause * (size // len(clause) + 1))[:size] for size in (25 * 1024, 50 * 1024)]
+    results = []
+
+    def run(text):
+        began = time.perf_counter()
+        results.append(extract(text, lexicons, rules, kb))
+        assert time.perf_counter() - began < 20.0
+
+    counts = _lookups_per_text(lexicons, monkeypatch, texts, run)
+    assert counts[1] <= 2.2 * counts[0], counts
+    assert [len(result.parses) for result in results] == [1, 1]
+    assert all(result.document.events for result in results)
+
+
+def test_mentions_of_one_entry_share_one_reading(lexicons):
+    parses = analyze("New York voted. Then New York voted again.", lexicons)
+    first, second = (mention_by_text(parses[n:], "New York")[1] for n in (0, 1))
+    assert len(first.readings) >= 3
+    assert all(a is b for a, b in zip(first.readings, second.readings, strict=True))
 
 
 def test_trailing_range_word_after_a_number_is_no_error(lexicons):

@@ -1,13 +1,26 @@
-"""Sentence splitting, part-of-speech tagging, and noun grouping."""
+"""Sentence splitting, part-of-speech tagging, noun grouping, and
+reference resolution."""
 
 import time
+from dataclasses import dataclass, field
+from decimal import Decimal
+from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from newsforms.pipeline import chunk_noun_groups, split_sentences, tag_pos
+from newsforms.model import Location, Money, Organization, Person
+from newsforms.pipeline import analyze, chunk_noun_groups, coref, split_sentences, tag_pos
 from newsforms.pipeline.sentences import ABBREVIATIONS
-from newsforms.pipeline.types import Pos
+from newsforms.pipeline.types import (
+    EntityMention,
+    EntityReading,
+    Pos,
+    ReadingKind,
+    SentenceParse,
+)
+from newsforms.vocab import Sex
 
 from conftest import INTRO_TEXT
 
@@ -263,3 +276,126 @@ def test_groups_are_ordered_and_disjoint():
         for i in range(group.first, group.last + 1):
             assert i not in seen
             seen.add(i)
+
+
+# ---- reference resolution -----------------------------------------------------
+
+@dataclass
+class _OracleEntity:
+    eid: str
+    kind: ReadingKind
+    sex: Optional[Sex] = None
+    full_names: set = field(default_factory=set)
+    families: set = field(default_factory=set)
+    functions: set = field(default_factory=set)
+    values: set = field(default_factory=set)
+
+
+class OracleResolver:
+    """The scanning resolver: every lookup walks back over all earlier
+    entities, so it is quadratic in mentions; kept as the reference."""
+
+    def __init__(self):
+        self.entities = []
+        self.counters = {}
+
+    def fresh(self, kind):
+        prefix = coref._PREFIX[kind]
+        self.counters[prefix] = self.counters.get(prefix, 0) + 1
+        entity = _OracleEntity(eid=f"{prefix}{self.counters[prefix]}", kind=kind)
+        self.entities.append(entity)
+        return entity
+
+    def resolve_person(self, person, pronoun):
+        full, family, function = coref._person_keys(person)
+        if pronoun:
+            for entity in reversed(self.entities):
+                if entity.kind is ReadingKind.PERSON and \
+                        coref._sex_compatible(entity.sex, person.sex):
+                    return entity
+            return None
+        for entity in reversed(self.entities):
+            if entity.kind is not ReadingKind.PERSON:
+                continue
+            if full and full in entity.full_names:
+                return entity
+        if family:
+            for entity in reversed(self.entities):
+                if entity.kind is ReadingKind.PERSON and family in entity.families:
+                    return entity
+        if function and not family and not person.given:
+            for entity in reversed(self.entities):
+                if entity.kind is ReadingKind.PERSON and function in entity.functions:
+                    return entity
+        return None
+
+    def resolve_value(self, reading):
+        key = coref._value_key(reading)
+        if key is None:
+            return None
+        for entity in reversed(self.entities):
+            if entity.kind is reading.kind and key in entity.values:
+                return entity
+        return None
+
+    def record(self, entity, reading):
+        if reading.kind is ReadingKind.PERSON:
+            person = reading.value
+            full, family, function = coref._person_keys(person)
+            if full:
+                entity.full_names.add(full)
+            if family:
+                entity.families.add(family)
+            if function:
+                entity.functions.add(function)
+            if entity.sex is None and isinstance(person.sex, Sex):
+                entity.sex = person.sex
+        else:
+            key = coref._value_key(reading)
+            if key:
+                entity.values.add(key)
+
+
+_PERSONS = st.builds(
+    Person,
+    given=st.sampled_from([None, "Ann", "Bob"]),
+    family=st.sampled_from([None, "Smith", "Jones", "smith"]),
+    function=st.sampled_from([None, "Mayor", "judge"]),
+    # "Other" lies outside the vocabulary and stays a plain string
+    sex=st.sampled_from([None, Sex.MALE, Sex.FEMALE, "Other"]),
+)
+_VALUES = st.sampled_from([
+    EntityReading(ReadingKind.NUMBER, Decimal("12")),
+    EntityReading(ReadingKind.PERCENT, Decimal("12")),
+    EntityReading(ReadingKind.MONEY, Money(Decimal("5"), "USD")),
+    EntityReading(ReadingKind.LOCATION, Location(city="Paris", country="FRA")),
+    EntityReading(ReadingKind.LOCATION, Location(city="paris", country="FRA")),
+    EntityReading(ReadingKind.ORGANIZATION, Organization(full_name="Acme")),
+    EntityReading(ReadingKind.PRODUCT, "Boeing 777"),
+    EntityReading(ReadingKind.DATE, None),   # no value key
+])
+_MENTIONS = st.one_of(
+    st.builds(lambda person, pronoun: EntityMention(
+        0, 0, (EntityReading(ReadingKind.PERSON, person),), pronoun=pronoun),
+        _PERSONS, st.booleans()),
+    st.builds(lambda reading: EntityMention(0, 0, (reading,)), _VALUES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_MENTIONS, max_size=6), max_size=8))
+def test_indexed_resolver_matches_the_scanning_oracle(sentences):
+    parses = [SentenceParse(0, 0, (), tuple(mentions)) for mentions in sentences]
+    with mock.patch.object(coref, "_Resolver", OracleResolver):
+        expected = coref.resolve_references(parses)
+    assert coref.resolve_references(parses) == expected
+
+
+@pytest.mark.parametrize("unit", ["Mr. ", "Mr. she "])
+def test_64_kb_of_person_mentions_resolves_in_linear_time(lexicons, unit):
+    text = unit * (64 * 1024 // len(unit))
+    began = time.perf_counter()
+    parses = analyze(text, lexicons)
+    assert time.perf_counter() - began < 20.0   # the scanning resolver takes minutes
+    ids = {m.resolved_id for parse in parses for m in parse.mentions}
+    assert len(ids) >= 8 * 1024

@@ -1,8 +1,10 @@
 """Rule compilation, pattern application, merging, and commonsense checks."""
 
 from decimal import Decimal
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newsforms import model
 from newsforms.model import (
@@ -19,7 +21,12 @@ from newsforms.pipeline.types import ReadingKind
 from newsforms.rules import (
     EventDraft,
     Fragment,
+    Literal,
+    OptionalGroup,
     RuleError,
+    _instantiate,
+    _items_for,
+    _match_at,
     apply_commonsense,
     apply_patterns,
     compile_kb,
@@ -28,6 +35,7 @@ from newsforms.rules import (
     merge_fragments,
 )
 from newsforms.vocab import Cause, FedAction, InterestRateName, Judgment
+from newsforms.xmlcodec import parse_newsform, serialize_newsform
 
 from conftest import INTRO_TEXT, schema_paths
 
@@ -43,6 +51,7 @@ def test_injured_rule_compiles():
     rule = rules[0]
     assert rule.priority == 2  # "was", "injured"
     assert rule.slots == {"Person": ReadingKind.PERSON}
+    assert rule.literals == {"was", "injured"}
     assert rule.template.event_cls is InjuryFatality
 
 
@@ -145,6 +154,99 @@ def test_optional_atoms_and_skips(lexicons):
     without = analyze("Floods came, killing 40 people.", lexicons)
     assert apply_patterns(with_opt, rules)[0].event.killed_count == 40
     assert apply_patterns(without, rules)[0].event.killed_count == 40
+
+
+# ---- literal front filter ----------------------------------------------------
+
+def oracle_apply_patterns(parses, rules):
+    """apply_patterns without the literal filter: every rule at every item."""
+    ordered = sorted(rules, key=lambda r: (-r.priority, r.order))
+    fragments = []
+    for sentence_index, parse in enumerate(parses):
+        items = _items_for(parse)
+        sentence_frags = []
+        for rule in ordered:
+            pos = 0
+            while pos < len(items):
+                result = _match_at(rule.atoms, items, pos)
+                if result is None:
+                    pos += 1
+                    continue
+                end, bindings = result
+                fragment = _instantiate(rule, bindings, parse, sentence_index)
+                if fragment is not None:
+                    sentence_frags.append((pos, fragment))
+                pos = max(end, pos + 1)
+        sentence_frags.sort(key=lambda pair: pair[0])
+        fragments.extend(frag for _, frag in sentence_frags)
+    return fragments
+
+
+def test_literals_only_inside_optional_groups_do_not_gate_a_rule(lexicons):
+    (rule,) = compile_rules(
+        "[at least] ?Number:n [people] => "
+        "<InjuryFatality><KilledCount>?n</KilledCount></InjuryFatality>")
+    assert rule.literals == frozenset()
+    parses = analyze("They counted 40.", lexicons)
+    (fragment,) = apply_patterns(parses, [rule])
+    assert fragment.event.killed_count == 40
+
+
+@pytest.mark.parametrize("text, fires", [
+    ("An earthquake STRUCK western Colombia on Monday.", True),
+    # the capitalised-word fallback takes EARTHQUAKE as a name, so the
+    # literal is no free token here, with or without the filter
+    ("EARTHQUAKE Struck western Colombia.", False),
+])
+def test_upper_case_text_against_lower_case_literals(lexicons, rules, text, fires):
+    parses = analyze(text, lexicons)
+    fragments = apply_patterns(parses, rules)
+    assert fragments == oracle_apply_patterns(parses, rules)
+    assert any(f.event.cause is Cause.EARTHQUAKE for f in fragments) is fires
+
+
+def test_literal_covered_by_a_mention_never_matches(lexicons):
+    rules = compile_rules(
+        "York ?Number:n => <InjuryFatality><KilledCount>?n</KilledCount></InjuryFatality>")
+    parses = analyze("Officials in New York 12 said so.", lexicons)
+    # "York" lies inside a mention; the number that would bind follows it
+    assert [parses[0].mention_text(m) for m in parses[0].mentions][-2:] == ["New York", "12"]
+    assert apply_patterns(parses, rules) == oracle_apply_patterns(parses, rules) == []
+
+
+def _literal_words(atoms):
+    for atom in atoms:
+        if isinstance(atom, Literal):
+            yield atom.text
+        elif isinstance(atom, OptionalGroup):
+            yield from _literal_words(atom.atoms)
+
+
+@lru_cache(maxsize=1)
+def _lexicon_surfaces(lexicon_dir):
+    return sorted({line.split("\t")[0]
+                   for path in lexicon_dir.glob("*.tsv")
+                   for line in path.read_text(encoding="utf-8").splitlines()
+                   if line and not line.startswith("#")})
+
+
+_FILLER = ["the", "a", "and", "of", "in", "on", "12", "143", "$5 million", "40 percent",
+           "Monday", "Mr.", "she", "he", ",", "said", "at least", "more than"]
+_CASES = [str, str.lower, str.upper, str.title]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_filtered_patterns_equal_the_unfiltered_oracle(data_root, lexicons, rules, data):
+    literals = sorted({word for rule in rules for word in _literal_words(rule.atoms)})
+    word = st.one_of(st.sampled_from(literals),
+                     st.sampled_from(_lexicon_surfaces(data_root / "lexicons")),
+                     st.sampled_from(_FILLER))
+    words = data.draw(st.lists(st.tuples(word, st.sampled_from(_CASES)), max_size=40))
+    ends = data.draw(st.sampled_from([".", "", ". The", "! Later"]))
+    text = " ".join(case(w) for w, case in words) + ends
+    parses = analyze(text, lexicons)
+    assert apply_patterns(parses, rules) == oracle_apply_patterns(parses, rules)
 
 
 def test_same_rule_can_fire_twice_per_sentence(lexicons):
@@ -394,6 +496,13 @@ def test_extract_is_total_over_word_salad(lexicons, rules, kb):
         text = " ".join(rng.choice(words) for _ in range(rng.randrange(0, 40)))
         result = extract(text, lexicons, rules, kb)
         assert model.validate(result.document).ok, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=300))
+def test_extract_on_any_text_serialises(lexicons, rules, kb, text):
+    document = extract(text, lexicons, rules, kb).document
+    assert parse_newsform(serialize_newsform(document)) == document
 
 
 def test_overlapping_rules_both_fire(lexicons):

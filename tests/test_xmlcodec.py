@@ -5,6 +5,7 @@ from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newsforms import model
 from newsforms.model import (
@@ -74,6 +75,32 @@ def test_malformed_xml_reports_line_and_column():
     with pytest.raises(XmlSyntaxError) as info:
         parse_newsform("<NewsForm>\n  <Head>\n</NewsForm>")
     assert info.value.line == 3
+
+
+_ELEMENTS = sorted({"NewsForm", "Head", "Amount", "Currency", *model.EVENT_TYPES}
+                   | {spec.element for cls in (*model.EVENT_TYPES.values(), Head, Person,
+                                               Organization, model.Location, Money)
+                      for spec in model.specs_for(cls)})
+_LEAVES = st.sampled_from(["", "7", "-2", "1.5", "1e5", "NaN", "9" * 40, "USD", "10 mph",
+                           "2000-01-01T00:00:00", "Male", "&amp;", "&bogus;", "x y"])
+_ELEMENT = st.recursive(
+    _LEAVES,
+    lambda inner: st.builds(lambda tag, children: f"<{tag}>{''.join(children)}</{tag}>",
+                            st.sampled_from(_ELEMENTS), st.lists(inner, max_size=4)),
+    max_leaves=20)
+_DOCUMENT = st.builds(lambda children: "<NewsForm>" + "".join(children) + "</NewsForm>",
+                      st.lists(_ELEMENT, max_size=4))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_DOCUMENT, _DOCUMENT.map(str.encode), st.text(), st.binary()))
+def test_parse_raises_only_its_documented_errors(source):
+    try:
+        parse_newsform(source)
+    except (XmlSyntaxError, SchemaError, FieldTypeError):
+        pass
+    except UnicodeDecodeError:
+        assert isinstance(source, bytes)
 
 
 def test_unknown_event_element_is_a_schema_error():
