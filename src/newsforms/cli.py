@@ -94,26 +94,35 @@ def _cmd_validate(args) -> int:
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
-def _corpus_index(corpus_arg: str):
+def _corpus_dir(corpus_arg: str) -> Path:
     directory = Path(corpus_arg)
     if not directory.is_dir():
         raise ResourceError(f"corpus directory does not exist: {directory}")
+    return directory
+
+
+def _corpus_index(directory: Path):
     index = corpus.build_index(corpus.corpus_paths(directory))
     for line in index.diagnostics:
         print(line, file=sys.stderr)
     return index
 
 
+# The corpus commands check the directory (exit 2), then the request
+# (exit 3), and only then read the corpus, so a mistyped query fails at once.
+
 def _cmd_query(args) -> int:
-    index = _corpus_index(args.corpus)
-    for hit in corpus.evaluate_query(index, corpus.parse_query(args.query)):
+    directory = _corpus_dir(args.corpus)
+    expr = corpus.parse_query(args.query)
+    for hit in corpus.evaluate_query(_corpus_index(directory), expr):
         print(f"{hit.doc_id}\t{hit.path}\t{hit.sort_value}")
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
-    index = _corpus_index(args.corpus)
-    result = corpus.stats(index, args.variant, corpus.Bucket(args.bucket))
+    directory = _corpus_dir(args.corpus)
+    corpus.event_type(args.variant)
+    result = corpus.stats(_corpus_index(directory), args.variant, corpus.Bucket(args.bucket))
     for start, count in result.buckets:
         print(f"{start.strftime('%Y%m%d')}\t{count}")
     print(f"UNDATED\t{result.undated}")
@@ -121,8 +130,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_geo(args) -> int:
-    index = _corpus_index(args.corpus)
-    distribution = corpus.geo_distribution(index, corpus.parse_query(args.query))
+    directory = _corpus_dir(args.corpus)
+    expr = corpus.parse_query(args.query)
+    distribution = corpus.geo_distribution(_corpus_index(directory), expr)
     for code, (positive, negative, other) in distribution.per_country:
         print(f"{code}\t{positive}\t{negative}\t{other}")
     positive, negative, other = distribution.unlocated

@@ -1,11 +1,13 @@
 """Corpus index and query engine over news-event documents.
 
 A corpus is a directory of ``*.newsform.xml`` files. The index holds the
-parsed documents and an inverted map from (event type, field path, value
-token) to document ids. Queries are a
-conjunction of field-path predicates that must all hold on one event
-record, with optional sorting, and time windows; results equal brute-force
-evaluation on every corpus.
+parsed, validated documents; its inverted map from (event type, field
+path, value token) to document ids is built only when something reads it.
+Each command builds the index once and runs one query, so queries scan
+the parsed documents rather than pay for postings they would read once.
+Queries are a conjunction of field-path predicates that must all hold on
+one event record, with optional sorting, and time windows; results equal
+brute-force evaluation on every corpus.
 
 Query surface syntax::
 
@@ -26,8 +28,9 @@ import operator
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from decimal import Context, Decimal, InvalidOperation, Overflow
+from decimal import Context, Decimal, InvalidOperation
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -83,18 +86,29 @@ class IndexedDoc:
 @dataclass
 class CorpusIndex:
     docs: list[IndexedDoc] = field(default_factory=list)
-    postings: dict[tuple[str, str, str], set[str]] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
 
     def doc(self, doc_id: str) -> IndexedDoc:
         return next(d for d in self.docs if d.doc_id == doc_id)
 
+    @cached_property
+    def postings(self) -> dict[tuple[str, str, str], set[str]]:
+        """Ids of the documents holding each (event type, field path, value
+        token), built on first read."""
+        postings: dict[tuple[str, str, str], set[str]] = {}
+        for doc in self.docs:
+            for event in doc.form.events:
+                variant = model.ELEMENT_OF_EVENT[type(event)]
+                for leaf_path, token in _leaf_postings(event, ""):
+                    postings.setdefault((variant, leaf_path, token), set()).add(doc.doc_id)
+        return postings
+
 
 def _leaf_postings(record, prefix: str):
     """Yield (dotted path, value token) for every populated leaf; a money
     value is posted whole and by its Amount and Currency."""
-    # the inner loop of build_index, so it reads fields directly rather
-    # than through model.values_at
+    # the inner loop of the postings build, so it reads fields directly
+    # rather than through model.values_at
     for spec in model.specs_for(type(record)):
         value = getattr(record, spec.attr)
         if value is None or value == ():
@@ -103,7 +117,7 @@ def _leaf_postings(record, prefix: str):
         if not spec.records or spec.kind is FieldKind.MONEY:
             yield path, _posting_token(spec, value)
         if spec.records:
-            for item in value if spec.kind in model.LIST_KINDS else (value,):
+            for item in value if spec.is_list else (value,):
                 yield from _leaf_postings(item, path)
 
 
@@ -124,10 +138,6 @@ def build_index(paths: Iterable) -> CorpusIndex:
                 f"skipped\t{path}\tinvalid: {first.path}: {first.message}")
             continue
         index.docs.append(IndexedDoc(doc_id, str(path), form))
-        for event in form.events:
-            variant = model.ELEMENT_OF_EVENT[type(event)]
-            for leaf_path, token in _leaf_postings(event, ""):
-                index.postings.setdefault((variant, leaf_path, token), set()).add(doc_id)
     return index
 
 
@@ -174,6 +184,13 @@ def _is_nan(literal: str) -> bool:
         return False
 
 
+def event_type(name: str, position: int = 0) -> type:
+    """The event class of a variant name; QueryError if there is none."""
+    if name not in model.EVENT_TYPES:
+        raise QueryError(f"unknown event type {name!r}", position)
+    return model.EVENT_TYPES[name]
+
+
 def parse_query(text: str) -> QueryExpr:
     """Parse query surface syntax; errors carry the offending position."""
     tokens = [(m.group(), m.start()) for m in _TOKEN_SPLIT_RE.finditer(text)]
@@ -189,18 +206,16 @@ def parse_query(text: str) -> QueryExpr:
 
     def parse_stamp(token: str, pos: int) -> datetime:
         try:
-            stamp = datetime.strptime(token, model.TIMESTAMP_FORMAT)
+            return model.parse_timestamp(token)
         except ValueError:
             raise QueryError(f"bad timestamp {token!r} (want YYYYMMDDTHHMMSSZ)",
                              pos) from None
-        return stamp.replace(tzinfo=timezone.utc)
 
     def split_variant(dotted: str, pos: int):
         nonlocal variant
         parts = dotted.split(".", 1)
         name = parts[0]
-        if name not in model.EVENT_TYPES:
-            raise QueryError(f"unknown event type {name!r}", pos)
+        event_type(name, pos)
         if variant is None:
             variant = name
         elif variant != name:
@@ -316,10 +331,9 @@ def _predicate_holds(pred: Predicate, event) -> bool:
                 continue
         elif kind is FieldKind.TIMESTAMP:
             try:
-                rhs = datetime.strptime(pred.value, model.TIMESTAMP_FORMAT)
+                lhs, rhs = value, model.parse_timestamp(pred.value)
             except ValueError:
                 continue
-            lhs, rhs = value, rhs.replace(tzinfo=timezone.utc)
         else:
             lhs, rhs = _text(spec, value), pred.value
         if _COMPARE[pred.op](lhs, rhs):
@@ -357,31 +371,9 @@ class QueryHit:
     sort_value: str  # "-" when the doc has no value for the sort key
 
 
-def _candidate_ids(index: CorpusIndex, query: QueryExpr) -> Optional[set[str]]:
-    """Posting-list intersection for equality predicates; None = all docs."""
-    candidates: Optional[set[str]] = None
-    for pred in query.predicates:
-        if pred.op != "=" or pred.specs[-1].kind is FieldKind.MONEY:
-            continue
-        kind = pred.specs[-1].kind
-        if kind in (FieldKind.INT, FieldKind.DECIMAL):
-            try:
-                token = _norm_number(Decimal(pred.value))
-            except (InvalidOperation, Overflow):   # not a number, or out of range
-                token = pred.value
-        else:
-            token = pred.value
-        ids = index.postings.get((query.variant, pred.path, token), set())
-        candidates = ids if candidates is None else candidates & ids
-    return candidates
-
-
 def evaluate_query(index: CorpusIndex, query: QueryExpr) -> list[QueryHit]:
-    candidates = _candidate_ids(index, query)
     hits = []
     for doc in index.docs:
-        if candidates is not None and doc.doc_id not in candidates:
-            continue
         if not _doc_in_window(query, doc):
             continue
         events = _matching_events(query, doc)
@@ -433,9 +425,7 @@ def _bucket_start(stamp: datetime, bucket: Bucket) -> datetime:
 def stats(index: CorpusIndex, variant: str, bucket: Bucket) -> StatsResult:
     """Events of one type per UTC day or week; gaps inside the covered
     range appear with count 0; undated documents are tallied separately."""
-    if variant not in model.EVENT_TYPES:
-        raise QueryError(f"unknown event type {variant!r}")
-    cls = model.EVENT_TYPES[variant]
+    cls = event_type(variant)
     counts: dict[datetime, int] = {}
     undated = 0
     for doc in index.docs:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import lru_cache
@@ -57,6 +57,7 @@ from .vocab import (
 )
 
 TIMESTAMP_FORMAT = "%Y%m%dT%H%M%SZ"
+_TIMESTAMP_RE = re.compile(r"([0-9]{4})([0-9]{2})([0-9]{2})T([0-9]{2})([0-9]{2})([0-9]{2})Z")
 
 _TICKER_RE = re.compile(r"^[A-Z0-9]{1,6}(\.[A-Z0-9]{1,4})?$")
 _TOKEN_RE = re.compile(r"^\S+$")
@@ -85,6 +86,19 @@ def usps_state_codes() -> frozenset[str]:
 def format_decimal(value: Decimal) -> str:
     """Plain-notation decimal text; preserves the stored scale (2.50 stays 2.50)."""
     return format(value, "f")
+
+
+def parse_timestamp(text: str) -> datetime:
+    """The UTC datetime of dateline-format text (``YYYYMMDDTHHMMSSZ``).
+
+    Accepts and rejects exactly what ``datetime.strptime(text,
+    TIMESTAMP_FORMAT)`` does, raising ValueError; the canonical spelling
+    skips strptime, which is slow, and any other spelling goes through it.
+    """
+    match = _TIMESTAMP_RE.fullmatch(text)
+    if match is None:
+        return datetime.strptime(text, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+    return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +158,12 @@ class FieldSpec:
     max_value: Optional[Decimal] = None
     min_exclusive: bool = False
     records: tuple[type, ...] = ()   # record classes a value may be; () for leaves
+    # ``kind in LIST_KINDS``, kept on the spec because the per-field loops
+    # of parsing, validation and indexing would hash the enum member each time
+    is_list: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "is_list", self.kind in LIST_KINDS)
 
 
 def _spec(element, attr, kind, enum=None, lo=None, hi=None, lo_open=False):
@@ -159,10 +179,7 @@ class _Record:
     """Shared immutable-dataclass behavior: normalize fields on construction."""
 
     def __post_init__(self):
-        specs = CHILD_SPECS.get(type(self))
-        if not specs:
-            return
-        for spec in specs:
+        for spec in _NORMALIZED_SPECS.get(type(self), ()):
             value = getattr(self, spec.attr)
             norm = _normalize(spec, value)
             if norm is not value:
@@ -192,7 +209,7 @@ def _normalize(spec: FieldSpec, value):
             return value
     if spec.kind is FieldKind.DECIMAL:
         return _to_decimal(value)
-    if spec.kind in LIST_KINDS:
+    if spec.is_list:
         if isinstance(value, list):
             return tuple(value)
         return value
@@ -752,6 +769,12 @@ ELEMENT_OF_EVENT = {cls: name for name, cls in EVENT_TYPES.items()}
 _SPEC_OF_ELEMENT = {cls: {spec.element: spec for spec in specs}
                     for cls, specs in CHILD_SPECS.items()}
 
+# the fields _normalize can change, so record construction skips the rest
+_NORMALIZED_SPECS = {
+    cls: tuple(spec for spec in specs
+               if spec.kind in (FieldKind.ENUM, FieldKind.DECIMAL) or spec.is_list)
+    for cls, specs in CHILD_SPECS.items()}
+
 
 def specs_for(cls: type) -> tuple[FieldSpec, ...]:
     return CHILD_SPECS[cls]
@@ -900,7 +923,7 @@ def _walk(out, path, record):
         if value is None:
             continue
         child = _join(path, spec.element)
-        if spec.kind in LIST_KINDS:
+        if spec.is_list:
             items = value if isinstance(value, tuple) else (value,)
             for i, item in enumerate(items, start=1):
                 item_path = child if len(items) == 1 else f"{child}[{i}]"

@@ -470,7 +470,7 @@ def _instantiate(rule: ExtractionRule, bindings: dict, parse: SentenceParse,
             value = resolve(spec, part)
             if value is None:
                 continue
-            if spec.kind in model.LIST_KINDS and not isinstance(value, tuple):
+            if spec.is_list and not isinstance(value, tuple):
                 value = (value,)
             values[spec.attr] = value
     except _BindError:
@@ -555,7 +555,7 @@ def merge_fragments(fragments: Sequence[Fragment]) -> MergeOutcome:
         for spec in model.specs_for(cls):
             mine = getattr(draft.event, spec.attr)
             theirs = getattr(fragment.event, spec.attr)
-            if spec.kind in model.LIST_KINDS:
+            if spec.is_list:
                 combined = list(mine)
                 for item in theirs:
                     if item not in combined:
@@ -612,7 +612,7 @@ def _kb_path(cls: type, path: str) -> Optional[tuple[FieldSpec, ...]]:
     so the path may end at, but not pass through, a list field or a field
     of several record classes."""
     specs = model.resolve_path(cls, path)
-    if specs is None or any(spec.kind in model.LIST_KINDS or len(spec.records) > 1
+    if specs is None or any(spec.is_list or len(spec.records) > 1
                             for spec in specs[:-1]):
         return None
     return specs
@@ -750,7 +750,7 @@ def apply_commonsense(events: Sequence, kb: Sequence[CommonsenseRule]):
                 break
             spec = rule.target
             if rule.action == "DropField":
-                cleared = () if spec.kind in model.LIST_KINDS else None
+                cleared = () if spec.is_list else None
                 draft.event = replace(draft.event, **{spec.attr: cleared})
                 draft.alternatives.pop(spec.attr, None)
                 diagnostics.append(Diagnostic(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from datetime import datetime, timezone
 from decimal import Decimal
 from typing import Union
 from xml.sax.saxutils import escape
@@ -41,13 +40,14 @@ FILE_EXTENSION = ".newsform.xml"
 _INT_RE = re.compile(r"^[-+]?\d+$")
 _DECIMAL_RE = re.compile(r"^[-+]?\d+(\.\d+)?$")
 _MEASURE_RE = re.compile(r"^([-+]?\d+(?:\.\d+)?)\s+(\S+)$")
+_LINE_BREAK_RE = re.compile(r"\r\n?|\n")   # XML's line ends
 
 _PERSON_ONLY = {s.element for s in model.specs_for(Person)} - {"Email", "URL"}
 _ORG_ONLY = {s.element for s in model.specs_for(Organization)} - {"Email", "URL"}
 
 
 class XmlSyntaxError(ValueError):
-    """Malformed XML; carries the 1-based line and column."""
+    """Malformed XML; carries the 1-based line and 0-based column."""
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} (line {line}, column {column})")
@@ -93,11 +93,11 @@ def parse_newsform(text: Union[str, bytes]) -> NewsForm:
     text is normalized into typed fields. Unknown vocabulary tokens are
     kept verbatim for :func:`model.validate` to report.
 
-    Raises XmlSyntaxError, SchemaError or FieldTypeError, and for bytes
-    that are not UTF-8, UnicodeDecodeError; all four are ValueErrors.
+    Raises XmlSyntaxError (also for bytes that are not UTF-8), SchemaError
+    or FieldTypeError; all three are ValueErrors.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = _decode(text)
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -126,6 +126,17 @@ def parse_newsform(text: Union[str, bytes]) -> NewsForm:
         else:
             raise SchemaError(child.tag, f"unknown element <{child.tag}>")
     return NewsForm(head=head, events=tuple(events))
+
+
+def _decode(data: bytes) -> str:
+    """UTF-8 text of a document; a bad byte is an XmlSyntaxError at the
+    line and column the XML parser would give it."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = _LINE_BREAK_RE.split(data[:exc.start].decode("utf-8"))
+        raise XmlSyntaxError(f"not UTF-8 text: {exc.reason}",
+                             len(lines), len(lines[-1])) from None
 
 
 def read_newsform(path) -> NewsForm:
@@ -157,15 +168,13 @@ def _parse_record(elem: ET.Element, cls: type, path: str):
             raise SchemaError(f"{path}/{child.tag}", f"unknown element <{child.tag}>")
         child_path = f"{path}/{child.tag}"
         parsed = _parse_field(child, spec, child_path)
-        if spec.kind in model.LIST_KINDS:
+        if spec.is_list:
             values.setdefault(spec.attr, []).append(parsed)
         elif spec.attr in values:
             raise SchemaError(child_path, f"<{child.tag}> may appear at most once")
         else:
             values[spec.attr] = parsed
-    for attr, value in values.items():
-        if isinstance(value, list):
-            values[attr] = tuple(value)
+    # constructing the record turns the lists of list fields into tuples
     try:
         return cls(**values)
     except TypeError as exc:
@@ -198,12 +207,11 @@ def _parse_field(elem: ET.Element, spec: model.FieldSpec, path: str):
         return Decimal(text)
     if kind is FieldKind.TIMESTAMP:
         try:
-            stamp = datetime.strptime(text, model.TIMESTAMP_FORMAT)
+            return model.parse_timestamp(text)
         except ValueError:
             raise FieldTypeError(
                 path, f"not a basic-format UTC timestamp (YYYYMMDDTHHMMSSZ): {text!r}"
             ) from None
-        return stamp.replace(tzinfo=timezone.utc)
     if kind is FieldKind.ENUM:
         try:
             return spec.enum(text)

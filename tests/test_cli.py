@@ -157,6 +157,22 @@ def test_query_nan_literal_is_exit_3(capsys, corpus_dir):
     assert err.startswith("error: 'NaN' is not a number")
 
 
+@pytest.mark.parametrize("argv", [
+    ("query", "Deal.Bogus = x"), ("geo", "Deal.Stake < NaN"), ("stats", "Scandal", "day"),
+])
+def test_bad_request_is_exit_3_before_the_corpus_is_read(capsys, tmp_path, argv):
+    _bad_file(tmp_path)
+    command, *rest = argv
+    code, out, err = run(capsys, command, tmp_path, *rest)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "skipped" not in err
+
+
+def test_missing_corpus_takes_precedence_over_a_bad_query(capsys, tmp_path):
+    code, out, err = run(capsys, "query", tmp_path / "nowhere", "Deal.Bogus = x")
+    assert (code, out) == (2, "")
+
+
 @pytest.mark.parametrize("command", ["extract", "validate"])
 def test_undecodable_file_is_exit_2_with_one_error_line(capsys, tmp_path, command):
     story = tmp_path / "latin1.txt"

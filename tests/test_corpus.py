@@ -355,6 +355,27 @@ def test_nan_literal_on_a_numeric_field_is_a_query_error(text):
         parse_query(text)
 
 
+@pytest.mark.parametrize("path, literal", [
+    ("KilledCount", "-0"), ("KilledCount", "-0.00"), ("KilledCount", "+5"),
+    ("KilledCount", "5.0"), ("KilledCount", "5E0"),
+    ("AtLocation.Latitude", "0"), ("AtLocation.Latitude", "-0"),
+    ("AtLocation.Latitude", "5"),
+])
+def test_numeric_equality_is_decimal_equality(tmp_path, path, literal):
+    # zero and negative zero are equal numbers with different canonical text
+    index = _write_docs(tmp_path, [
+        model.InjuryFatality(killed_count=0,
+                             at_location=model.Location(latitude=Decimal("-0.00"))),
+        model.InjuryFatality(killed_count=5,
+                             at_location=model.Location(latitude=Decimal("5.0"))),
+        model.InjuryFatality(killed_count=50),
+    ])
+    docs = [(d.doc_id, d.form) for d in index.docs]
+    expected = oracle_query(docs, "InjuryFatality", [(path, "=", literal)])
+    assert expected
+    assert query(index, parse_query(f"InjuryFatality.{path} = {literal}")) == expected
+
+
 def test_literal_beyond_the_decimal_range_matches_nothing(index):
     assert query(index, parse_query("InjuryFatality.KilledCount = 1e999999999")) == []
 

@@ -4,6 +4,7 @@ from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from newsforms import model
 from newsforms.model import (
@@ -279,3 +280,49 @@ def test_values_at_fans_out_over_lists():
     specs = model.resolve_path(InjuryFatality, "Killed.Family")
     assert model.values_at(event, specs) == ["A", "C"]
     assert model.values_at(InjuryFatality(), specs) == []
+
+
+# ---------------------------------------------------------------------------
+# Timestamps
+
+def _strptime_or_error(text):
+    try:
+        return datetime.strptime(text, model.TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+    except ValueError:
+        return ValueError
+
+
+def _parse_or_error(text):
+    try:
+        return model.parse_timestamp(text)
+    except ValueError:
+        return ValueError
+
+
+# ASCII digits mostly, with Arabic-Indic, fullwidth and Devanagari ones
+_DIGIT = st.one_of(st.sampled_from("0123456789"), st.sampled_from("٠٣٩０５९"))
+_STAMP_SHAPED = st.builds(
+    lambda date, time, t, z: "".join(date) + t + "".join(time) + z,
+    st.lists(_DIGIT, min_size=7, max_size=9), st.lists(_DIGIT, min_size=5, max_size=7),
+    st.sampled_from("Tt "), st.sampled_from(["Z", "z", "", "Z\n"]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.text(max_size=20), _STAMP_SHAPED))
+@example("19990125T181917Z")
+@example("19991325T000000Z")   # month 13
+@example("19990025T000000Z")   # month 0
+@example("19990100T000000Z")   # day 0
+@example("19990229T000000Z")   # not a leap year
+@example("20000229T000000Z")
+@example("19990125T240000Z")
+@example("19990125T006000Z")
+@example("19990125T000060Z")   # second 60
+@example("19990125T000061Z")
+@example("00000125T000000Z")   # year 0
+@example("19990125t181917z")
+@example("1999125T181917Z")
+@example("١٩٩٩٠١٢٥T181917Z")
+@example("19990125T181917Z\n")
+def test_parse_timestamp_agrees_with_strptime(text):
+    assert _parse_or_error(text) == _strptime_or_error(text)
