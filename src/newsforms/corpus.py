@@ -15,7 +15,9 @@ Query surface syntax::
         [sort Variant.Path asc|desc] [since TS] [until TS]
 
 Operators: = != < <= > >= contains. A bare variant name matches every
-document containing an event of that type. Money literals are written
+document containing an event of that type. A predicate path ends at a
+value field, a money or a measure, never at a person, organization or
+location record. Money literals are written
 ``USD:1000000.50``; comparing against a differently-denominated field is
 an error. A ``NaN`` literal on a numeric field is an error. Sorting is
 on the exact value; equal keys keep document order in both directions.
@@ -277,6 +279,10 @@ def parse_query(text: str) -> QueryExpr:
         if specs is None:
             raise QueryError(f"unknown field path {token!r}", pos)
         kind = specs[-1].kind
+        if specs[-1].records and kind is not FieldKind.MONEY:
+            raise QueryError(
+                f"field path {token!r} names a record, not a value; name one of its fields",
+                pos)
         value = value_token.strip('"')
         if op_token in _COMPARE_OPS and kind not in model.ORDERED_KINDS:
             raise QueryError(

@@ -14,12 +14,12 @@ An empty error list means the document is accepted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 from .resources import packaged_data_root, read_code_table
 from .vocab import (
@@ -104,12 +104,16 @@ def parse_timestamp(text: str) -> datetime:
 # ---------------------------------------------------------------------------
 # Field schema
 #
-# Every document type declares its children once, in canonical (output)
-# order. Each spec also carries the record classes its kind holds
-# (``records``), so path resolution, validation, the XML codec, the
-# rule-template compiler and the corpus index all branch on the spec, not on
-# their own kind lists. ``resolve_path`` and ``values_at`` are the one path
-# resolver and value walker over this schema.
+# Each record field declares its schema entry where the dataclass declares
+# the field (``_f``), and ``CHILD_SPECS`` is derived from those fields, so
+# dataclass field order is the canonical (output) order. Order is
+# lexicographic by element name except InjuryFatality, whose AtLocation
+# child comes last; that is the one type whose output order is pinned by the
+# worked example this format follows. Each spec also carries the record
+# classes its kind holds (``records``), so path resolution, validation, the
+# XML codec, the rule-template compiler and the corpus index all branch on
+# the spec, not on their own kind lists. ``resolve_path`` and ``values_at``
+# are the one path resolver and value walker over this schema.
 
 class FieldKind(Enum):
     TEXT = "text"
@@ -166,10 +170,16 @@ class FieldSpec:
         object.__setattr__(self, "is_list", self.kind in LIST_KINDS)
 
 
-def _spec(element, attr, kind, enum=None, lo=None, hi=None, lo_open=False):
-    lo = Decimal(lo) if lo is not None else None
-    hi = Decimal(hi) if hi is not None else None
-    return FieldSpec(element, attr, kind, enum, lo, hi, lo_open, _RECORDS.get(kind, ()))
+def _f(element, kind, enum=None, lo=None, hi=None, lo_open=False, required=False):
+    """A record field with its schema entry: the FieldSpec arguments but the
+    attribute name and record classes, which ``CHILD_SPECS`` fills in. The
+    default is None, or () for list kinds, unless the field is required."""
+    spec = dict(element=element, kind=kind, enum=enum,
+                min_value=None if lo is None else Decimal(lo),
+                max_value=None if hi is None else Decimal(hi), min_exclusive=lo_open)
+    if required:
+        return field(metadata={"spec": spec})
+    return field(default=() if kind in LIST_KINDS else None, metadata={"spec": spec})
 
 
 # ---------------------------------------------------------------------------
@@ -218,40 +228,40 @@ def _normalize(spec: FieldSpec, value):
 
 @dataclass(frozen=True)
 class Person(_Record):
-    additional: Optional[str] = None
-    age: Optional[int] = None
-    country: Optional[str] = None
-    email: Optional[str] = None
-    family: Optional[str] = None
-    function: Optional[str] = None
-    given: Optional[str] = None
-    prefix: Optional[str] = None
-    sex: Optional[Sex] = None
-    suffix: Optional[str] = None
-    url: Optional[str] = None
+    additional: Optional[str] = _f("Additional", FieldKind.TEXT)
+    age: Optional[int] = _f("Age", FieldKind.INT, lo=0, hi=150)
+    country: Optional[str] = _f("Country", FieldKind.COUNTRY)
+    email: Optional[str] = _f("Email", FieldKind.TEXT)
+    family: Optional[str] = _f("Family", FieldKind.TEXT)
+    function: Optional[str] = _f("Function", FieldKind.TEXT)
+    given: Optional[str] = _f("Given", FieldKind.TEXT)
+    prefix: Optional[str] = _f("Prefix", FieldKind.TEXT)
+    sex: Optional[Sex] = _f("Sex", FieldKind.ENUM, enum=Sex)
+    suffix: Optional[str] = _f("Suffix", FieldKind.TEXT)
+    url: Optional[str] = _f("URL", FieldKind.TEXT)
 
 
 @dataclass(frozen=True)
 class Location(_Record):
-    city: Optional[str] = None
-    continent: Optional[Continent] = None
-    country: Optional[str] = None
-    latitude: Optional[Decimal] = None
-    longitude: Optional[Decimal] = None
-    region: Optional[str] = None
-    state: Optional[str] = None
-    url: Optional[str] = None
+    city: Optional[str] = _f("City", FieldKind.TEXT)
+    continent: Optional[Continent] = _f("Continent", FieldKind.ENUM, enum=Continent)
+    country: Optional[str] = _f("Country", FieldKind.COUNTRY)
+    latitude: Optional[Decimal] = _f("Latitude", FieldKind.DECIMAL, lo=-90, hi=90)
+    longitude: Optional[Decimal] = _f("Longitude", FieldKind.DECIMAL, lo=-180, hi=180)
+    region: Optional[str] = _f("Region", FieldKind.TEXT)
+    state: Optional[str] = _f("State", FieldKind.STATE)
+    url: Optional[str] = _f("URL", FieldKind.TEXT)
 
 
 @dataclass(frozen=True)
 class Organization(_Record):
-    email: Optional[str] = None
-    full_name: Optional[str] = None
-    nickname: Optional[str] = None
-    organization_type: Optional[str] = None
-    sport: Optional[Sport] = None
-    ticker: Optional[str] = None
-    url: Optional[str] = None
+    email: Optional[str] = _f("Email", FieldKind.TEXT)
+    full_name: Optional[str] = _f("FullName", FieldKind.TEXT)
+    nickname: Optional[str] = _f("Nickname", FieldKind.TEXT)
+    organization_type: Optional[str] = _f("OrganizationType", FieldKind.TOKEN)
+    sport: Optional[Sport] = _f("Sport", FieldKind.ENUM, enum=Sport)
+    ticker: Optional[str] = _f("Ticker", FieldKind.TICKER)
+    url: Optional[str] = _f("URL", FieldKind.TEXT)
 
 
 OrgOrPerson = Union[Organization, Person]
@@ -261,8 +271,8 @@ OrgOrPerson = Union[Organization, Person]
 class Money(_Record):
     """Exact decimal amount in an ISO 4217 currency. Never floating point."""
 
-    amount: Decimal
-    currency: str
+    amount: Decimal = _f("Amount", FieldKind.DECIMAL, required=True)
+    currency: str = _f("Currency", FieldKind.CURRENCY, required=True)
 
     def __post_init__(self):
         if isinstance(self.amount, float):
@@ -285,7 +295,7 @@ class Measure(_Record):
 
 @dataclass(frozen=True)
 class Head(_Record):
-    dateline_time: Optional[datetime] = None
+    dateline_time: Optional[datetime] = _f("DatelineTime", FieldKind.TIMESTAMP)
 
 
 # ---------------------------------------------------------------------------
@@ -293,195 +303,207 @@ class Head(_Record):
 
 @dataclass(frozen=True)
 class Competition(_Record):
-    competition_code: Optional[str] = None
-    competition_outcome: Optional[CompetitionOutcome] = None
-    player: Optional[Person] = None
-    sport: Optional[Sport] = None
-    team: Optional[Organization] = None
+    competition_code: Optional[str] = _f("CompetitionCode", FieldKind.TOKEN)
+    competition_outcome: Optional[CompetitionOutcome] = _f(
+        "CompetitionOutcome", FieldKind.ENUM, enum=CompetitionOutcome)
+    player: Optional[Person] = _f("Player", FieldKind.PERSON)
+    sport: Optional[Sport] = _f("Sport", FieldKind.ENUM, enum=Sport)
+    team: Optional[Organization] = _f("Team", FieldKind.ORGANIZATION)
 
 
 @dataclass(frozen=True)
 class Deal(_Record):
-    acquirer: Optional[Organization] = None
-    advisor: Optional[Organization] = None
-    deal_status: Optional[DealStatus] = None
-    deal_value: Optional[Money] = None
-    share_price: Optional[Money] = None
-    stake: Optional[Decimal] = None
-    stock_ratio: Optional[Decimal] = None
-    successor: Optional[Organization] = None
-    survivor: Optional[Organization] = None
-    target: Optional[Organization] = None
+    acquirer: Optional[Organization] = _f("Acquirer", FieldKind.ORGANIZATION)
+    advisor: Optional[Organization] = _f("Advisor", FieldKind.ORGANIZATION)
+    deal_status: Optional[DealStatus] = _f("DealStatus", FieldKind.ENUM, enum=DealStatus)
+    deal_value: Optional[Money] = _f("DealValue", FieldKind.MONEY)
+    share_price: Optional[Money] = _f("SharePrice", FieldKind.MONEY)
+    stake: Optional[Decimal] = _f("Stake", FieldKind.DECIMAL, lo=0, hi=100, lo_open=True)
+    stock_ratio: Optional[Decimal] = _f("StockRatio", FieldKind.DECIMAL, lo=0, lo_open=True)
+    successor: Optional[Organization] = _f("Successor", FieldKind.ORGANIZATION)
+    survivor: Optional[Organization] = _f("Survivor", FieldKind.ORGANIZATION)
+    target: Optional[Organization] = _f("Target", FieldKind.ORGANIZATION)
 
 
 @dataclass(frozen=True)
 class Earnings(_Record):
-    company: Optional[Organization] = None
-    eps: Optional[Money] = None
-    earnings_amount: Optional[Money] = None
-    good_bad: Optional[GoodBad] = None
-    loss: Optional[Money] = None
-    previous_eps: Optional[Money] = None
-    previous_earnings: Optional[Money] = None
-    sales: Optional[Money] = None
-    sales_ps: Optional[Money] = None
+    company: Optional[Organization] = _f("Company", FieldKind.ORGANIZATION)
+    eps: Optional[Money] = _f("EPS", FieldKind.MONEY)
+    earnings_amount: Optional[Money] = _f("EarningsAmount", FieldKind.MONEY)
+    good_bad: Optional[GoodBad] = _f("GoodBad", FieldKind.ENUM, enum=GoodBad)
+    loss: Optional[Money] = _f("Loss", FieldKind.MONEY)
+    previous_eps: Optional[Money] = _f("PreviousEPS", FieldKind.MONEY)
+    previous_earnings: Optional[Money] = _f("PreviousEarnings", FieldKind.MONEY)
+    sales: Optional[Money] = _f("Sales", FieldKind.MONEY)
+    sales_ps: Optional[Money] = _f("SalesPS", FieldKind.MONEY)
 
 
 @dataclass(frozen=True)
 class EconomicRelease(_Record):
-    annual_rate: Optional[Decimal] = None
-    direction: Optional[Direction] = None
-    economic_release_type: Optional[str] = None
-    growth: Optional[Money] = None
-    growth_rate: Optional[Decimal] = None
-    previous_rate: Optional[Decimal] = None
-    rate: Optional[Decimal] = None
-    source: Optional[OrgOrPerson] = None
+    annual_rate: Optional[Decimal] = _f("AnnualRate", FieldKind.DECIMAL)
+    direction: Optional[Direction] = _f("Direction", FieldKind.ENUM, enum=Direction)
+    economic_release_type: Optional[str] = _f("EconomicReleaseType", FieldKind.TOKEN)
+    growth: Optional[Money] = _f("Growth", FieldKind.MONEY)
+    growth_rate: Optional[Decimal] = _f("GrowthRate", FieldKind.DECIMAL)
+    previous_rate: Optional[Decimal] = _f("PreviousRate", FieldKind.DECIMAL)
+    rate: Optional[Decimal] = _f("Rate", FieldKind.DECIMAL)
+    source: Optional[OrgOrPerson] = _f("Source", FieldKind.ORG_OR_PERSON)
 
 
 @dataclass(frozen=True)
 class FedWatch(_Record):
-    actor: Optional[Organization] = None
-    fed_action: Optional[FedAction] = None
-    interest_rate: Optional[InterestRateName] = None
-    rate: Optional[Decimal] = None
+    actor: Optional[Organization] = _f("Actor", FieldKind.ORGANIZATION)
+    fed_action: Optional[FedAction] = _f("FedAction", FieldKind.ENUM, enum=FedAction)
+    interest_rate: Optional[InterestRateName] = _f(
+        "InterestRate", FieldKind.ENUM, enum=InterestRateName)
+    rate: Optional[Decimal] = _f("Rate", FieldKind.DECIMAL)
 
 
 @dataclass(frozen=True)
 class IPO(_Record):
-    company: Optional[Organization] = None
-    market_cap: Optional[Money] = None
-    raised: Optional[Money] = None
-    shares: Optional[int] = None
-    stake: Optional[Decimal] = None
+    company: Optional[Organization] = _f("Company", FieldKind.ORGANIZATION)
+    market_cap: Optional[Money] = _f("MarketCap", FieldKind.MONEY)
+    raised: Optional[Money] = _f("Raised", FieldKind.MONEY)
+    shares: Optional[int] = _f("Shares", FieldKind.INT, lo=1)
+    stake: Optional[Decimal] = _f("Stake", FieldKind.DECIMAL, lo=0, hi=100, lo_open=True)
 
 
 @dataclass(frozen=True)
 class InjuryFatality(_Record):
-    accident_car: Optional[str] = None
-    accident_plane: Optional[str] = None
-    boat: Optional[Boat] = None
-    cause: Optional[Cause] = None
-    cause_event: Optional[str] = None
-    hospitalized: tuple[Person, ...] = ()
-    injured: tuple[Person, ...] = ()
-    injured_count: Optional[int] = None
-    killed: tuple[Person, ...] = ()
-    killed_count: Optional[int] = None
-    landed_plane: Optional[str] = None
-    source: Optional[OrgOrPerson] = None
-    survived_by: Optional[str] = None
-    at_location: Optional[Location] = None
+    accident_car: Optional[str] = _f("AccidentCar", FieldKind.TEXT)
+    accident_plane: Optional[str] = _f("AccidentPlane", FieldKind.TEXT)
+    boat: Optional[Boat] = _f("Boat", FieldKind.ENUM, enum=Boat)
+    cause: Optional[Cause] = _f("Cause", FieldKind.ENUM, enum=Cause)
+    cause_event: Optional[str] = _f("CauseEvent", FieldKind.TEXT)
+    hospitalized: tuple[Person, ...] = _f("Hospitalized", FieldKind.PERSON_LIST)
+    injured: tuple[Person, ...] = _f("Injured", FieldKind.PERSON_LIST)
+    injured_count: Optional[int] = _f("InjuredCount", FieldKind.INT, lo=0)
+    killed: tuple[Person, ...] = _f("Killed", FieldKind.PERSON_LIST)
+    killed_count: Optional[int] = _f("KilledCount", FieldKind.INT, lo=0)
+    landed_plane: Optional[str] = _f("LandedPlane", FieldKind.TEXT)
+    source: Optional[OrgOrPerson] = _f("Source", FieldKind.ORG_OR_PERSON)
+    survived_by: Optional[str] = _f("SurvivedBy", FieldKind.TEXT)
+    at_location: Optional[Location] = _f("AtLocation", FieldKind.LOCATION)
 
 
 @dataclass(frozen=True)
 class JointVenture(_Record):
-    companies: tuple[Organization, ...] = ()
-    item: Optional[str] = None
-    joint_venture_type: Optional[JointVentureType] = None
-    source: Optional[OrgOrPerson] = None
+    companies: tuple[Organization, ...] = _f("Company", FieldKind.ORG_LIST)
+    item: Optional[str] = _f("Item", FieldKind.TEXT)
+    joint_venture_type: Optional[JointVentureType] = _f(
+        "JointVentureType", FieldKind.ENUM, enum=JointVentureType)
+    source: Optional[OrgOrPerson] = _f("Source", FieldKind.ORG_OR_PERSON)
 
 
 @dataclass(frozen=True)
 class LegalEvent(_Record):
-    accusation_action: Optional[AccusationAction] = None
-    accused: Optional[OrgOrPerson] = None
-    accuser: Optional[OrgOrPerson] = None
-    arbiter: Optional[OrgOrPerson] = None
-    arrested: Optional[Person] = None
-    attorney: Optional[Person] = None
-    award: Optional[Money] = None
-    disposition_method: Optional[DispositionMethod] = None
-    forum: Optional[Organization] = None
-    judgment: Optional[Judgment] = None
-    legal_action: Optional[LegalAction] = None
-    legal_filing: Optional[LegalFiling] = None
-    plea: Optional[Judgment] = None
-    released: Optional[Person] = None
-    releaser: Optional[OrgOrPerson] = None
-    sentence_duration: Optional[str] = None
-    sentence_type: Optional[SentenceType] = None
-    witness: Optional[Person] = None
+    accusation_action: Optional[AccusationAction] = _f(
+        "AccusationAction", FieldKind.ENUM, enum=AccusationAction)
+    accused: Optional[OrgOrPerson] = _f("Accused", FieldKind.ORG_OR_PERSON)
+    accuser: Optional[OrgOrPerson] = _f("Accuser", FieldKind.ORG_OR_PERSON)
+    arbiter: Optional[OrgOrPerson] = _f("Arbiter", FieldKind.ORG_OR_PERSON)
+    arrested: Optional[Person] = _f("Arrested", FieldKind.PERSON)
+    attorney: Optional[Person] = _f("Attorney", FieldKind.PERSON)
+    award: Optional[Money] = _f("Award", FieldKind.MONEY)
+    disposition_method: Optional[DispositionMethod] = _f(
+        "DispositionMethod", FieldKind.ENUM, enum=DispositionMethod)
+    forum: Optional[Organization] = _f("Forum", FieldKind.ORGANIZATION)
+    judgment: Optional[Judgment] = _f("Judgment", FieldKind.ENUM, enum=Judgment)
+    legal_action: Optional[LegalAction] = _f("LegalAction", FieldKind.ENUM, enum=LegalAction)
+    legal_filing: Optional[LegalFiling] = _f("LegalFiling", FieldKind.ENUM, enum=LegalFiling)
+    plea: Optional[Judgment] = _f("Plea", FieldKind.ENUM, enum=Judgment)
+    released: Optional[Person] = _f("Released", FieldKind.PERSON)
+    releaser: Optional[OrgOrPerson] = _f("Releaser", FieldKind.ORG_OR_PERSON)
+    sentence_duration: Optional[str] = _f("SentenceDuration", FieldKind.TEXT)
+    sentence_type: Optional[SentenceType] = _f("SentenceType", FieldKind.ENUM, enum=SentenceType)
+    witness: Optional[Person] = _f("Witness", FieldKind.PERSON)
 
 
 @dataclass(frozen=True)
 class MedicalFinding(_Record):
-    illness: Optional[str] = None
-    illness_factor: Optional[IllnessFactor] = None
+    illness: Optional[str] = _f("Illness", FieldKind.TOKEN)
+    illness_factor: Optional[IllnessFactor] = _f(
+        "IllnessFactor", FieldKind.ENUM, enum=IllnessFactor)
 
 
 @dataclass(frozen=True)
 class Negotiation(_Record):
-    agreement: Optional[Agreement] = None
-    negotiation_status: Optional[NegotiationStatus] = None
-    negotiator: Optional[Person] = None
-    parties: tuple[OrgOrPerson, ...] = ()
+    agreement: Optional[Agreement] = _f("Agreement", FieldKind.ENUM, enum=Agreement)
+    negotiation_status: Optional[NegotiationStatus] = _f(
+        "NegotiationStatus", FieldKind.ENUM, enum=NegotiationStatus)
+    negotiator: Optional[Person] = _f("Negotiator", FieldKind.PERSON)
+    parties: tuple[OrgOrPerson, ...] = _f("Party", FieldKind.ORG_OR_PERSON_LIST)
 
 
 @dataclass(frozen=True)
 class NewProduct(_Record):
-    company: Optional[Organization] = None
-    item: Optional[str] = None
-    price: Optional[Money] = None
-    product_status: Optional[ProductStatus] = None
-    source: Optional[OrgOrPerson] = None
-    support_for: Optional[str] = None
+    company: Optional[Organization] = _f("Company", FieldKind.ORGANIZATION)
+    item: Optional[str] = _f("Item", FieldKind.TEXT)
+    price: Optional[Money] = _f("Price", FieldKind.MONEY)
+    product_status: Optional[ProductStatus] = _f(
+        "ProductStatus", FieldKind.ENUM, enum=ProductStatus)
+    source: Optional[OrgOrPerson] = _f("Source", FieldKind.ORG_OR_PERSON)
+    support_for: Optional[str] = _f("SupportFor", FieldKind.TEXT)
 
 
 @dataclass(frozen=True)
 class Succession(_Record):
-    employer: Optional[OrgOrPerson] = None
-    function: Optional[str] = None
-    person_in: Optional[Person] = None
-    person_out: Optional[Person] = None
-    source: Optional[OrgOrPerson] = None
+    employer: Optional[OrgOrPerson] = _f("Employer", FieldKind.ORG_OR_PERSON)
+    function: Optional[str] = _f("Function", FieldKind.TEXT)
+    person_in: Optional[Person] = _f("In", FieldKind.PERSON)
+    person_out: Optional[Person] = _f("Out", FieldKind.PERSON)
+    source: Optional[OrgOrPerson] = _f("Source", FieldKind.ORG_OR_PERSON)
 
 
 @dataclass(frozen=True)
 class Trip(_Record):
-    host: Optional[OrgOrPerson] = None
-    to_location: Optional[Location] = None
-    visitor: Optional[Person] = None
-    visitor_count: Optional[int] = None
+    host: Optional[OrgOrPerson] = _f("Host", FieldKind.ORG_OR_PERSON)
+    to_location: Optional[Location] = _f("ToLocation", FieldKind.LOCATION)
+    visitor: Optional[Person] = _f("Visitor", FieldKind.PERSON)
+    visitor_count: Optional[int] = _f("VisitorCount", FieldKind.INT, lo=0)
 
 
 @dataclass(frozen=True)
 class Vote(_Record):
-    against: Optional[int] = None
-    in_favor: Optional[int] = None
-    law: Optional[str] = None
-    legislation: Optional[Legislation] = None
-    signer: Optional[Person] = None
-    vote_status: Optional[VoteStatus] = None
-    voting_body: Optional[Organization] = None
+    against: Optional[int] = _f("Against", FieldKind.INT, lo=0)
+    in_favor: Optional[int] = _f("InFavor", FieldKind.INT, lo=0)
+    law: Optional[str] = _f("Law", FieldKind.TEXT)
+    legislation: Optional[Legislation] = _f("Legislation", FieldKind.ENUM, enum=Legislation)
+    signer: Optional[Person] = _f("Signer", FieldKind.PERSON)
+    vote_status: Optional[VoteStatus] = _f("VoteStatus", FieldKind.ENUM, enum=VoteStatus)
+    voting_body: Optional[Organization] = _f("VotingBody", FieldKind.ORGANIZATION)
 
 
 @dataclass(frozen=True)
 class War(_Record):
-    armed_conflict: Optional[ArmedConflict] = None
-    armed_force: Optional[str] = None
-    armed_force_action: Optional[ArmedForceAction] = None
-    at_location: Optional[Location] = None
-    leader: Optional[OrgOrPerson] = None
-    source: Optional[OrgOrPerson] = None
-    victim: Optional[str] = None
-    victim_action: Optional[VictimAction] = None
+    armed_conflict: Optional[ArmedConflict] = _f(
+        "ArmedConflict", FieldKind.ENUM, enum=ArmedConflict)
+    armed_force: Optional[str] = _f("ArmedForce", FieldKind.TEXT)
+    armed_force_action: Optional[ArmedForceAction] = _f(
+        "ArmedForceAction", FieldKind.ENUM, enum=ArmedForceAction)
+    at_location: Optional[Location] = _f("AtLocation", FieldKind.LOCATION)
+    leader: Optional[OrgOrPerson] = _f("Leader", FieldKind.ORG_OR_PERSON)
+    source: Optional[OrgOrPerson] = _f("Source", FieldKind.ORG_OR_PERSON)
+    victim: Optional[str] = _f("Victim", FieldKind.TEXT)
+    victim_action: Optional[VictimAction] = _f("VictimAction", FieldKind.ENUM, enum=VictimAction)
 
 
 @dataclass(frozen=True)
 class Weather(_Record):
-    at_location: Optional[Location] = None
-    compass_direction: Optional[CompassDirection] = None
-    declared_state: Optional[DeclaredState] = None
-    declarer: Optional[OrgOrPerson] = None
-    distance_from_location: Optional[Measure] = None
-    given: Optional[str] = None
-    high: Optional[Measure] = None
-    issuer: Optional[OrgOrPerson] = None
-    low: Optional[Measure] = None
-    meteor: Optional[Meteor] = None
-    warning: Optional[str] = None
-    wind_speed: Optional[Measure] = None
+    at_location: Optional[Location] = _f("AtLocation", FieldKind.LOCATION)
+    compass_direction: Optional[CompassDirection] = _f(
+        "CompassDirection", FieldKind.ENUM, enum=CompassDirection)
+    declared_state: Optional[DeclaredState] = _f(
+        "DeclaredState", FieldKind.ENUM, enum=DeclaredState)
+    declarer: Optional[OrgOrPerson] = _f("Declarer", FieldKind.ORG_OR_PERSON)
+    distance_from_location: Optional[Measure] = _f("DistanceFromLocation", FieldKind.MEASURE)
+    given: Optional[str] = _f("Given", FieldKind.TEXT)
+    high: Optional[Measure] = _f("High", FieldKind.MEASURE)
+    issuer: Optional[OrgOrPerson] = _f("Issuer", FieldKind.ORG_OR_PERSON)
+    low: Optional[Measure] = _f("Low", FieldKind.MEASURE)
+    meteor: Optional[Meteor] = _f("Meteor", FieldKind.ENUM, enum=Meteor)
+    warning: Optional[str] = _f("Warning", FieldKind.TEXT)
+    wind_speed: Optional[Measure] = _f("WindSpeed", FieldKind.MEASURE)
 
 
 NewsEvent = Union[
@@ -515,254 +537,18 @@ _RECORDS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Child registry, in canonical output order.
-#
-# Order is lexicographic by element name except InjuryFatality, whose
-# AtLocation child comes last; that is the one type whose output order is
-# pinned by the worked example this format follows.
+def _declared_specs(cls: type) -> tuple[FieldSpec, ...]:
+    """The specs a record class's fields declare, in field order."""
+    return tuple(FieldSpec(attr=f.name, records=_RECORDS.get(f.metadata["spec"]["kind"], ()),
+                           **f.metadata["spec"])
+                 for f in fields(cls))
 
-CHILD_SPECS: dict[type, tuple[FieldSpec, ...]] = {}
 
-CHILD_SPECS[Person] = (
-    _spec("Additional", "additional", FieldKind.TEXT),
-    _spec("Age", "age", FieldKind.INT, lo=0, hi=150),
-    _spec("Country", "country", FieldKind.COUNTRY),
-    _spec("Email", "email", FieldKind.TEXT),
-    _spec("Family", "family", FieldKind.TEXT),
-    _spec("Function", "function", FieldKind.TEXT),
-    _spec("Given", "given", FieldKind.TEXT),
-    _spec("Prefix", "prefix", FieldKind.TEXT),
-    _spec("Sex", "sex", FieldKind.ENUM, enum=Sex),
-    _spec("Suffix", "suffix", FieldKind.TEXT),
-    _spec("URL", "url", FieldKind.TEXT),
-)
+CHILD_SPECS: dict[type, tuple[FieldSpec, ...]] = {
+    cls: _declared_specs(cls)
+    for cls in (Person, Location, Organization, Money, Head, *get_args(NewsEvent))}
 
-CHILD_SPECS[Location] = (
-    _spec("City", "city", FieldKind.TEXT),
-    _spec("Continent", "continent", FieldKind.ENUM, enum=Continent),
-    _spec("Country", "country", FieldKind.COUNTRY),
-    _spec("Latitude", "latitude", FieldKind.DECIMAL, lo=-90, hi=90),
-    _spec("Longitude", "longitude", FieldKind.DECIMAL, lo=-180, hi=180),
-    _spec("Region", "region", FieldKind.TEXT),
-    _spec("State", "state", FieldKind.STATE),
-    _spec("URL", "url", FieldKind.TEXT),
-)
-
-CHILD_SPECS[Organization] = (
-    _spec("Email", "email", FieldKind.TEXT),
-    _spec("FullName", "full_name", FieldKind.TEXT),
-    _spec("Nickname", "nickname", FieldKind.TEXT),
-    _spec("OrganizationType", "organization_type", FieldKind.TOKEN),
-    _spec("Sport", "sport", FieldKind.ENUM, enum=Sport),
-    _spec("Ticker", "ticker", FieldKind.TICKER),
-    _spec("URL", "url", FieldKind.TEXT),
-)
-
-CHILD_SPECS[Money] = (
-    _spec("Amount", "amount", FieldKind.DECIMAL),
-    _spec("Currency", "currency", FieldKind.CURRENCY),
-)
-
-CHILD_SPECS[Head] = (
-    _spec("DatelineTime", "dateline_time", FieldKind.TIMESTAMP),
-)
-
-CHILD_SPECS[Competition] = (
-    _spec("CompetitionCode", "competition_code", FieldKind.TOKEN),
-    _spec("CompetitionOutcome", "competition_outcome", FieldKind.ENUM, enum=CompetitionOutcome),
-    _spec("Player", "player", FieldKind.PERSON),
-    _spec("Sport", "sport", FieldKind.ENUM, enum=Sport),
-    _spec("Team", "team", FieldKind.ORGANIZATION),
-)
-
-CHILD_SPECS[Deal] = (
-    _spec("Acquirer", "acquirer", FieldKind.ORGANIZATION),
-    _spec("Advisor", "advisor", FieldKind.ORGANIZATION),
-    _spec("DealStatus", "deal_status", FieldKind.ENUM, enum=DealStatus),
-    _spec("DealValue", "deal_value", FieldKind.MONEY),
-    _spec("SharePrice", "share_price", FieldKind.MONEY),
-    _spec("Stake", "stake", FieldKind.DECIMAL, lo=0, hi=100, lo_open=True),
-    _spec("StockRatio", "stock_ratio", FieldKind.DECIMAL, lo=0, lo_open=True),
-    _spec("Successor", "successor", FieldKind.ORGANIZATION),
-    _spec("Survivor", "survivor", FieldKind.ORGANIZATION),
-    _spec("Target", "target", FieldKind.ORGANIZATION),
-)
-
-CHILD_SPECS[Earnings] = (
-    _spec("Company", "company", FieldKind.ORGANIZATION),
-    _spec("EPS", "eps", FieldKind.MONEY),
-    _spec("EarningsAmount", "earnings_amount", FieldKind.MONEY),
-    _spec("GoodBad", "good_bad", FieldKind.ENUM, enum=GoodBad),
-    _spec("Loss", "loss", FieldKind.MONEY),
-    _spec("PreviousEPS", "previous_eps", FieldKind.MONEY),
-    _spec("PreviousEarnings", "previous_earnings", FieldKind.MONEY),
-    _spec("Sales", "sales", FieldKind.MONEY),
-    _spec("SalesPS", "sales_ps", FieldKind.MONEY),
-)
-
-CHILD_SPECS[EconomicRelease] = (
-    _spec("AnnualRate", "annual_rate", FieldKind.DECIMAL),
-    _spec("Direction", "direction", FieldKind.ENUM, enum=Direction),
-    _spec("EconomicReleaseType", "economic_release_type", FieldKind.TOKEN),
-    _spec("Growth", "growth", FieldKind.MONEY),
-    _spec("GrowthRate", "growth_rate", FieldKind.DECIMAL),
-    _spec("PreviousRate", "previous_rate", FieldKind.DECIMAL),
-    _spec("Rate", "rate", FieldKind.DECIMAL),
-    _spec("Source", "source", FieldKind.ORG_OR_PERSON),
-)
-
-CHILD_SPECS[FedWatch] = (
-    _spec("Actor", "actor", FieldKind.ORGANIZATION),
-    _spec("FedAction", "fed_action", FieldKind.ENUM, enum=FedAction),
-    _spec("InterestRate", "interest_rate", FieldKind.ENUM, enum=InterestRateName),
-    _spec("Rate", "rate", FieldKind.DECIMAL),
-)
-
-CHILD_SPECS[IPO] = (
-    _spec("Company", "company", FieldKind.ORGANIZATION),
-    _spec("MarketCap", "market_cap", FieldKind.MONEY),
-    _spec("Raised", "raised", FieldKind.MONEY),
-    _spec("Shares", "shares", FieldKind.INT, lo=1),
-    _spec("Stake", "stake", FieldKind.DECIMAL, lo=0, hi=100, lo_open=True),
-)
-
-CHILD_SPECS[InjuryFatality] = (
-    _spec("AccidentCar", "accident_car", FieldKind.TEXT),
-    _spec("AccidentPlane", "accident_plane", FieldKind.TEXT),
-    _spec("Boat", "boat", FieldKind.ENUM, enum=Boat),
-    _spec("Cause", "cause", FieldKind.ENUM, enum=Cause),
-    _spec("CauseEvent", "cause_event", FieldKind.TEXT),
-    _spec("Hospitalized", "hospitalized", FieldKind.PERSON_LIST),
-    _spec("Injured", "injured", FieldKind.PERSON_LIST),
-    _spec("InjuredCount", "injured_count", FieldKind.INT, lo=0),
-    _spec("Killed", "killed", FieldKind.PERSON_LIST),
-    _spec("KilledCount", "killed_count", FieldKind.INT, lo=0),
-    _spec("LandedPlane", "landed_plane", FieldKind.TEXT),
-    _spec("Source", "source", FieldKind.ORG_OR_PERSON),
-    _spec("SurvivedBy", "survived_by", FieldKind.TEXT),
-    _spec("AtLocation", "at_location", FieldKind.LOCATION),
-)
-
-CHILD_SPECS[JointVenture] = (
-    _spec("Company", "companies", FieldKind.ORG_LIST),
-    _spec("Item", "item", FieldKind.TEXT),
-    _spec("JointVentureType", "joint_venture_type", FieldKind.ENUM, enum=JointVentureType),
-    _spec("Source", "source", FieldKind.ORG_OR_PERSON),
-)
-
-CHILD_SPECS[LegalEvent] = (
-    _spec("AccusationAction", "accusation_action", FieldKind.ENUM, enum=AccusationAction),
-    _spec("Accused", "accused", FieldKind.ORG_OR_PERSON),
-    _spec("Accuser", "accuser", FieldKind.ORG_OR_PERSON),
-    _spec("Arbiter", "arbiter", FieldKind.ORG_OR_PERSON),
-    _spec("Arrested", "arrested", FieldKind.PERSON),
-    _spec("Attorney", "attorney", FieldKind.PERSON),
-    _spec("Award", "award", FieldKind.MONEY),
-    _spec("DispositionMethod", "disposition_method", FieldKind.ENUM, enum=DispositionMethod),
-    _spec("Forum", "forum", FieldKind.ORGANIZATION),
-    _spec("Judgment", "judgment", FieldKind.ENUM, enum=Judgment),
-    _spec("LegalAction", "legal_action", FieldKind.ENUM, enum=LegalAction),
-    _spec("LegalFiling", "legal_filing", FieldKind.ENUM, enum=LegalFiling),
-    _spec("Plea", "plea", FieldKind.ENUM, enum=Judgment),
-    _spec("Released", "released", FieldKind.PERSON),
-    _spec("Releaser", "releaser", FieldKind.ORG_OR_PERSON),
-    _spec("SentenceDuration", "sentence_duration", FieldKind.TEXT),
-    _spec("SentenceType", "sentence_type", FieldKind.ENUM, enum=SentenceType),
-    _spec("Witness", "witness", FieldKind.PERSON),
-)
-
-CHILD_SPECS[MedicalFinding] = (
-    _spec("Illness", "illness", FieldKind.TOKEN),
-    _spec("IllnessFactor", "illness_factor", FieldKind.ENUM, enum=IllnessFactor),
-)
-
-CHILD_SPECS[Negotiation] = (
-    _spec("Agreement", "agreement", FieldKind.ENUM, enum=Agreement),
-    _spec("NegotiationStatus", "negotiation_status", FieldKind.ENUM, enum=NegotiationStatus),
-    _spec("Negotiator", "negotiator", FieldKind.PERSON),
-    _spec("Party", "parties", FieldKind.ORG_OR_PERSON_LIST),
-)
-
-CHILD_SPECS[NewProduct] = (
-    _spec("Company", "company", FieldKind.ORGANIZATION),
-    _spec("Item", "item", FieldKind.TEXT),
-    _spec("Price", "price", FieldKind.MONEY),
-    _spec("ProductStatus", "product_status", FieldKind.ENUM, enum=ProductStatus),
-    _spec("Source", "source", FieldKind.ORG_OR_PERSON),
-    _spec("SupportFor", "support_for", FieldKind.TEXT),
-)
-
-CHILD_SPECS[Succession] = (
-    _spec("Employer", "employer", FieldKind.ORG_OR_PERSON),
-    _spec("Function", "function", FieldKind.TEXT),
-    _spec("In", "person_in", FieldKind.PERSON),
-    _spec("Out", "person_out", FieldKind.PERSON),
-    _spec("Source", "source", FieldKind.ORG_OR_PERSON),
-)
-
-CHILD_SPECS[Trip] = (
-    _spec("Host", "host", FieldKind.ORG_OR_PERSON),
-    _spec("ToLocation", "to_location", FieldKind.LOCATION),
-    _spec("Visitor", "visitor", FieldKind.PERSON),
-    _spec("VisitorCount", "visitor_count", FieldKind.INT, lo=0),
-)
-
-CHILD_SPECS[Vote] = (
-    _spec("Against", "against", FieldKind.INT, lo=0),
-    _spec("InFavor", "in_favor", FieldKind.INT, lo=0),
-    _spec("Law", "law", FieldKind.TEXT),
-    _spec("Legislation", "legislation", FieldKind.ENUM, enum=Legislation),
-    _spec("Signer", "signer", FieldKind.PERSON),
-    _spec("VoteStatus", "vote_status", FieldKind.ENUM, enum=VoteStatus),
-    _spec("VotingBody", "voting_body", FieldKind.ORGANIZATION),
-)
-
-CHILD_SPECS[War] = (
-    _spec("ArmedConflict", "armed_conflict", FieldKind.ENUM, enum=ArmedConflict),
-    _spec("ArmedForce", "armed_force", FieldKind.TEXT),
-    _spec("ArmedForceAction", "armed_force_action", FieldKind.ENUM, enum=ArmedForceAction),
-    _spec("AtLocation", "at_location", FieldKind.LOCATION),
-    _spec("Leader", "leader", FieldKind.ORG_OR_PERSON),
-    _spec("Source", "source", FieldKind.ORG_OR_PERSON),
-    _spec("Victim", "victim", FieldKind.TEXT),
-    _spec("VictimAction", "victim_action", FieldKind.ENUM, enum=VictimAction),
-)
-
-CHILD_SPECS[Weather] = (
-    _spec("AtLocation", "at_location", FieldKind.LOCATION),
-    _spec("CompassDirection", "compass_direction", FieldKind.ENUM, enum=CompassDirection),
-    _spec("DeclaredState", "declared_state", FieldKind.ENUM, enum=DeclaredState),
-    _spec("Declarer", "declarer", FieldKind.ORG_OR_PERSON),
-    _spec("DistanceFromLocation", "distance_from_location", FieldKind.MEASURE),
-    _spec("Given", "given", FieldKind.TEXT),
-    _spec("High", "high", FieldKind.MEASURE),
-    _spec("Issuer", "issuer", FieldKind.ORG_OR_PERSON),
-    _spec("Low", "low", FieldKind.MEASURE),
-    _spec("Meteor", "meteor", FieldKind.ENUM, enum=Meteor),
-    _spec("Warning", "warning", FieldKind.TEXT),
-    _spec("WindSpeed", "wind_speed", FieldKind.MEASURE),
-)
-
-EVENT_TYPES: dict[str, type] = {
-    "Competition": Competition,
-    "Deal": Deal,
-    "Earnings": Earnings,
-    "EconomicRelease": EconomicRelease,
-    "FedWatch": FedWatch,
-    "IPO": IPO,
-    "InjuryFatality": InjuryFatality,
-    "JointVenture": JointVenture,
-    "LegalEvent": LegalEvent,
-    "MedicalFinding": MedicalFinding,
-    "Negotiation": Negotiation,
-    "NewProduct": NewProduct,
-    "Succession": Succession,
-    "Trip": Trip,
-    "Vote": Vote,
-    "War": War,
-    "Weather": Weather,
-}
+EVENT_TYPES: dict[str, type] = {cls.__name__: cls for cls in get_args(NewsEvent)}
 
 ELEMENT_OF_EVENT = {cls: name for name, cls in EVENT_TYPES.items()}
 

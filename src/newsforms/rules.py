@@ -115,16 +115,9 @@ class ExtractionRule:
 _SLOT_RE = re.compile(r"^\?([A-Za-z]+)(?::([A-Za-z][A-Za-z0-9_]*))?$")
 _SKIP_RE = re.compile(r"^\*(\d+)$")
 
-# slot kinds a field can absorb; TEXT/TOKEN/ENUM checked at instantiation
+# slot kinds a non-record field can absorb; a record field absorbs the kinds
+# named after its record classes; TEXT/TOKEN/ENUM checked at instantiation
 _FIELD_SLOT_KINDS = {
-    FieldKind.PERSON: {ReadingKind.PERSON},
-    FieldKind.PERSON_LIST: {ReadingKind.PERSON},
-    FieldKind.ORGANIZATION: {ReadingKind.ORGANIZATION},
-    FieldKind.ORG_LIST: {ReadingKind.ORGANIZATION},
-    FieldKind.ORG_OR_PERSON: {ReadingKind.PERSON, ReadingKind.ORGANIZATION},
-    FieldKind.ORG_OR_PERSON_LIST: {ReadingKind.PERSON, ReadingKind.ORGANIZATION},
-    FieldKind.LOCATION: {ReadingKind.LOCATION},
-    FieldKind.MONEY: {ReadingKind.MONEY},
     FieldKind.INT: {ReadingKind.NUMBER},
     FieldKind.DECIMAL: {ReadingKind.NUMBER, ReadingKind.PERCENT},
     FieldKind.MEASURE: {ReadingKind.DURATION, ReadingKind.TEMPERATURE,
@@ -196,7 +189,8 @@ def _compile_template_value(rule_id, spec: FieldSpec, elem: ET.Element, slots):
         var = text[1:]
         if var not in slots:
             raise RuleError(rule_id, f"unbound template variable ?{var}")
-        allowed = _FIELD_SLOT_KINDS.get(spec.kind)
+        allowed = ({ReadingKind(cls.__name__) for cls in spec.records} if spec.records
+                   else _FIELD_SLOT_KINDS.get(spec.kind))
         if allowed is not None and slots[var] not in allowed:
             raise RuleError(
                 rule_id,

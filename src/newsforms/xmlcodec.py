@@ -284,13 +284,7 @@ def serialize_newsform(doc: NewsForm) -> str:
     if report.errors:
         raise SerializeError(report)
     lines = ["<NewsForm>"]
-    if doc.head.dateline_time is None:
-        lines.append("  <Head/>")
-    else:
-        stamp = doc.head.dateline_time.strftime(model.TIMESTAMP_FORMAT)
-        lines.append("  <Head>")
-        lines.append(f"    <DatelineTime>{stamp}</DatelineTime>")
-        lines.append("  </Head>")
+    _write_record(lines, doc.head, "Head", "  ")
     for event in doc.events:
         _write_record(lines, event, model.ELEMENT_OF_EVENT[type(event)], "  ")
     lines.append("</NewsForm>")

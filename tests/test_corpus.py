@@ -415,6 +415,42 @@ def test_any_query_text_returns_or_raises_query_error(index, text):
         pass
 
 
+def test_every_accepted_single_predicate_matches_oracle(index):
+    docs = [(d.doc_id, d.form) for d in index.docs]
+    checked = 0
+    for path in _POPULATED_PATHS:
+        variant, rel = path.split(".", 1)
+        for op in _QUERY_OPS:
+            for literal in _QUERY_LITERALS:
+                text = f"{path} {op} {literal}"
+                try:
+                    expr = parse_query(text)
+                except QueryError:
+                    continue
+                predicates = [(rel, op, expr.predicates[0].value)]
+                try:
+                    got = query(index, expr)
+                except QueryError:
+                    with pytest.raises(QueryError):
+                        oracle_query(docs, variant, predicates)
+                else:
+                    assert got == oracle_query(docs, variant, predicates), text
+                checked += 1
+    assert checked >= 2800
+
+
+def test_predicate_on_a_record_path_is_a_query_error():
+    for text in ("Deal.Target contains Organization", "Deal.Target != x",
+                 "InjuryFatality.AtLocation contains COL", "InjuryFatality.Killed = x",
+                 "Succession.Source = x"):
+        with pytest.raises(QueryError) as info:
+            parse_query(text)
+        assert info.value.position == 0
+    for text in ("Deal.DealValue contains USD", "Weather.WindSpeed contains mph",
+                 "Deal.Target.Ticker = BEL"):
+        parse_query(text)
+
+
 # ---------------------------------------------------------------------------
 # Generated query suite vs oracle
 

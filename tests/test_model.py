@@ -160,6 +160,22 @@ def test_money_accepts_int_and_text_amounts():
     assert Money("2.50", "USD").amount == Decimal("2.50")
 
 
+def test_money_fields_are_required_and_the_rest_default_to_empty():
+    with pytest.raises(TypeError):
+        Money()
+    with pytest.raises(TypeError):
+        Money(1)
+    list_fields = 0
+    for cls, specs in model.CHILD_SPECS.items():
+        if cls is Money:
+            continue
+        empty = cls()
+        for spec in specs:
+            assert getattr(empty, spec.attr) == (() if spec.is_list else None), spec
+            list_fields += spec.is_list
+    assert list_fields == 5
+
+
 def test_dateline_must_be_utc():
     naive = NewsForm(head=Head(datetime(1999, 1, 25, 18, 19, 17)))
     assert [f.code for f in validate(naive).errors] == ["timezone"]

@@ -89,6 +89,22 @@ def test_kind_incompatible_with_element_is_a_compile_error():
         compile_rules(bad)
 
 
+def test_record_field_takes_the_slot_kinds_of_its_record_classes():
+    rule = "?{0} fell => <{1}><{2}>?{0}</{2}></{1}>"
+    for slot, event, element in (("Person", "Succession", "Employer"),
+                                 ("Organization", "Succession", "Employer"),
+                                 ("Person", "InjuryFatality", "Killed"),
+                                 ("Location", "Weather", "AtLocation"),
+                                 ("Money", "Deal", "DealValue")):
+        compile_rules(rule.format(slot, event, element))
+    for slot, event, element in (("Money", "Succession", "Employer"),
+                                 ("Location", "InjuryFatality", "Killed"),
+                                 ("Person", "Weather", "AtLocation"),
+                                 ("Organization", "Deal", "DealValue")):
+        with pytest.raises(RuleError):
+            compile_rules(rule.format(slot, event, element))
+
+
 def test_bad_constant_is_a_compile_error():
     bad = "boom => <InjuryFatality><Cause>Sharknado</Cause></InjuryFatality>"
     with pytest.raises(RuleError):
