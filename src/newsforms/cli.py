@@ -6,7 +6,7 @@ reads standard input wherever a file is accepted.
 
 Exit codes: 0 success, 1 validation findings, 2 resource error (a
 missing or unreadable file or directory, or input that is not UTF-8),
-3 query or rule syntax error.
+3 usage, query or rule syntax error.
 """
 
 from __future__ import annotations
@@ -140,8 +140,17 @@ def _cmd_geo(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as argparse does, but exits 3, not 2 (a
+    resource error); subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_SYNTAX, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="newsform",
         description="Structured news events: extraction, validation, queries.",
     )

@@ -281,7 +281,7 @@ class Money(_Record):
 
 
 @dataclass(frozen=True)
-class Measure(_Record):
+class Measure:
     """A scalar with a unit word, e.g. 75 mph or 32 F."""
 
     value: Decimal
@@ -290,7 +290,6 @@ class Measure(_Record):
     def __post_init__(self):
         if isinstance(self.value, float):
             raise TypeError("Measure value must be Decimal, int, or numeric text, not float")
-        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -514,7 +513,7 @@ NewsEvent = Union[
 
 
 @dataclass(frozen=True)
-class NewsForm(_Record):
+class NewsForm:
     head: Head = field(default_factory=Head)
     events: tuple[NewsEvent, ...] = ()
 
@@ -622,7 +621,6 @@ class Finding:
 @dataclass(frozen=True)
 class ValidationReport:
     errors: tuple[Finding, ...] = ()
-    warnings: tuple[Finding, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -802,11 +800,15 @@ def _sentiment_rules() -> tuple[_SentimentRule, ...]:
 
 
 def leaf_token(spec: FieldSpec, value) -> str:
-    """Canonical document token for a leaf value."""
+    """Canonical document token for a leaf or measure value: the text the
+    codec writes, which the kb and the sentiment table compare against.
+    Decimals keep their stored scale (``90.50 F`` stays ``90.50 F``)."""
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, Decimal):
         return format_decimal(value)
+    if isinstance(value, Measure):
+        return f"{format_decimal(value.value)} {value.unit}"
     if isinstance(value, datetime):
         return value.strftime(TIMESTAMP_FORMAT)
     return str(value)

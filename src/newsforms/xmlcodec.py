@@ -28,11 +28,9 @@ from .model import (
     Head,
     Location,
     Measure,
-    Money,
     NewsForm,
     Organization,
     Person,
-    format_decimal,
 )
 
 FILE_EXTENSION = ".newsform.xml"
@@ -174,11 +172,12 @@ def _parse_record(elem: ET.Element, cls: type, path: str):
             raise SchemaError(child_path, f"<{child.tag}> may appear at most once")
         else:
             values[spec.attr] = parsed
-    # constructing the record turns the lists of list fields into tuples
+    # constructing the record turns list fields into tuples; on parsed values
+    # it fails only when Money, the one record with required fields, lacks one
     try:
         return cls(**values)
-    except TypeError as exc:
-        raise SchemaError(path, str(exc)) from None
+    except TypeError:
+        raise SchemaError(path, "money needs both <Amount> and <Currency>") from None
 
 
 def _leaf_text(elem: ET.Element, path: str) -> str:
@@ -191,8 +190,6 @@ def _leaf_text(elem: ET.Element, path: str) -> str:
 def _parse_field(elem: ET.Element, spec: model.FieldSpec, path: str):
     if len(spec.records) > 1:
         return _parse_org_or_person(elem, path)
-    if spec.kind is FieldKind.MONEY:
-        return _parse_money(elem, path)
     if spec.records:
         return _parse_record(elem, spec.records[0], path)
     kind = spec.kind
@@ -223,31 +220,6 @@ def _parse_field(elem: ET.Element, spec: model.FieldSpec, path: str):
             raise FieldTypeError(path, f"not a 'value unit' measure: {text!r}")
         return Measure(Decimal(match.group(1)), match.group(2))
     return text
-
-
-def _parse_money(elem: ET.Element, path: str) -> Money:
-    _reject_attributes(elem, path)
-    _reject_text(elem, path)
-    amount = None
-    currency = None
-    for child in elem:
-        child_path = f"{path}/{child.tag}"
-        if child.tag == "Amount":
-            if amount is not None:
-                raise SchemaError(child_path, "<Amount> may appear at most once")
-            text = _leaf_text(child, child_path)
-            if not _DECIMAL_RE.match(text):
-                raise FieldTypeError(child_path, f"not a decimal amount: {text!r}")
-            amount = Decimal(text)
-        elif child.tag == "Currency":
-            if currency is not None:
-                raise SchemaError(child_path, "<Currency> may appear at most once")
-            currency = _leaf_text(child, child_path)
-        else:
-            raise SchemaError(child_path, f"unknown element <{child.tag}>")
-    if amount is None or currency is None:
-        raise SchemaError(path, "money needs both <Amount> and <Currency>")
-    return Money(amount, currency)
 
 
 def _parse_org_or_person(elem: ET.Element, path: str):
@@ -318,11 +290,7 @@ def _inline_field(spec: model.FieldSpec, value) -> str:
         return f"<{spec.element}>{_inline(type(value).__name__, value)}</{spec.element}>"
     if spec.records:
         return _inline(spec.element, value)
-    if spec.kind is FieldKind.MEASURE:
-        text = f"{format_decimal(value.value)} {escape(value.unit)}"
-    else:
-        text = escape(model.leaf_token(spec, value))
-    return f"<{spec.element}>{text}</{spec.element}>"
+    return f"<{spec.element}>{escape(model.leaf_token(spec, value))}</{spec.element}>"
 
 
 def _write_record(lines: list[str], record, element: str, indent: str):

@@ -215,6 +215,17 @@ def test_exit_codes_are_disjoint(capsys, corpus_dir, tmp_path, intro_file):
     assert (ok, findings, resource, syntax) == (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("argv", [
+    ("stats", ".", "Deal", "month"), ("bogus",), (), ("query",), ("extract", "--bogus", "x"),
+])
+def test_usage_errors_are_exit_3(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: newsform") and "error: " in err
+
+
 def _bad_file(tmp_path):
     path = tmp_path / "invalid.newsform.xml"
     path.write_text(EARTHQUAKE_XML.replace("143", "-143"))

@@ -176,6 +176,12 @@ def test_money_fields_are_required_and_the_rest_default_to_empty():
     assert list_fields == 5
 
 
+def test_leaf_token_spells_a_measure_as_the_document_does():
+    high = model.spec_by_element(model.Weather, "High")
+    assert model.leaf_token(high, model.Measure(Decimal("90.50"), "F")) == "90.50 F"
+    assert model.leaf_token(high, model.Measure(Decimal("140"), "mph")) == "140 mph"
+
+
 def test_dateline_must_be_utc():
     naive = NewsForm(head=Head(datetime(1999, 1, 25, 18, 19, 17)))
     assert [f.code for f in validate(naive).errors] == ["timezone"]

@@ -393,6 +393,16 @@ def test_contradictory_release_direction_is_dropped(kb):
     assert events[0].direction is not None
 
 
+def test_kb_condition_compares_a_measure_by_its_document_token():
+    kb = compile_kb("calm\tWeather\tWindSpeed=140 mph\tDropField\tWindSpeed\n")
+    event = Weather(wind_speed=model.Measure(Decimal("140"), "mph"))
+    events, diagnostics = apply_commonsense([event], kb)
+    assert events == [Weather()]
+    assert [d.action for d in diagnostics] == ["DropField"]
+    other = Weather(wind_speed=model.Measure(Decimal("140"), "kph"))
+    assert apply_commonsense([other], kb) == ([other], [])
+
+
 def test_prefer_reading_rebinds_ambiguous_issuer(kb):
     org = Organization(full_name="National Weather Service")
     person = Person(family="Weathers")

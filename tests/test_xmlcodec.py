@@ -222,6 +222,37 @@ def test_money_requires_amount_and_currency():
         parse_newsform(xml)
 
 
+_MONEY = "Deal/DealValue"
+
+
+@pytest.mark.parametrize("inner, error, path, message", [
+    ("<Amount>5</Amount><Amount>6</Amount><Currency>USD</Currency>",
+     SchemaError, f"{_MONEY}/Amount", "<Amount> may appear at most once"),
+    ("<Amount>5</Amount><Currency>USD</Currency><Currency>EUR</Currency>",
+     SchemaError, f"{_MONEY}/Currency", "<Currency> may appear at most once"),
+    ("<Amount>5</Amount><Value>5</Value>",
+     SchemaError, f"{_MONEY}/Value", "unknown element <Value>"),
+    ("<Currency>USD</Currency>",
+     SchemaError, _MONEY, "money needs both <Amount> and <Currency>"),
+    ("<Amount>5</Amount>",
+     SchemaError, _MONEY, "money needs both <Amount> and <Currency>"),
+    ('<Amount>5</Amount><Currency code="1">USD</Currency>',
+     SchemaError, f"{_MONEY}/Currency", "attributes are not allowed ('code')"),
+    ("<Amount><Value/></Amount><Currency>USD</Currency>",
+     SchemaError, f"{_MONEY}/Amount", "<Amount> must not contain child elements"),
+    ("5<Amount>5</Amount><Currency>USD</Currency>",
+     SchemaError, _MONEY, "unexpected text content"),
+    ("<Amount>five</Amount><Currency>USD</Currency>",
+     FieldTypeError, f"{_MONEY}/Amount", "not a decimal number: 'five'"),
+], ids=["duplicate-amount", "duplicate-currency", "unknown-child", "no-amount",
+        "no-currency", "attribute", "element-in-amount", "stray-text", "bad-amount"])
+def test_money_errors_carry_the_record_reader_path_and_message(inner, error, path, message):
+    xml = f"<NewsForm><Deal><DealValue>{inner}</DealValue></Deal></NewsForm>"
+    with pytest.raises(error) as info:
+        parse_newsform(xml)
+    assert (info.value.path, str(info.value)) == (path, f"{path}: {message}")
+
+
 def test_money_scale_survives_round_trip():
     doc = NewsForm(events=(Deal(deal_value=Money(Decimal("2.50"), "USD")),))
     out = serialize_newsform(doc)
