@@ -627,10 +627,6 @@ class ValidationReport:
         return not self.errors
 
 
-def _join(path: str, element: str) -> str:
-    return f"{path}/{element}" if path else element
-
-
 def _check_leaf(out, path, spec, value):
     kind = spec.kind
     if kind is FieldKind.TEXT:
@@ -701,29 +697,33 @@ def _check_record(out, path, value, expected: tuple[type, ...]):
     _walk(out, path, value)
 
 
+def check_field(out, path, spec, value):
+    """Append the findings of one populated field at ``path`` to ``out``:
+    what ``validate`` reports for it, records checked child by child."""
+    if spec.is_list:
+        items = value if isinstance(value, tuple) else (value,)
+        for i, item in enumerate(items, start=1):
+            item_path = path if len(items) == 1 else f"{path}[{i}]"
+            _check_record(out, item_path, item, spec.records)
+    elif spec.records:
+        _check_record(out, path, value, spec.records)
+    elif spec.kind is FieldKind.MEASURE:
+        if not isinstance(value, Measure):
+            out.append(Finding(path, "type", f"expected Measure, got {type(value).__name__}"))
+        else:
+            if not isinstance(value.value, Decimal) or not value.value.is_finite():
+                out.append(Finding(path, "type", "measure value must be a finite Decimal"))
+            if not isinstance(value.unit, str) or not _TOKEN_RE.match(value.unit):
+                out.append(Finding(path, "unit", f"measure unit must be a token: {value.unit!r}"))
+    else:
+        _check_leaf(out, path, spec, value)
+
+
 def _walk(out, path, record):
     for spec in CHILD_SPECS[type(record)]:
         value = getattr(record, spec.attr)
-        if value is None:
-            continue
-        child = _join(path, spec.element)
-        if spec.is_list:
-            items = value if isinstance(value, tuple) else (value,)
-            for i, item in enumerate(items, start=1):
-                item_path = child if len(items) == 1 else f"{child}[{i}]"
-                _check_record(out, item_path, item, spec.records)
-        elif spec.records:
-            _check_record(out, child, value, spec.records)
-        elif spec.kind is FieldKind.MEASURE:
-            if not isinstance(value, Measure):
-                out.append(Finding(child, "type", f"expected Measure, got {type(value).__name__}"))
-            else:
-                if not isinstance(value.value, Decimal) or not value.value.is_finite():
-                    out.append(Finding(child, "type", "measure value must be a finite Decimal"))
-                if not isinstance(value.unit, str) or not _TOKEN_RE.match(value.unit):
-                    out.append(Finding(child, "unit", f"measure unit must be a token: {value.unit!r}"))
-        else:
-            _check_leaf(out, child, spec, value)
+        if value is not None:
+            check_field(out, f"{path}/{spec.element}", spec, value)
 
 
 def _check_event_rules(out, path, event):
@@ -799,16 +799,19 @@ def _sentiment_rules() -> tuple[_SentimentRule, ...]:
     return tuple(rules)
 
 
-def leaf_token(spec: FieldSpec, value) -> str:
-    """Canonical document token for a leaf or measure value: the text the
-    codec writes, which the kb and the sentiment table compare against.
-    Decimals keep their stored scale (``90.50 F`` stays ``90.50 F``)."""
+def leaf_token(spec: Optional[FieldSpec], value) -> str:
+    """Canonical token of a value, which the kb and the sentiment table
+    compare: the text the codec writes for a leaf or measure, ``USD:2.50``
+    for money, the repr of other records. Decimals keep their stored scale
+    (``90.50 F`` stays ``90.50 F``); ``spec`` is not read and may be None."""
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, Decimal):
         return format_decimal(value)
     if isinstance(value, Measure):
         return f"{format_decimal(value.value)} {value.unit}"
+    if isinstance(value, Money):
+        return f"{value.currency}:{format_decimal(value.amount)}"
     if isinstance(value, datetime):
         return value.strftime(TIMESTAMP_FORMAT)
     return str(value)

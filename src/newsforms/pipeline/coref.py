@@ -50,12 +50,8 @@ def _value_key(reading: EntityReading) -> Optional[str]:
         return "|".join((p or "").lower() for p in parts)
     if isinstance(value, model.Organization):
         return (value.full_name or value.nickname or "").lower()
-    if isinstance(value, model.Money):
-        return f"{value.currency}:{model.format_decimal(value.amount)}"
-    if isinstance(value, model.Measure):
-        return f"{model.format_decimal(value.value)} {value.unit}"
-    if isinstance(value, Decimal):
-        return model.format_decimal(value)
+    if isinstance(value, (model.Money, model.Measure, Decimal)):
+        return model.leaf_token(None, value)
     if isinstance(value, str):
         return value.lower()
     return None

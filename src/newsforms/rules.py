@@ -13,10 +13,14 @@ A rule is tried only on sentences that contain all of its non-optional
 literals (those outside ``[...]``) as free tokens.
 
 The template is an event-element XML fragment whose leaves are either
-constant tokens or ``?var`` placeholders. Rules with more literals match
-first; file order breaks ties. Fragments of one event type merge into a
-single record per document, earliest sentence winning conflicts. A
-commonsense knowledge base then vets the merged events.
+constant tokens or ``?var`` placeholders. A record element of one class
+(a person, a location, an organization, money) holding a placeholder is
+a nested record template; the event is the root record, and both
+compile and instantiate through one ``Template`` walk. Constants are
+checked as the validator checks document fields. Rules with more
+literals match first; file order breaks ties. Fragments of one event
+type merge into a single record per document, earliest sentence winning
+conflicts. A commonsense knowledge base then vets the merged events.
 """
 
 from __future__ import annotations
@@ -90,15 +94,10 @@ class VarRef:
 
 
 @dataclass(frozen=True)
-class Composite:
-    cls: type
-    parts: tuple  # of (FieldSpec, VarRef | Composite | constant value)
-
-
-@dataclass(frozen=True)
 class Template:
-    event_cls: type
-    parts: tuple  # of (FieldSpec, VarRef | Composite | constant value)
+    """A record to build: the event at the root, a nested record below."""
+    cls: type
+    parts: tuple  # of (FieldSpec, VarRef | Template | constant value)
 
 
 @dataclass(frozen=True)
@@ -130,9 +129,14 @@ _FIELD_SLOT_KINDS = {
 
 
 def _parse_pattern(rule_id: str, source: str) -> tuple:
+    """Atoms, slots (variable -> ReadingKind), priority (the literal count,
+    optional ones included) and the mandatory literals of a pattern."""
     tokens = re.findall(r"\[|\]|[^\s\[\]]+", source)
     atoms: list[Atom] = []
     stack: Optional[list[Atom]] = None
+    slots: dict = {}
+    literals: set = set()
+    priority = 0
     for token in tokens:
         if token == "[":
             if stack is not None:
@@ -157,32 +161,29 @@ def _parse_pattern(rule_id: str, source: str) -> tuple:
                 kind = ReadingKind(kind_name)
             except ValueError:
                 raise RuleError(rule_id, f"unknown slot kind {kind_name!r}") from None
-            target.append(Slot(kind, var or kind_name))
+            var = var or kind_name
+            if var in slots:
+                raise RuleError(rule_id, f"duplicate slot variable ?{var}")
+            slots[var] = kind
+            target.append(Slot(kind, var))
         elif token.startswith("*"):
             match = _SKIP_RE.match(token)
             if not match:
                 raise RuleError(rule_id, f"bad skip syntax {token!r}")
             target.append(Skip(int(match.group(1))))
         else:
+            priority += 1
+            if stack is None:
+                literals.add(token.lower())
             target.append(Literal(token))
     if stack is not None:
         raise RuleError(rule_id, "unbalanced '['")
     if not atoms:
         raise RuleError(rule_id, "empty pattern")
-    return tuple(atoms)
+    return tuple(atoms), slots, priority, frozenset(literals)
 
 
-def _literal_count(atoms) -> int:
-    count = 0
-    for atom in atoms:
-        if isinstance(atom, Literal):
-            count += 1
-        elif isinstance(atom, OptionalGroup):
-            count += _literal_count(atom.atoms)
-    return count
-
-
-def _compile_template_value(rule_id, spec: FieldSpec, elem: ET.Element, slots):
+def _compile_value(rule_id, spec: FieldSpec, elem: ET.Element, slots):
     children = list(elem)
     text = (elem.text or "").strip()
     if not children and text.startswith("?"):
@@ -204,25 +205,26 @@ def _compile_template_value(rule_id, spec: FieldSpec, elem: ET.Element, slots):
     # person-or-organization fields accept a wrapped constant only
     if len(spec.records) == 1 and \
             any((child.text or "").strip().startswith("?") for child in children):
-        cls = spec.records[0]
-        parts = []
-        for child in children:
-            child_spec = model.spec_by_element(cls, child.tag)
-            if child_spec is None:
-                raise RuleError(rule_id, f"<{child.tag}> is not a schema element")
-            parts.append((child_spec, _compile_template_value(rule_id, child_spec, child, slots)))
-        return Composite(cls, tuple(parts))
+        return _compile_record(rule_id, spec.records[0], elem, slots)
     try:
         value = xmlcodec._parse_field(elem, spec, spec.element)
     except ValueError as exc:
         raise RuleError(rule_id, f"bad constant for <{spec.element}>: {exc}") from None
-    if spec.kind in model.LEAF_KINDS:
-        findings: list = []
-        model._check_leaf(findings, spec.element, spec, value)
-        if findings:
-            raise RuleError(
-                rule_id, f"bad constant for <{spec.element}>: {findings[0].message}")
+    findings: list = []
+    model.check_field(findings, spec.element, spec, value)
+    if findings:
+        raise RuleError(rule_id, f"bad constant for <{findings[0].path}>: {findings[0].message}")
     return value
+
+
+def _compile_record(rule_id: str, cls: type, elem: ET.Element, slots) -> Template:
+    parts = []
+    for child in elem:
+        spec = model.spec_by_element(cls, child.tag)
+        if spec is None:
+            raise RuleError(rule_id, f"<{child.tag}> is not a schema element of <{elem.tag}>")
+        parts.append((spec, _compile_value(rule_id, spec, child, slots)))
+    return Template(cls, tuple(parts))
 
 
 def _compile_template(rule_id: str, source: str, slots) -> Template:
@@ -232,16 +234,10 @@ def _compile_template(rule_id: str, source: str, slots) -> Template:
         raise RuleError(rule_id, f"template is not well-formed XML: {exc.msg}") from None
     if root.tag not in model.EVENT_TYPES:
         raise RuleError(rule_id, f"<{root.tag}> is not an event element")
-    event_cls = model.EVENT_TYPES[root.tag]
-    parts = []
-    for child in root:
-        spec = model.spec_by_element(event_cls, child.tag)
-        if spec is None:
-            raise RuleError(rule_id, f"<{child.tag}> is not a schema element of <{root.tag}>")
-        parts.append((spec, _compile_template_value(rule_id, spec, child, slots)))
-    if not parts:
+    template = _compile_record(rule_id, model.EVENT_TYPES[root.tag], root, slots)
+    if not template.parts:
         raise RuleError(rule_id, "template sets no fields")
-    return Template(event_cls, tuple(parts))
+    return template
 
 
 def compile_rules(source: str) -> list[ExtractionRule]:
@@ -267,23 +263,10 @@ def compile_rules(source: str) -> list[ExtractionRule]:
         if "=>" not in joined:
             raise RuleError(rule_id, "missing '=>' between pattern and template")
         pattern_src, template_src = joined.split("=>", 1)
-        atoms = _parse_pattern(rule_id, pattern_src.strip())
-        slots = {}
-        def collect(atom_seq):
-            for atom in atom_seq:
-                if isinstance(atom, Slot):
-                    if atom.var in slots:
-                        raise RuleError(rule_id, f"duplicate slot variable ?{atom.var}")
-                    slots[atom.var] = atom.kind
-                elif isinstance(atom, OptionalGroup):
-                    collect(atom.atoms)
-        collect(atoms)
+        atoms, slots, priority, literals = _parse_pattern(rule_id, pattern_src.strip())
         template = _compile_template(rule_id, template_src.strip(), slots)
-        literals = frozenset(atom.text.lower() for atom in atoms
-                             if isinstance(atom, Literal))
-        rules.append(ExtractionRule(rule_id, atoms, template,
-                                    priority=_literal_count(atoms), order=order,
-                                    slots=slots, literals=literals))
+        rules.append(ExtractionRule(rule_id, atoms, template, priority=priority,
+                                    order=order, slots=slots, literals=literals))
     return rules
 
 
@@ -432,7 +415,6 @@ def _alternate_values(spec: FieldSpec, kind: ReadingKind, mention: EntityMention
 def _instantiate(rule: ExtractionRule, bindings: dict, parse: SentenceParse,
                  sentence_index: int) -> Optional[Fragment]:
     slots = rule.slots
-    values = {}
     alternatives = {}
     id_bindings = {}
 
@@ -448,30 +430,23 @@ def _instantiate(rule: ExtractionRule, bindings: dict, parse: SentenceParse,
             if mention.resolved_id:
                 id_bindings[part.var] = mention.resolved_id
             return converted
-        if isinstance(part, Composite):
-            sub = {}
+        if isinstance(part, Template):
+            values = {}
             for child_spec, child_part in part.parts:
-                child_value = resolve(child_spec, child_part)
-                if child_value is not None:
-                    sub[child_spec.attr] = child_value
-            if not sub:
-                return None
-            return part.cls(**sub)
+                value = resolve(child_spec, child_part)
+                if value is not None:
+                    if child_spec.is_list and not isinstance(value, tuple):
+                        value = (value,)
+                    values[child_spec.attr] = value
+            return part.cls(**values) if values else None
         return part
 
     try:
-        for spec, part in rule.template.parts:
-            value = resolve(spec, part)
-            if value is None:
-                continue
-            if spec.is_list and not isinstance(value, tuple):
-                value = (value,)
-            values[spec.attr] = value
+        event = resolve(None, rule.template)
     except _BindError:
         return None
-    if not values:
+    if event is None:
         return None
-    event = rule.template.event_cls(**values)
     return Fragment(event=event, bindings=id_bindings,
                     sentence_index=sentence_index, rule_id=rule.rule_id,
                     alternatives=alternatives)
@@ -568,9 +543,8 @@ def merge_fragments(fragments: Sequence[Fragment]) -> MergeOutcome:
                     warnings.append(Diagnostic(
                         "merge", fragment.rule_id, "conflict",
                         f"{model.ELEMENT_OF_EVENT[cls]}/{spec.element}: kept "
-                        f"{model.leaf_token(spec, mine) if spec.kind in model.LEAF_KINDS else mine} "
-                        f"from an earlier sentence, ignored "
-                        f"{model.leaf_token(spec, theirs) if spec.kind in model.LEAF_KINDS else theirs}",
+                        f"{model.leaf_token(spec, mine)} from an earlier sentence, "
+                        f"ignored {model.leaf_token(spec, theirs)}",
                     ))
         draft.event = cls(**merged)
     return MergeOutcome(drafts=[drafts[cls] for cls in order], warnings=warnings)

@@ -182,6 +182,12 @@ def test_leaf_token_spells_a_measure_as_the_document_does():
     assert model.leaf_token(high, model.Measure(Decimal("140"), "mph")) == "140 mph"
 
 
+def test_leaf_token_spells_money_as_currency_and_amount():
+    value = model.spec_by_element(Deal, "DealValue")
+    assert model.leaf_token(value, Money(Decimal("2.50"), "USD")) == "USD:2.50"
+    assert model.leaf_token(None, Money(Decimal("52000000000"), "EUR")) == "EUR:52000000000"
+
+
 def test_dateline_must_be_utc():
     naive = NewsForm(head=Head(datetime(1999, 1, 25, 18, 19, 17)))
     assert [f.code for f in validate(naive).errors] == ["timezone"]

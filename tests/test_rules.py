@@ -9,9 +9,13 @@ from hypothesis import given, settings, strategies as st
 from newsforms import model
 from newsforms.model import (
     Competition,
+    Deal,
+    Earnings,
     EconomicRelease,
     InjuryFatality,
     LegalEvent,
+    Location,
+    Money,
     Organization,
     Person,
     Weather,
@@ -52,7 +56,7 @@ def test_injured_rule_compiles():
     assert rule.priority == 2  # "was", "injured"
     assert rule.slots == {"Person": ReadingKind.PERSON}
     assert rule.literals == {"was", "injured"}
-    assert rule.template.event_cls is InjuryFatality
+    assert rule.template.cls is InjuryFatality
 
 
 def test_empty_source_compiles_to_no_rules():
@@ -67,6 +71,11 @@ def test_unknown_template_element_is_a_compile_error():
         compile_rules(bad)
     assert "Harmed" in str(info.value)
     assert info.value.rule_id == "r001"
+    nested = ("?Location:l hit => <Weather><AtLocation><Country>?l</Country>"
+              "<Planet>Mars</Planet></AtLocation></Weather>")
+    with pytest.raises(RuleError) as info:
+        compile_rules(nested)
+    assert str(info.value) == "r001: <Planet> is not a schema element of <AtLocation>"
 
 
 def test_unbound_template_variable_is_a_compile_error():
@@ -109,6 +118,17 @@ def test_bad_constant_is_a_compile_error():
     bad = "boom => <InjuryFatality><Cause>Sharknado</Cause></InjuryFatality>"
     with pytest.raises(RuleError):
         compile_rules(bad)
+    # constant records are checked like document fields
+    for template, path in (
+            ("<InjuryFatality><AtLocation><Country>ZZZ</Country></AtLocation></InjuryFatality>",
+             "AtLocation/Country"),
+            ("<Deal><DealValue><Amount>5</Amount><Currency>XXQ</Currency></DealValue></Deal>",
+             "DealValue/Currency")):
+        with pytest.raises(RuleError) as info:
+            compile_rules(f"boom => {template}")
+        assert str(info.value).startswith(f"r001: bad constant for <{path}>: not a known")
+    compile_rules("boom => <Deal><DealValue><Amount>5</Amount>"
+                  "<Currency>USD</Currency></DealValue></Deal>")
 
 
 def test_priority_counts_literals_file_order_breaks_ties():
@@ -265,6 +285,58 @@ def test_filtered_patterns_equal_the_unfiltered_oracle(data_root, lexicons, rule
     assert apply_patterns(parses, rules) == oracle_apply_patterns(parses, rules)
 
 
+def _events(rule, text, lexicons):
+    return [f.event for f in apply_patterns(analyze(text, lexicons), compile_rules(rule))]
+
+
+NESTED_LOCATION = ("storm hit ?Location:l => <Weather><AtLocation><Country>?l</Country>"
+                   "<Region>Coast</Region></AtLocation></Weather>")
+
+
+def test_nested_location_template_mixes_a_slot_and_a_constant(lexicons):
+    assert _events(NESTED_LOCATION, "A storm hit Chicago.", lexicons) == [
+        Weather(at_location=Location(country="USA", region="Coast"))]
+
+
+def test_nested_location_without_a_country_drops_the_fragment(lexicons):
+    # Scotland reads as a region: "location has no country code"
+    assert _events(NESTED_LOCATION, "A storm hit Scotland.", lexicons) == []
+
+
+def test_nested_organization_template_takes_the_ticker(lexicons):
+    rule = ("?Organization:o reported earnings => "
+            "<Earnings><Company><Ticker>?o</Ticker></Company></Earnings>")
+    assert _events(rule, "Bell Atlantic reported earnings.", lexicons) == [
+        Earnings(company=Organization(ticker="BEL"))]
+
+
+def test_nested_money_template_takes_a_number_amount(lexicons):
+    rule = ("deal worth ?Number:n closed => <Deal><DealValue><Amount>?n</Amount>"
+            "<Currency>EUR</Currency></DealValue></Deal>")
+    assert _events(rule, "The deal worth 52.50 closed.", lexicons) == [
+        Deal(deal_value=Money(Decimal("52.50"), "EUR"))]
+
+
+def test_nested_state_and_currency_leaves_take_their_codes(lexicons):
+    state = "storm hit ?Location:l => <Weather><AtLocation><State>?l</State></AtLocation></Weather>"
+    assert _events(state, "A storm hit Chicago.", lexicons) == [
+        Weather(at_location=Location(state="IL"))]
+    currency = ("earned ?Money:m => <Earnings><EPS><Amount>0.25</Amount>"
+                "<Currency>?m</Currency></EPS></Earnings>")
+    assert _events(currency, "Sony earned 52 dollars.", lexicons) == [
+        Earnings(eps=Money(Decimal("0.25"), "USD"))]
+
+
+def test_unmatched_optional_slot_inside_a_record(lexicons):
+    with_constant = ("storm hit [ in ?Location:l ] today => <Weather><AtLocation>"
+                     "<Country>?l</Country><Region>Coast</Region></AtLocation></Weather>")
+    assert _events(with_constant, "A storm hit today.", lexicons) == [
+        Weather(at_location=Location(region="Coast"))]
+    slot_only = ("storm hit [ in ?Location:l ] today => <Weather><Meteor>Hurricane</Meteor>"
+                 "<AtLocation><Country>?l</Country></AtLocation></Weather>")
+    assert _events(slot_only, "A storm hit today.", lexicons) == [Weather(meteor="Hurricane")]
+
+
 def test_same_rule_can_fire_twice_per_sentence(lexicons):
     rules = compile_rules(INJURED_RULE)
     parses = analyze("Lionel Jospin was injured and Jacques Chirac was injured.",
@@ -322,6 +394,19 @@ def test_conflicting_values_keep_earliest_and_warn():
     assert outcome.events == [InjuryFatality(killed_count=143)]
     assert len(outcome.warnings) == 1
     assert "143" in outcome.warnings[0].detail
+
+
+def test_merge_conflicts_print_measures_and_money_as_document_tokens():
+    outcome = merge_fragments([
+        frag(Weather(wind_speed=model.Measure(Decimal("140"), "mph")), 0),
+        frag(Weather(wind_speed=model.Measure(Decimal("150"), "mph")), 1),
+        frag(Deal(deal_value=Money(Decimal("2.50"), "USD")), 0),
+        frag(Deal(deal_value=Money(Decimal("3"), "USD")), 1),
+    ])
+    assert [w.detail for w in outcome.warnings] == [
+        "Weather/WindSpeed: kept 140 mph from an earlier sentence, ignored 150 mph",
+        "Deal/DealValue: kept USD:2.50 from an earlier sentence, ignored USD:3",
+    ]
 
 
 def test_distinct_variants_never_merge():
