@@ -12,7 +12,16 @@ words, units, pronouns). Proper-noun lexicons are case-sensitive.
 
 All files load into one index keyed by the case-folded surface, so a
 lookup is one dictionary probe; entries of a case-sensitive file keep
-their exact surface and match only that."""
+their exact surface and match only that.
+
+Beside the index, ``LexiconSet.prefixes`` holds every case-folded word
+prefix of every key: the node set of a token trie over the keys
+(Aho and Corasick, "Efficient string matching", 1975). A token window
+whose folded surface is not in it starts no key, so the entity scanner
+stops extending the window there. The text joins a comma token to the
+word before it only once another token follows (``Washington , D.C.``
+reads ``washington, d.c.``), so a prefix ending in a comma also enters in
+its two shorter token forms, ``washington`` and ``washington ,``."""
 
 from __future__ import annotations
 
@@ -98,16 +107,14 @@ def _check_coordinates(entry: LexiconEntry, path, lineno: int):
             raise LexiconError(path, lineno, f"{key} out of range: {raw}")
 
 
-
-
 @dataclass
 class LexiconSet:
     """One index over every loaded entry: the case-folded, whitespace-normalised
     surface maps to ``(exact surface, or None in a ci file; entry)`` pairs in
-    load order."""
+    load order; ``prefixes`` holds the folded word prefixes of every key."""
 
     index: dict[str, list[tuple[Optional[str], LexiconEntry]]] = field(default_factory=dict)
-    max_words: int = 0
+    prefixes: set[str] = field(default_factory=set)
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self.index.values())
@@ -147,8 +154,20 @@ def _add_file(lexicons: LexiconSet, path: Path, case_sensitive: bool):
         if (key, folded, kind, normalized) in seen:
             continue
         seen.add((key, folded, kind, normalized))
+        if folded not in lexicons.index:
+            _add_prefixes(lexicons.prefixes, folded)
         lexicons.index.setdefault(folded, []).append((key, entry))
-        lexicons.max_words = max(lexicons.max_words, len(exact.split()))
+
+
+def _add_prefixes(prefixes: set[str], folded: str):
+    prefix = ""
+    for word in folded.split(" "):
+        prefix = f"{prefix} {word}" if prefix else word
+        prefixes.add(prefix)
+        if prefix.endswith(","):
+            # the token forms before the comma joins: "washington", "washington ,"
+            prefixes.add(prefix[:-1])
+            prefixes.add(prefix[:-1] + " ,")
 
 
 def load_lexicon(path, case_sensitive: bool = True) -> LexiconSet:

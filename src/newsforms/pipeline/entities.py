@@ -9,6 +9,15 @@ organization-suffix rule, pronouns, date words, and finally a fallback
 that treats an unknown capitalized run as a family name. A span keeps
 every reading its sources supply; ambiguity is preserved for later stages
 to resolve.
+
+Lexicon access goes through one table per start token, built on first
+use: the entries of each window that starts there, one probe per window.
+Windows stop before punctuation other than a comma and at the lexicon's
+prefix frontier, the first window whose folded surface is not in
+``LexiconSet.prefixes`` because no key starts with it; a window ending in
+a comma token (``Washington ,``) is in that set whenever a key goes on
+past the comma. The table also keeps the set of entry kinds across its
+windows, so a matcher asking for kinds the start lacks returns at once.
 """
 
 from __future__ import annotations
@@ -112,6 +121,7 @@ class _Scanner:
         self.lexicons = lexicons
         self.n = len(tokens)
         self._windows: list[Optional[list[list[LexiconEntry]]]] = [None] * self.n
+        self._kinds: list[Optional[set[EntryKind]]] = [None] * self.n  # across a start's windows
         self._org_scan_end = 0  # a failed org-suffix scan from any start before it
 
     # -- lexicon access helpers ---------------------------------------
@@ -119,29 +129,41 @@ class _Scanner:
     def windows(self, i: int) -> list[list[LexiconEntry]]:
         """Entries of each window starting at i, looked up once on first use:
         item k is the window i..i+k. Windows stop before punctuation other
-        than a comma and at ``max_words`` tokens."""
+        than a comma and before the first one that starts no lexicon key."""
         table = self._windows[i]
         if table is None:
             table = self._windows[i] = []
-            for last in range(i, min(i + self.lexicons.max_words, self.n)):
+            kinds = self._kinds[i] = set()
+            prefixes = self.lexicons.prefixes
+            for last in range(i, self.n):
                 if self.tokens[last].pos is Pos.PUNCT and self.tokens[last].text != ",":
                     break
-                table.append(self.lexicons.lookup(_window_surface(self.tokens, i, last)))
+                surface = _window_surface(self.tokens, i, last)
+                if surface.casefold() not in prefixes:
+                    break
+                entries = self.lexicons.lookup(surface)
+                table.append(entries)
+                kinds.update(entry.kind for entry in entries)
         return table
 
     def entries_at(self, first: int, last: int, kinds) -> list[LexiconEntry]:
         table = self.windows(first)
-        if last - first >= len(table):
+        if last - first >= len(table) or self._kinds[first].isdisjoint(kinds):
             return []
         return [e for e in table[last - first] if e.kind in kinds]
 
     def single(self, i: int, kind: EntryKind) -> Optional[LexiconEntry]:
-        entries = self.entries_at(i, i, {kind})
-        return entries[0] if entries else None
+        table = self.windows(i)
+        if kind not in self._kinds[i]:
+            return None
+        return next((e for e in table[0] if e.kind is kind), None)
 
     def longest(self, i: int, kinds):
         """Longest lexicon window starting at i restricted to the given kinds."""
-        for last in range(i + len(self.windows(i)) - 1, i - 1, -1):
+        table = self.windows(i)
+        if self._kinds[i].isdisjoint(kinds):
+            return None
+        for last in range(i + len(table) - 1, i - 1, -1):
             entries = self.entries_at(i, last, kinds)
             if entries:
                 return last, entries

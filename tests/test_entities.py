@@ -1,15 +1,17 @@
 """Entity identification and reference resolution."""
 
+import dataclasses
 import time
 from collections import Counter
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from newsforms.lexicons import load_lexicon_set
-from newsforms.model import Location, Money, Person
+from newsforms.lexicons import load_lexicon, load_lexicon_set
+from newsforms.model import Location, Measure, Money, Person
 from newsforms.pipeline import analyze, chunk_noun_groups, entities, split_sentences, tag_pos
-from newsforms.pipeline.types import ReadingKind
+from newsforms.pipeline.types import Pos, ReadingKind
 from newsforms.rules import extract
 
 from conftest import INTRO_TEXT, JOSPIN_TEXT
@@ -260,16 +262,139 @@ def test_each_token_window_is_looked_up_at_most_once(data_root, monkeypatch):
     calls = []
     lookup = lexicons.lookup
     monkeypatch.setattr(lexicons, "lookup", lambda surface: calls.append(surface) or lookup(surface))
+    starts = []
+    windows_at = entities._Scanner.windows
+    monkeypatch.setattr(entities._Scanner, "windows",
+                        lambda self, i: starts.append(i) or windows_at(self, i))
+    longest = max(len(tag_pos(key, (0, len(key)))) for key in lexicons.index)
     text = (INTRO_TEXT + " " + JOSPIN_TEXT + " Mr. John Smith of Washington, D.C., paid "
             "twenty five million dollars, $2 million, for 3 to 4 miles of New York.")
+    probed = 0
     for span in split_sentences(text):
         tokens = tag_pos(text, span)
         calls.clear()
+        starts.clear()
         entities.parse_entities(tokens, lexicons)
         n = len(tokens)
         windows = Counter(entities._window_surface(tokens, i, last) for i in range(n)
-                          for last in range(i, min(i + lexicons.max_words, n)))
-        assert calls and Counter(calls) <= windows, text[span[0]:span[1]]
+                          for last in range(i, min(i + longest, n)))
+        assert Counter(calls) <= windows, text[span[0]:span[1]]
+        # every window a key matches, from each start a matcher asked for, was probed
+        matched = {entities._window_surface(tokens, i, last) for i in set(starts)
+                   for last in range(i, min(i + longest, n))}
+        assert {w for w in matched if lookup(w)} <= set(calls), text[span[0]:span[1]]
+        probed += len(calls)
+    # a sentence may rightly probe nothing ("Jospin, confronted with ..."); the text may not
+    assert probed > 0
+
+
+def _brute_force_windows(tokens, lexicons, i):
+    """Entries of every window starting at i, by offset, up to the first
+    punctuation other than a comma: no prefix frontier."""
+    found = {}
+    for last in range(i, len(tokens)):
+        if tokens[last].pos is Pos.PUNCT and tokens[last].text != ",":
+            break
+        entries = lexicons.lookup(entities._window_surface(tokens, i, last))
+        if entries:
+            found[last - i] = entries
+    return found
+
+
+class _EveryPrefix:
+    """A prefix set that holds every string, so no window stops early."""
+
+    def __contains__(self, surface):
+        return True
+
+
+_OTHER_WORDS = [",", ",", ",", ".", ";", "!", "(", "-", "Zyqqly", "blorf", "of", "the",
+                "12", "$"]
+_CASES = [str, str.lower, str.upper, str.title]
+
+
+def _key_word_text(lexicons, data):
+    """Words of lexicon keys in mixed case, with commas, other punctuation
+    and unknown words mixed in."""
+    key_words = sorted({word for bucket in lexicons.index.values()
+                        for _, entry in bucket for word in entry.surface.split()})
+    word = st.one_of(st.sampled_from(key_words), st.sampled_from(_OTHER_WORDS))
+    words = data.draw(st.lists(st.tuples(word, st.sampled_from(_CASES)), max_size=30))
+    return " ".join(case(w) for w, case in words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_windows_equal_a_brute_force_probe_of_every_window(lexicons, data):
+    text = _key_word_text(lexicons, data)
+    tokens = tag_pos(text, (0, len(text)))
+    scanner = entities._Scanner(tokens, lexicons)
+    for i in range(len(tokens)):
+        expected = _brute_force_windows(tokens, lexicons, i)
+        table = scanner.windows(i)
+        assert {k: entries for k, entries in enumerate(table) if entries} == expected, (text, i)
+        assert scanner._kinds[i] == {e.kind for entries in expected.values() for e in entries}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mentions_equal_a_scanner_without_a_prefix_frontier(lexicons, data):
+    text = _key_word_text(lexicons, data)
+    unbounded = dataclasses.replace(lexicons, prefixes=_EveryPrefix())
+    for span in split_sentences(text):
+        tokens = tag_pos(text, span)
+        assert (entities.parse_entities(tokens, lexicons)
+                == entities.parse_entities(tokens, unbounded)), text
+
+
+@pytest.mark.parametrize("text, first, last, value", [
+    # the comma token keeps the window going to the three-token key
+    ("Washington, D.C.", 0, 2, Location(city="Washington", country="USA", state="DC",
+                                        latitude=Decimal("38.9"), longitude=Decimal("-77.0"))),
+    # a case-sensitive key whose path runs through lower-case words
+    ("Rio de Janeiro", 0, 2, Location(city="Rio de Janeiro", country="BRA",
+                                      latitude=Decimal("-22.9"), longitude=Decimal("-43.2"))),
+    # the longest keys, five tokens
+    ("Democratic Republic of the Congo", 0, 4,
+     Location(country="COD", latitude=Decimal("-4.0"), longitude=Decimal("21.8"))),
+    ("Saint Vincent and the Grenadines", 0, 4,
+     Location(country="VCT", latitude=Decimal("12.98"), longitude=Decimal("-61.3"))),
+])
+def test_lexicon_windows_reach_their_keys(lexicons, text, first, last, value):
+    tokens = tag_pos(text, (0, len(text)))
+    mention, = entities.parse_entities(tokens, lexicons)
+    assert (mention.first, mention.last) == (first, last)
+    assert mention.readings[0].value == value
+    assert entities._Scanner(tokens, lexicons).windows(0) == [
+        lexicons.lookup(entities._window_surface(tokens, 0, k)) for k in range(len(tokens))]
+
+
+@pytest.mark.parametrize("text, last", [
+    ("Washington, D.C.", 2),
+    # five words, six tokens: a cap on words per key stopped one token short
+    ("Foo, Bar Baz Qux Quux", 5),
+])
+def test_comma_key_is_reached_when_its_first_word_is_no_key(tmp_path, text, last):
+    path = tmp_path / "cities.tsv"
+    path.write_text(f"{text}\tCity\tWashington\tcountry=USA\n")
+    tokens = tag_pos(text, (0, len(text)))
+    mention, = entities.parse_entities(tokens, load_lexicon(path))
+    assert (mention.first, mention.last) == (0, last)
+
+
+def test_lower_case_text_reaches_no_case_sensitive_key(lexicons):
+    tokens = tag_pos("rio de janeiro", (0, 14))
+    assert entities.parse_entities(tokens, lexicons) == []
+    assert entities._Scanner(tokens, lexicons).windows(0) == [[], [], []]
+
+
+@pytest.mark.parametrize("text", ["60 miles per hour", "60 Miles Per Hour", "60 MILES PER HOUR"])
+def test_multi_word_case_insensitive_unit_in_any_case(lexicons, text):
+    tokens = tag_pos(text, (0, len(text)))
+    mention, = entities.parse_entities(tokens, lexicons)
+    assert (mention.first, mention.last) == (0, 3)
+    assert mention.readings[0].kind is ReadingKind.SPEED
+    assert mention.readings[0].value == Measure(Decimal(60), "mph")
 
 
 @pytest.mark.parametrize("word", ["Western ", "Hurricane "])

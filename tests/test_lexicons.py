@@ -113,6 +113,16 @@ def test_case_insensitive_lexicons_fold_keys(tmp_path):
     assert strict.lookup("MILES") == []
 
 
+def test_prefixes_hold_every_word_prefix_and_the_comma_token_forms(tmp_path):
+    path = tmp_path / "cities.tsv"
+    path.write_text("Washington, D.C.\tCity\tWashington\tcountry=USA\n"
+                    "New York\tCity\tNew York\tcountry=USA\n")
+    assert load_lexicon(path).prefixes == {
+        "washington,", "washington, d.c.", "new", "new york",
+        # the windows "Washington" and "Washington ," before the comma joins
+        "washington", "washington ,"}
+
+
 def test_loading_is_idempotent(tmp_path):
     path = tmp_path / "demo.tsv"
     path.write_text("Lima\tCity\tLima\tcountry=PER\nAnn\tGivenName\tAnn\tsex=Female\n")
