@@ -81,14 +81,14 @@ def _cmd_validate(args) -> int:
     findings = 0
     for name in args.files:
         text = _read_input(name)
+        found: list[model.Finding] = []
         try:
-            doc = parse_newsform(text)
+            parse_newsform(text, found)
         except ValueError as exc:
             print(f"{name}\t-\tsyntax\t{exc}")
             findings += 1
             continue
-        report = model.validate(doc)
-        for finding in report.errors:
+        for finding in found:
             print(f"{name}\t{finding.path}\t{finding.code}\t{finding.message}")
             findings += 1
     return EXIT_FINDINGS if findings else EXIT_OK

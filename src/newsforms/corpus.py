@@ -1,8 +1,10 @@
 """Corpus index and query engine over news-event documents.
 
 A corpus is a directory of ``*.newsform.xml`` files. The index holds the
-parsed, validated documents; its inverted map from (event type, field
-path, value token) to document ids is built only when something reads it.
+documents that read without an error or a finding; the reader checks each
+document as it parses it, so indexing walks a document once. Its inverted
+map from (event type, field path, value token) to document ids is built
+only when something reads it.
 Each command builds the index once and runs one query, so queries scan
 the parsed documents rather than pay for postings they would read once.
 Queries are a conjunction of field-path predicates that must all hold on
@@ -41,7 +43,7 @@ from .model import FieldKind, FieldSpec, Measure, Money, NewsForm
 from .vocab import Sentiment
 from .xmlcodec import FILE_EXTENSION, read_newsform
 
-_MONEY_LITERAL_RE = re.compile(r"^([A-Z]{3}):(-?\d+(?:\.\d+)?)$")
+_MONEY_LITERAL_RE = re.compile(r"^([A-Z]{3}):(-?[0-9]+(?:\.[0-9]+)?)$")
 
 _COMPARE_OPS = {"<", "<=", ">", ">="}
 _ALL_OPS = {"=", "!=", "<", "<=", ">", ">=", "contains"}
@@ -128,14 +130,14 @@ def build_index(paths: Iterable) -> CorpusIndex:
     index = CorpusIndex()
     for n, path in enumerate(paths, start=1):
         doc_id = f"d{n:04d}"
+        findings: list[model.Finding] = []
         try:
-            form = read_newsform(path)
+            form = read_newsform(path, findings)
         except (OSError, ValueError) as exc:
             index.diagnostics.append(f"skipped\t{path}\t{exc}")
             continue
-        report = model.validate(form)
-        if report.errors:
-            first = report.errors[0]
+        if findings:
+            first = findings[0]
             index.diagnostics.append(
                 f"skipped\t{path}\tinvalid: {first.path}: {first.message}")
             continue

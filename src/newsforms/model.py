@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Union, get_args
+from typing import Callable, Optional, Union, get_args
 
 from .resources import packaged_data_root, read_code_table
 from .vocab import (
@@ -165,9 +165,14 @@ class FieldSpec:
     # ``kind in LIST_KINDS``, kept on the spec because the per-field loops
     # of parsing, validation and indexing would hash the enum member each time
     is_list: bool = field(init=False)
+    # a leaf's two checks (see "Leaf checks"); None where the kind has none
+    type_check: Optional[Callable] = field(init=False, repr=False, compare=False)
+    value_check: Optional[Callable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "is_list", self.kind in LIST_KINDS)
+        object.__setattr__(self, "type_check", _type_check(self))
+        object.__setattr__(self, "value_check", _value_check(self))
 
 
 def _f(element, kind, enum=None, lo=None, hi=None, lo_open=False, required=False):
@@ -180,6 +185,116 @@ def _f(element, kind, enum=None, lo=None, hi=None, lo_open=False, required=False
     if required:
         return field(metadata={"spec": spec})
     return field(default=() if kind in LIST_KINDS else None, metadata={"spec": spec})
+
+
+# ---------------------------------------------------------------------------
+# Leaf checks
+#
+# Each leaf spec carries two checks, each a function of the value that
+# returns its finding's (code, message), or None when there is nothing to
+# report. The type check asks whether the value has the type its kind holds
+# (text and tokens str, INT an int, DECIMAL a finite Decimal, TIMESTAMP a
+# UTC datetime); the codec reads every leaf into that type, so only
+# in-memory documents can fail it. The value check asks whether a value of
+# that type is allowed: bounds, vocabulary, code tables, tokens and
+# tickers. ``validate`` runs both; the codec runs the value check on each
+# leaf as it reads it.
+
+# the type each kind holds and its name in a type finding; the other leaf
+# kinds have no type check, as their value check takes any value
+_LEAF_TYPES = {
+    FieldKind.TEXT: (str, "text"), FieldKind.TOKEN: (str, "token"),
+    FieldKind.INT: (int, "integer"), FieldKind.DECIMAL: (Decimal, "decimal"),
+    FieldKind.TIMESTAMP: (datetime, "datetime"),
+}
+
+# the code-table kinds: finding code, code shape, table, name in the message
+_CODE_KINDS = {
+    FieldKind.COUNTRY: ("iso3166", _CODE3_RE, iso3166_codes, "3-letter country code"),
+    FieldKind.STATE: ("usps", _CODE2_RE, usps_state_codes, "2-letter state code"),
+    FieldKind.CURRENCY: ("iso4217", _CODE3_RE, iso4217_codes, "3-letter currency code"),
+}
+
+_UTC_OFFSET = timedelta(0)
+
+
+def _type_check(spec: FieldSpec) -> Optional[Callable]:
+    """The type check of a leaf field, or None (see above)."""
+    if spec.kind not in _LEAF_TYPES:
+        return None
+    expected, name = _LEAF_TYPES[spec.kind]
+    decimal = spec.kind is FieldKind.DECIMAL
+    timestamp = spec.kind is FieldKind.TIMESTAMP
+
+    def check(value):
+        if decimal and isinstance(value, float):
+            return "float", "binary floating point is not allowed; use Decimal"
+        if not isinstance(value, expected) or isinstance(value, bool):
+            return "type", f"expected {name}, got {type(value).__name__}"
+        if decimal and not value.is_finite():
+            return "range", "decimal must be finite"
+        if timestamp and value.utcoffset() != _UTC_OFFSET:
+            return "timezone", "timestamp must be UTC"
+        return None
+    return check
+
+
+def _value_check(spec: FieldSpec) -> Optional[Callable]:
+    """The value check of a leaf field, or None when its kind has none
+    (timestamps, measures, records). An enum value may also be the unknown
+    token the codec keeps, which it reports."""
+    kind = spec.kind
+    if kind is FieldKind.INT or kind is FieldKind.DECIMAL:
+        return _bounds_check(spec)
+    if kind is FieldKind.TEXT:
+        def check(value):
+            return None if value.strip() else ("empty", "text content must be non-empty")
+    elif kind is FieldKind.TOKEN:
+        def check(value):
+            if _TOKEN_RE.match(value):
+                return None
+            return "token", f"not a whitespace-free token: {value!r}"
+    elif kind is FieldKind.ENUM:
+        vocabulary = spec.enum
+
+        def check(value):
+            if isinstance(value, vocabulary):
+                return None
+            shown = value if isinstance(value, str) else type(value).__name__
+            return "enum", f"{shown!r} is not in the {vocabulary.__name__} vocabulary"
+    elif kind in _CODE_KINDS:
+        code, shape, table, name = _CODE_KINDS[kind]
+
+        def check(value):
+            if isinstance(value, str) and shape.match(value) and value in table():
+                return None
+            return code, f"not a known {name}: {value!r}"
+    elif kind is FieldKind.TICKER:
+        def check(value):
+            if isinstance(value, str) and _TICKER_RE.match(value):
+                return None
+            return "ticker", f"not a valid exchange ticker: {value!r}"
+    else:
+        return None
+    return check
+
+
+def _bounds_check(spec: FieldSpec) -> Optional[Callable]:
+    """The range check of a number field; None when it has no bounds."""
+    lo, hi, lo_open = spec.min_value, spec.max_value, spec.min_exclusive
+    if lo is None and hi is None:
+        return None
+    rel = ">" if lo_open else ">="
+
+    def check(value):
+        if lo is not None and (value < lo or lo_open and value == lo):
+            return "range", f"value must be {rel} {format_decimal(lo)}, " \
+                            f"got {format_decimal(Decimal(value))}"
+        if hi is not None and value > hi:
+            return "range", f"value must be <= {format_decimal(hi)}, " \
+                            f"got {format_decimal(Decimal(value))}"
+        return None
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +676,19 @@ _NORMALIZED_SPECS = {
     for cls, specs in CHILD_SPECS.items()}
 
 
+def build_record(cls: type, values: dict):
+    """The record ``cls(**values)`` builds, made without running its
+    ``__init__``. ``values`` must be normalized already, as the codec reads
+    them (vocabulary members or unknown tokens, Decimals, tuples for list
+    fields), and hold every required field. Only the given fields are
+    set: the others read their default from the class, as a dataclass
+    field with a default does."""
+    record = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
 def specs_for(cls: type) -> tuple[FieldSpec, ...]:
     return CHILD_SPECS[cls]
 
@@ -627,68 +755,6 @@ class ValidationReport:
         return not self.errors
 
 
-def _check_leaf(out, path, spec, value):
-    kind = spec.kind
-    if kind is FieldKind.TEXT:
-        if not isinstance(value, str):
-            out.append(Finding(path, "type", f"expected text, got {type(value).__name__}"))
-        elif not value.strip():
-            out.append(Finding(path, "empty", "text content must be non-empty"))
-    elif kind is FieldKind.TOKEN:
-        if not isinstance(value, str):
-            out.append(Finding(path, "type", f"expected token, got {type(value).__name__}"))
-        elif not _TOKEN_RE.match(value):
-            out.append(Finding(path, "token", f"not a whitespace-free token: {value!r}"))
-    elif kind is FieldKind.INT:
-        if not isinstance(value, int) or isinstance(value, bool):
-            out.append(Finding(path, "type", f"expected integer, got {type(value).__name__}"))
-        else:
-            _check_bounds(out, path, spec, Decimal(value))
-    elif kind is FieldKind.DECIMAL:
-        if isinstance(value, float):
-            out.append(Finding(path, "float", "binary floating point is not allowed; use Decimal"))
-        elif not isinstance(value, Decimal):
-            out.append(Finding(path, "type", f"expected decimal, got {type(value).__name__}"))
-        elif not value.is_finite():
-            out.append(Finding(path, "range", "decimal must be finite"))
-        else:
-            _check_bounds(out, path, spec, value)
-    elif kind is FieldKind.TIMESTAMP:
-        if not isinstance(value, datetime):
-            out.append(Finding(path, "type", f"expected datetime, got {type(value).__name__}"))
-        elif value.utcoffset() is None or value.utcoffset().total_seconds() != 0:
-            out.append(Finding(path, "timezone", "timestamp must be UTC"))
-    elif kind is FieldKind.ENUM:
-        if not isinstance(value, spec.enum):
-            shown = value if isinstance(value, str) else type(value).__name__
-            out.append(Finding(path, "enum",
-                               f"{shown!r} is not in the {spec.enum.__name__} vocabulary"))
-    elif kind is FieldKind.COUNTRY:
-        if not isinstance(value, str) or not _CODE3_RE.match(value) or value not in iso3166_codes():
-            out.append(Finding(path, "iso3166", f"not a known 3-letter country code: {value!r}"))
-    elif kind is FieldKind.STATE:
-        if not isinstance(value, str) or not _CODE2_RE.match(value) or value not in usps_state_codes():
-            out.append(Finding(path, "usps", f"not a known 2-letter state code: {value!r}"))
-    elif kind is FieldKind.CURRENCY:
-        if not isinstance(value, str) or not _CODE3_RE.match(value) or value not in iso4217_codes():
-            out.append(Finding(path, "iso4217", f"not a known 3-letter currency code: {value!r}"))
-    elif kind is FieldKind.TICKER:
-        if not isinstance(value, str) or not _TICKER_RE.match(value):
-            out.append(Finding(path, "ticker", f"not a valid exchange ticker: {value!r}"))
-
-
-def _check_bounds(out, path, spec, value: Decimal):
-    if spec.min_value is not None:
-        if value < spec.min_value or (spec.min_exclusive and value == spec.min_value):
-            bound = format_decimal(spec.min_value)
-            rel = ">" if spec.min_exclusive else ">="
-            out.append(Finding(path, "range", f"value must be {rel} {bound}, got {format_decimal(value)}"))
-            return
-    if spec.max_value is not None and value > spec.max_value:
-        out.append(Finding(path, "range",
-                           f"value must be <= {format_decimal(spec.max_value)}, got {format_decimal(value)}"))
-
-
 def _check_record(out, path, value, expected: tuple[type, ...]):
     if not isinstance(value, expected):
         names = " or ".join(t.__name__ for t in expected)
@@ -697,9 +763,9 @@ def _check_record(out, path, value, expected: tuple[type, ...]):
     _walk(out, path, value)
 
 
-def check_field(out, path, spec, value):
-    """Append the findings of one populated field at ``path`` to ``out``:
-    what ``validate`` reports for it, records checked child by child."""
+def _check_field(out, path, spec, value):
+    """Append the findings of one populated field at ``path`` to ``out``,
+    records checked child by child."""
     if spec.is_list:
         items = value if isinstance(value, tuple) else (value,)
         for i, item in enumerate(items, start=1):
@@ -716,17 +782,22 @@ def check_field(out, path, spec, value):
             if not isinstance(value.unit, str) or not _TOKEN_RE.match(value.unit):
                 out.append(Finding(path, "unit", f"measure unit must be a token: {value.unit!r}"))
     else:
-        _check_leaf(out, path, spec, value)
+        problem = None if spec.type_check is None else spec.type_check(value)
+        if problem is None and spec.value_check is not None:
+            problem = spec.value_check(value)
+        if problem is not None:
+            out.append(Finding(path, *problem))
 
 
 def _walk(out, path, record):
     for spec in CHILD_SPECS[type(record)]:
         value = getattr(record, spec.attr)
         if value is not None:
-            check_field(out, f"{path}/{spec.element}", spec, value)
+            _check_field(out, f"{path}/{spec.element}", spec, value)
 
 
-def _check_event_rules(out, path, event):
+def check_event_rules(out, path, event):
+    """Append the findings of the rules that span an event's fields."""
     if isinstance(event, Earnings):
         if event.earnings_amount is not None and event.loss is not None:
             out.append(Finding(path, "exclusive",
@@ -741,9 +812,11 @@ def validate(doc: NewsForm) -> ValidationReport:
     """Report every constraint violation in the document.
 
     Violations are data, not exceptions: the report lists each one with the
-    path of the offending field, in document order. An empty error list
-    means the document is accepted. Missing optional children are never
-    reported.
+    path of the offending field, the Head first, then each event's fields
+    in schema order and its cross-field rules. An empty error list means
+    the document is accepted. Missing optional children are never
+    reported. ``xmlcodec.parse_newsform`` reports the same findings, in
+    the same order, as it reads a document.
     """
     out: list[Finding] = []
     _walk(out, "Head", doc.head)
@@ -757,7 +830,7 @@ def validate(doc: NewsForm) -> ValidationReport:
         name = ELEMENT_OF_EVENT[cls]
         path = f"{name}[{i}]" if multi else name
         _walk(out, path, event)
-        _check_event_rules(out, path, event)
+        check_event_rules(out, path, event)
     return ValidationReport(errors=tuple(out))
 
 

@@ -206,12 +206,11 @@ def _compile_value(rule_id, spec: FieldSpec, elem: ET.Element, slots):
     if len(spec.records) == 1 and \
             any((child.text or "").strip().startswith("?") for child in children):
         return _compile_record(rule_id, spec.records[0], elem, slots)
+    findings: list = []
     try:
-        value = xmlcodec._parse_field(elem, spec, spec.element)
+        value = xmlcodec.read_field(elem, spec, spec.element, findings)
     except ValueError as exc:
         raise RuleError(rule_id, f"bad constant for <{spec.element}>: {exc}") from None
-    findings: list = []
-    model.check_field(findings, spec.element, spec, value)
     if findings:
         raise RuleError(rule_id, f"bad constant for <{findings[0].path}>: {findings[0].message}")
     return value

@@ -3,7 +3,13 @@
 Input is liberal: children may appear in any order, person-or-organization
 fields may spell the value inline or wrapped in an explicit ``<Person>`` /
 ``<Organization>`` element, and "Martial Arts" is accepted for the
-MartialArts sport token.
+MartialArts sport token. Numbers are read in ASCII digits only.
+
+Reading checks a document in the same walk: each field's reader, compiled
+from its ``FieldSpec``, parses the leaf text into the field's type and runs
+the field's value check from ``model``, so ``parse_newsform`` reports the
+findings ``model.validate`` would, in its order. An unknown vocabulary
+token is kept verbatim, as the subject of its finding.
 
 Output is canonical and byte-deterministic: UTF-8, no XML declaration, no
 attributes, 2-space indentation, children in each type's fixed order.
@@ -19,7 +25,8 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from decimal import Decimal
-from typing import Union
+from functools import partial
+from typing import Optional, Union
 from xml.sax.saxutils import escape
 
 from . import model
@@ -28,6 +35,7 @@ from .model import (
     Head,
     Location,
     Measure,
+    Money,
     NewsForm,
     Organization,
     Person,
@@ -35,9 +43,11 @@ from .model import (
 
 FILE_EXTENSION = ".newsform.xml"
 
-_INT_RE = re.compile(r"^[-+]?\d+$")
-_DECIMAL_RE = re.compile(r"^[-+]?\d+(\.\d+)?$")
-_MEASURE_RE = re.compile(r"^([-+]?\d+(?:\.\d+)?)\s+(\S+)$")
+# ASCII digits only: ``\d`` would admit other scripts' digits, which int()
+# and Decimal() read but the codec would write back as ASCII
+_INT_RE = re.compile(r"^[-+]?[0-9]+$")
+_DECIMAL_RE = re.compile(r"^[-+]?[0-9]+(\.[0-9]+)?$")
+_MEASURE_RE = re.compile(r"^([-+]?[0-9]+(?:\.[0-9]+)?)\s+(\S+)$")
 _LINE_BREAK_RE = re.compile(r"\r\n?|\n")   # XML's line ends
 
 _PERSON_ONLY = {s.element for s in model.specs_for(Person)} - {"Email", "URL"}
@@ -84,15 +94,19 @@ class SerializeError(ValueError):
 # ---------------------------------------------------------------------------
 # Parsing
 
-def parse_newsform(text: Union[str, bytes]) -> NewsForm:
-    """Parse document XML into its typed form.
+def parse_newsform(text: Union[str, bytes], findings: Optional[list] = None) -> NewsForm:
+    """Parse document XML into its typed form, checking it on the way.
 
-    Whitespace between elements is insignificant; numeric and enum leaf
-    text is normalized into typed fields. Unknown vocabulary tokens are
-    kept verbatim for :func:`model.validate` to report.
+    Whitespace between elements is insignificant; leaf text is read into
+    its field's type, and an unknown vocabulary token is kept verbatim.
+    Each leaf's value check runs as the leaf is read, so the one walk
+    finds every violation ``model.validate`` reports on the parsed
+    document, in the same order; they are appended to ``findings`` when
+    a list is given.
 
     Raises XmlSyntaxError (also for bytes that are not UTF-8), SchemaError
-    or FieldTypeError; all three are ValueErrors.
+    or FieldTypeError, all three ValueErrors, whatever was found before;
+    ``findings`` is then incomplete.
     """
     if isinstance(text, bytes):
         text = _decode(text)
@@ -106,6 +120,9 @@ def parse_newsform(text: Union[str, bytes]) -> NewsForm:
     _reject_attributes(root, "NewsForm")
     _reject_text(root, "NewsForm")
 
+    # validate reports the Head first; its one field, a timestamp, has no
+    # value check, so the Head's place in the input does not matter
+    found = [] if findings is None else findings
     head = Head()
     seen_head = False
     events = []
@@ -116,11 +133,13 @@ def parse_newsform(text: Union[str, bytes]) -> NewsForm:
             if seen_head:
                 raise SchemaError("Head", "duplicate Head element")
             seen_head = True
-            head = _parse_record(child, Head, "Head")
+            head = _read_record(Head, child, "Head", "Head", found)
         elif child.tag in model.EVENT_TYPES:
             event_no += 1
             path = f"{child.tag}[{event_no}]" if event_total > 1 else child.tag
-            events.append(_parse_record(child, model.EVENT_TYPES[child.tag], path))
+            event = _read_record(model.EVENT_TYPES[child.tag], child, path, path, found)
+            model.check_event_rules(found, path, event)
+            events.append(event)
         else:
             raise SchemaError(child.tag, f"unknown element <{child.tag}>")
     return NewsForm(head=head, events=tuple(events))
@@ -137,9 +156,9 @@ def _decode(data: bytes) -> str:
                              len(lines), len(lines[-1])) from None
 
 
-def read_newsform(path) -> NewsForm:
+def read_newsform(path, findings: Optional[list] = None) -> NewsForm:
     with open(path, "rb") as fh:
-        return parse_newsform(fh.read())
+        return parse_newsform(fh.read(), findings)
 
 
 def _reject_attributes(elem: ET.Element, path: str):
@@ -156,73 +175,69 @@ def _reject_text(elem: ET.Element, path: str):
             raise SchemaError(path, "unexpected text content")
 
 
-def _parse_record(elem: ET.Element, cls: type, path: str):
+# Each field's reader, ``read(elem, path, fpath, found)``, converts its
+# element into the field's value and appends the value's findings to
+# ``found``. ``path`` locates errors in the input; ``fpath`` is the path
+# ``model.validate`` gives the value's findings, which differs inside a
+# wrapped person or organization (no wrapper element) and for the items of
+# a list of several (``Injured[2]``).
+
+def _read_record(cls: type, elem: ET.Element, path: str, fpath: str, found: list):
     _reject_attributes(elem, path)
     _reject_text(elem, path)
+    fields = _FIELDS[cls]
     values: dict[str, object] = {}
+    lists = None     # list field -> whether it has several items
+    runs = None      # (spec rank, first finding) of each child that found any
     for child in elem:
-        spec = model.spec_by_element(cls, child.tag)
-        if spec is None:
-            raise SchemaError(f"{path}/{child.tag}", f"unknown element <{child.tag}>")
-        child_path = f"{path}/{child.tag}"
-        parsed = _parse_field(child, spec, child_path)
-        if spec.is_list:
-            values.setdefault(spec.attr, []).append(parsed)
-        elif spec.attr in values:
-            raise SchemaError(child_path, f"<{child.tag}> may appear at most once")
+        tag = child.tag
+        entry = fields.get(tag)
+        if entry is None:
+            raise SchemaError(f"{path}/{tag}", f"unknown element <{tag}>")
+        attr, is_list, rank, read = entry
+        child_path = f"{path}/{tag}"
+        child_fpath = child_path if fpath is path else f"{fpath}/{tag}"
+        mark = len(found)
+        if is_list:
+            if lists is None:
+                lists = {}
+            if attr not in lists:
+                lists[attr] = sum(1 for other in elem if other.tag == tag) > 1
+                values[attr] = []
+            items = values[attr]
+            if lists[attr]:
+                child_fpath = f"{child_fpath}[{len(items) + 1}]"
+            items.append(read(child, child_path, child_fpath, found))
         else:
-            values[spec.attr] = parsed
-    # constructing the record turns list fields into tuples; on parsed values
-    # it fails only when Money, the one record with required fields, lacks one
-    try:
-        return cls(**values)
-    except TypeError:
-        raise SchemaError(path, "money needs both <Amount> and <Currency>") from None
+            value = read(child, child_path, child_fpath, found)
+            if attr in values:
+                raise SchemaError(child_path, f"<{tag}> may appear at most once")
+            values[attr] = value
+        if len(found) > mark:
+            if runs is None:
+                runs = []
+            runs.append((rank, mark))
+    if runs is not None and len(runs) > 1:
+        _in_spec_order(found, runs)
+    if lists is not None:
+        for attr in lists:
+            values[attr] = tuple(values[attr])
+    if cls is Money and len(values) < 2:
+        raise SchemaError(path, "money needs both <Amount> and <Currency>")
+    return model.build_record(cls, values)
 
 
-def _leaf_text(elem: ET.Element, path: str) -> str:
-    _reject_attributes(elem, path)
-    if len(elem):
-        raise SchemaError(path, f"<{elem.tag}> must not contain child elements")
-    return (elem.text or "").strip()
+def _in_spec_order(found: list, runs: list):
+    """Put a record's findings in its fields' spec order, as ``validate``
+    walks them: each run of findings a child appended moves with its
+    child; the sort is stable, so list items keep their order."""
+    ends = [mark for _, mark in runs[1:]] + [len(found)]
+    ordered = sorted(((rank, found[mark:end]) for (rank, mark), end in zip(runs, ends)),
+                     key=lambda run: run[0])
+    found[runs[0][1]:] = [finding for _, run in ordered for finding in run]
 
 
-def _parse_field(elem: ET.Element, spec: model.FieldSpec, path: str):
-    if len(spec.records) > 1:
-        return _parse_org_or_person(elem, path)
-    if spec.records:
-        return _parse_record(elem, spec.records[0], path)
-    kind = spec.kind
-    text = _leaf_text(elem, path)
-    if kind is FieldKind.INT:
-        if not _INT_RE.match(text):
-            raise FieldTypeError(path, f"not an integer: {text!r}")
-        return int(text)
-    if kind is FieldKind.DECIMAL:
-        if not _DECIMAL_RE.match(text):
-            raise FieldTypeError(path, f"not a decimal number: {text!r}")
-        return Decimal(text)
-    if kind is FieldKind.TIMESTAMP:
-        try:
-            return model.parse_timestamp(text)
-        except ValueError:
-            raise FieldTypeError(
-                path, f"not a basic-format UTC timestamp (YYYYMMDDTHHMMSSZ): {text!r}"
-            ) from None
-    if kind is FieldKind.ENUM:
-        try:
-            return spec.enum(text)
-        except ValueError:
-            return text  # kept verbatim; validate() reports the vocabulary error
-    if kind is FieldKind.MEASURE:
-        match = _MEASURE_RE.match(text)
-        if not match:
-            raise FieldTypeError(path, f"not a 'value unit' measure: {text!r}")
-        return Measure(Decimal(match.group(1)), match.group(2))
-    return text
-
-
-def _parse_org_or_person(elem: ET.Element, path: str):
+def _read_org_or_person(elem: ET.Element, path: str, fpath: str, found: list):
     """A person-or-organization field: wrapped or inline spelling."""
     children = list(elem)
     if len(children) == 1 and children[0].tag in ("Person", "Organization"):
@@ -230,7 +245,7 @@ def _parse_org_or_person(elem: ET.Element, path: str):
         _reject_text(elem, path)
         inner = children[0]
         cls = Person if inner.tag == "Person" else Organization
-        return _parse_record(inner, cls, f"{path}/{inner.tag}")
+        return _read_record(cls, inner, f"{path}/{inner.tag}", fpath, found)
     names = {child.tag for child in children}
     has_person = bool(names & _PERSON_ONLY)
     has_org = bool(names & _ORG_ONLY)
@@ -239,7 +254,91 @@ def _parse_org_or_person(elem: ET.Element, path: str):
     # Only shared children (Email/URL) or empty: read as Person. The
     # canonical serializer never emits that ambiguous inline form.
     cls = Organization if has_org else Person
-    return _parse_record(elem, cls, path)
+    return _read_record(cls, elem, path, fpath, found)
+
+
+def _parse_int(text: str, path: str) -> int:
+    if not _INT_RE.match(text):
+        raise FieldTypeError(path, f"not an integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError:   # more digits than the interpreter converts
+        raise FieldTypeError(path, f"integer too long to read ({len(text)} characters)") from None
+
+
+def _parse_decimal(text: str, path: str) -> Decimal:
+    if not _DECIMAL_RE.match(text):
+        raise FieldTypeError(path, f"not a decimal number: {text!r}")
+    return Decimal(text)
+
+
+def _parse_timestamp(text: str, path: str):
+    try:
+        return model.parse_timestamp(text)
+    except ValueError:
+        raise FieldTypeError(
+            path, f"not a basic-format UTC timestamp (YYYYMMDDTHHMMSSZ): {text!r}") from None
+
+
+def _parse_measure(text: str, path: str) -> Measure:
+    match = _MEASURE_RE.match(text)
+    if not match:
+        raise FieldTypeError(path, f"not a 'value unit' measure: {text!r}")
+    return Measure(Decimal(match.group(1)), match.group(2))
+
+
+def _enum_parser(vocabulary: type):
+    def parse(text: str, path: str):
+        try:
+            return vocabulary(text)
+        except ValueError:
+            return text   # kept verbatim; the value check reports it
+    return parse
+
+
+# the text parser of each leaf kind; the other kinds keep the text
+_LEAF_PARSERS = {
+    FieldKind.INT: _parse_int, FieldKind.DECIMAL: _parse_decimal,
+    FieldKind.TIMESTAMP: _parse_timestamp, FieldKind.MEASURE: _parse_measure,
+}
+
+
+def _reader(spec: model.FieldSpec):
+    """The reader of one field's element, compiled from its spec."""
+    if len(spec.records) > 1:
+        return _read_org_or_person
+    if spec.records:
+        return partial(_read_record, spec.records[0])
+    parse = _enum_parser(spec.enum) if spec.kind is FieldKind.ENUM \
+        else _LEAF_PARSERS.get(spec.kind)
+    check = spec.value_check
+
+    def read(elem: ET.Element, path: str, fpath: str, found: list):
+        if elem.attrib or len(elem):
+            _reject_attributes(elem, path)
+            raise SchemaError(path, f"<{elem.tag}> must not contain child elements")
+        text = elem.text
+        value = text.strip() if text else ""
+        if parse is not None:
+            value = parse(value, path)
+        if check is not None:
+            problem = check(value)
+            if problem is not None:
+                found.append(model.Finding(fpath, *problem))
+        return value
+    return read
+
+
+# tag -> (attribute, list field?, rank in spec order, reader), per record class
+_FIELDS = {cls: {spec.element: (spec.attr, spec.is_list, rank, _reader(spec))
+                 for rank, spec in enumerate(specs)}
+           for cls, specs in model.CHILD_SPECS.items()}
+
+
+def read_field(elem: ET.Element, spec: model.FieldSpec, path: str, findings: list):
+    """One field's value read from its element at ``path``, as the
+    document reader reads it; its findings are appended to ``findings``."""
+    return _reader(spec)(elem, path, path, findings)
 
 
 # ---------------------------------------------------------------------------

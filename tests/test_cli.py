@@ -113,6 +113,19 @@ def test_validate_bad_file_exit_1_with_findings(capsys, tmp_path):
     assert "range" in out
 
 
+def test_validate_prints_findings_in_schema_order(capsys, tmp_path):
+    shuffled = tmp_path / "shuffled.newsform.xml"
+    shuffled.write_text("<NewsForm><Succession><Out><Age>200</Age></Out>"
+                        "<Function> </Function></Succession>"
+                        "<Trip><VisitorCount>-1</VisitorCount></Trip></NewsForm>")
+    code, out, err = run(capsys, "validate", shuffled)
+    assert code == 1
+    assert out == (
+        f"{shuffled}\tSuccession[1]/Function\tempty\ttext content must be non-empty\n"
+        f"{shuffled}\tSuccession[1]/Out/Age\trange\tvalue must be <= 150, got 200\n"
+        f"{shuffled}\tTrip[2]/VisitorCount\trange\tvalue must be >= 0, got -1\n")
+
+
 def test_validate_malformed_file(capsys, tmp_path):
     mangled = tmp_path / "mangled.newsform.xml"
     mangled.write_text("<NewsForm><Head>")

@@ -201,6 +201,24 @@ def test_unreadable_and_invalid_files_are_skipped_with_diagnostics(tmp_path):
     assert len(index.diagnostics) == 3
 
 
+def test_skipped_line_names_the_first_finding_in_schema_order(tmp_path):
+    # the input puts VisitorCount first; validate walks Host (the first
+    # Trip field) first, and the index reports what validate would
+    invalid = tmp_path / "invalid.newsform.xml"
+    invalid.write_text("<NewsForm><Trip><VisitorCount>-3</VisitorCount>"
+                       "<Host><Ticker>bel</Ticker></Host></Trip></NewsForm>")
+    index = build_index([invalid])
+    assert index.diagnostics == [
+        f"skipped\t{invalid}\tinvalid: Trip/Host/Ticker: not a valid exchange ticker: 'bel'"]
+
+
+def test_index_checks_documents_as_it_reads_them(corpus_dir, monkeypatch):
+    def second_walk(doc):
+        raise AssertionError("build_index walked a document twice")
+    monkeypatch.setattr(model, "validate", second_walk)
+    assert len(build_index(corpus_paths(corpus_dir)).docs) == len(fixture_documents())
+
+
 def test_rebuild_determinism(corpus_dir):
     paths = corpus_paths(corpus_dir)
     first = build_index(paths)
@@ -283,6 +301,12 @@ def test_unknown_path_is_a_query_error(index):
     with pytest.raises(QueryError) as info:
         parse_query("Deal.Bogus = x")
     assert "Bogus" in str(info.value)
+
+
+@pytest.mark.parametrize("literal", ["USD:١٢", "USD:１２", "USD:1.٥"])
+def test_money_literal_takes_ascii_digits_only(literal):
+    with pytest.raises(QueryError):
+        parse_query(f"Deal.DealValue = {literal}")
 
 
 def test_order_operator_on_text_field_is_an_error():

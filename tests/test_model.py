@@ -1,6 +1,6 @@
 """Validation behavior of the typed document model."""
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
@@ -25,7 +25,7 @@ from newsforms.model import (
 )
 from newsforms.vocab import Cause, Sentiment, Sex
 
-from conftest import schema_paths
+from conftest import DocGenerator, schema_paths
 
 
 def earthquake_doc(latitude="4.29") -> NewsForm:
@@ -225,6 +225,59 @@ def test_validation_reports_every_violation_in_document_order():
         "InjuryFatality/AtLocation/Country",
         "InjuryFatality/AtLocation/Latitude",
     ]
+
+
+# Values of the wrong type, which only an in-memory document can hold; each
+# finding is what validate reported before its leaf check was split in two.
+@pytest.mark.parametrize("event, expected", [
+    (Trip(visitor=Person(family=7)), ("type", "expected text, got int")),
+    (model.MedicalFinding(illness=b"flu"), ("type", "expected token, got bytes")),
+    (Trip(visitor_count=True), ("type", "expected integer, got bool")),
+    (Trip(visitor_count=Decimal("3")), ("type", "expected integer, got Decimal")),
+    (Deal(stake=0.5), ("float", "binary floating point is not allowed; use Decimal")),
+    (Deal(stake="half"), ("type", "expected decimal, got str")),
+    (Deal(stake=Decimal("NaN")), ("range", "decimal must be finite")),
+    (Deal(stake=Decimal("-Infinity")), ("range", "decimal must be finite")),
+    (Trip(visitor=Person(sex=2)), ("enum", "'int' is not in the Sex vocabulary")),
+    (Trip(visitor=Person(sex="Other")), ("enum", "'Other' is not in the Sex vocabulary")),
+    (Trip(visitor=Person(country=840)), ("iso3166", "not a known 3-letter country code: 840")),
+    (Deal(target=Organization(ticker=5)), ("ticker", "not a valid exchange ticker: 5")),
+    (Trip(visitor=Person(age=Decimal("151"))), ("type", "expected integer, got Decimal")),
+    (Trip(visitor=Person(age=151)), ("range", "value must be <= 150, got 151")),
+    (Deal(stake=Decimal("0")), ("range", "value must be > 0, got 0")),
+    (Deal(stake=Decimal("-0.50")), ("range", "value must be > 0, got -0.50")),
+])
+def test_type_and_value_findings_of_in_memory_values(event, expected):
+    assert [(f.code, f.message) for f in validate(NewsForm(events=(event,))).errors] == [expected]
+
+
+def test_dateline_of_the_wrong_type_or_zone():
+    def finding(stamp):
+        return [(f.code, f.message) for f in validate(NewsForm(head=Head(stamp))).errors]
+    assert finding("19990125T181917Z") == [("type", "expected datetime, got str")]
+    east = timezone(timedelta(hours=1))
+    assert finding(datetime(1999, 1, 25, tzinfo=east)) == [("timezone", "timestamp must be UTC")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(sorted(model.CHILD_SPECS, key=lambda cls: cls.__name__)))
+def test_build_record_equals_construction(seed, cls):
+    """Normalized values, unknown vocabulary tokens included, as the codec
+    reads them."""
+    gen = DocGenerator(seed)
+    values = {}
+    for spec in model.specs_for(cls):
+        if cls is Money or gen.rng.random() < 0.6:
+            values[spec.attr] = gen.field_value(spec, 0.5)
+            if spec.kind is model.FieldKind.ENUM and gen.rng.random() < 0.3:
+                values[spec.attr] = "Bogus"
+    built = model.build_record(cls, values)
+    made = cls(**values)
+    assert type(built) is cls
+    assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+    for spec in model.specs_for(cls):
+        assert type(getattr(built, spec.attr)) is type(getattr(made, spec.attr))
 
 
 # -- sentiment ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from newsforms import model
 from newsforms.model import (
     Deal,
+    FieldKind,
     Head,
     InjuryFatality,
     Money,
@@ -30,7 +31,7 @@ from newsforms.xmlcodec import (
     serialize_newsform,
 )
 
-from conftest import EARTHQUAKE_XML
+from conftest import EARTHQUAKE_XML, DocGenerator
 
 
 def test_worked_example_parses_into_typed_fields():
@@ -347,3 +348,208 @@ def test_whitespace_between_elements_is_insignificant():
 def test_bytes_input_is_accepted():
     assert parse_newsform(EARTHQUAKE_XML.encode("utf-8")) == \
         parse_newsform(EARTHQUAKE_XML)
+
+
+@pytest.mark.parametrize("event, element, text", [
+    ("Trip", "VisitorCount", "١٢"),        # Arabic-Indic
+    ("Trip", "VisitorCount", "１２"),      # fullwidth
+    ("Deal", "Stake", "٤.٥"),
+    ("Deal", "Stake", "4.५"),             # Devanagari after the point
+    ("Weather", "WindSpeed", "١٢ mph"),
+])
+def test_numbers_are_read_in_ascii_digits_only(event, element, text):
+    xml = f"<NewsForm><{event}><{element}>{text}</{element}></{event}></NewsForm>"
+    with pytest.raises(FieldTypeError) as info:
+        parse_newsform(xml)
+    assert info.value.path == f"{event}/{element}"
+
+
+def test_money_amount_is_read_in_ascii_digits_only():
+    xml = ("<NewsForm><Deal><DealValue><Amount>٥</Amount><Currency>USD</Currency>"
+           "</DealValue></Deal></NewsForm>")
+    with pytest.raises(FieldTypeError) as info:
+        parse_newsform(xml)
+    assert info.value.path == "Deal/DealValue/Amount"
+
+
+def test_integer_too_long_to_convert_is_a_type_error_with_path():
+    xml = f"<NewsForm><Trip><VisitorCount>{'9' * 5000}</VisitorCount></Trip></NewsForm>"
+    with pytest.raises(FieldTypeError) as info:
+        parse_newsform(xml)
+    assert info.value.path == "Trip/VisitorCount"
+    assert str(info.value) == "Trip/VisitorCount: integer too long to read (5000 characters)"
+
+
+# ---------------------------------------------------------------------------
+# One walk: the reader's findings are exactly validate's, in full and in order
+
+def _reader_findings(text) -> list:
+    """The findings parse_newsform reports, held to validate's on the
+    document it returns."""
+    found = []
+    form = parse_newsform(text, found)
+    assert found == list(model.validate(form).errors)
+    return found
+
+
+# an invalid text per checked leaf kind, and the finding code it gives
+_BAD_LEAF = {
+    FieldKind.TEXT: (" ", "empty"),
+    FieldKind.TOKEN: ("two words", "token"),
+    FieldKind.ENUM: ("Bogus", "enum"),
+    FieldKind.COUNTRY: ("ZZZ", "iso3166"),
+    FieldKind.STATE: ("ZZ", "usps"),
+    FieldKind.CURRENCY: ("usd", "iso4217"),
+    FieldKind.TICKER: ("bel", "ticker"),
+}
+
+
+def _out_of_range(spec, rng) -> str:
+    if spec.max_value is not None and rng.random() < 0.5:
+        return model.format_decimal(spec.max_value + 1)
+    low = spec.min_value if spec.min_exclusive else spec.min_value - 1
+    return model.format_decimal(low)
+
+
+def _bad_text(spec, rng):
+    """Leaf text that reads into a value the field's check rejects, and the
+    finding code; None when no text can (timestamps, measures, unbounded
+    numbers)."""
+    if spec.kind in _BAD_LEAF:
+        return _BAD_LEAF[spec.kind]
+    if spec.kind in (FieldKind.INT, FieldKind.DECIMAL) and spec.min_value is not None:
+        return _out_of_range(spec, rng), "range"
+    return None
+
+
+def _leaves(elem, record):
+    """(element, spec) of every leaf below ``elem``, the canonical element
+    of ``record``."""
+    populated = [(spec, item) for spec in model.specs_for(type(record))
+                 for item in model.values_at(record, (spec,))]
+    assert [child.tag for child in elem] == [spec.element for spec, _ in populated]
+    for child, (spec, item) in zip(elem, populated):
+        if not spec.records:
+            yield child, spec
+        else:
+            wrapped = len(child) == 1 and child[0].tag in ("Person", "Organization")
+            yield from _leaves(child[0] if wrapped else child, item)
+
+
+def _shuffle(elem, rng):
+    """Shuffle the children of every element that holds elements."""
+    children = list(elem)
+    for child in children:
+        _shuffle(child, rng)
+    rng.shuffle(children)
+    elem[:] = children
+
+
+_MONEY_XML = "<{0}><Amount>1</Amount><Currency>USD</Currency></{0}>"
+
+
+def _break_event_rule(elem, rng) -> str:
+    """Make an Earnings or Succession element break its event rule."""
+    if elem.tag == "Earnings":
+        for tag in ("EarningsAmount", "Loss"):
+            if elem.find(tag) is None:
+                elem.insert(rng.randrange(len(elem) + 1), ET.fromstring(_MONEY_XML.format(tag)))
+        return "exclusive"
+    for child in [c for c in elem if c.tag in ("In", "Out")]:
+        elem.remove(child)
+    return "required"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3), st.booleans(), st.booleans())
+def test_reader_findings_equal_validate(seed, mutations, break_rules, shuffle):
+    """Generated documents, with up to three leaves made invalid, event
+    rules broken and children in shuffled order."""
+    rng = random.Random(seed)
+    doc = DocGenerator(seed).document()
+    root = ET.fromstring(serialize_newsform(doc))
+    leaves = list(_leaves(root[0], doc.head))
+    for event_elem, event in zip(root[1:], doc.events):
+        leaves.extend(_leaves(event_elem, event))
+    codes = set()
+    if break_rules:
+        for event_elem in root[1:]:
+            if event_elem.tag in ("Earnings", "Succession") and rng.random() < 0.7:
+                codes.add(_break_event_rule(event_elem, rng))
+    kept = set(root.iter())   # not in a removed In or Out
+    candidates = [(elem, _bad_text(spec, rng)) for elem, spec in leaves if elem in kept]
+    candidates = [(elem, bad) for elem, bad in candidates if bad is not None]
+    for elem, (text, code) in rng.sample(candidates, min(mutations, len(candidates))):
+        elem.text = text
+        codes.add(code)
+    if shuffle:
+        _shuffle(root, rng)
+    found = _reader_findings(ET.tostring(root, encoding="unicode"))
+    assert {finding.code for finding in found} == codes
+
+
+def _form(*events: str) -> str:
+    return "<NewsForm><Head/>" + "".join(events) + "</NewsForm>"
+
+
+@pytest.mark.parametrize("events, expected", [
+    (["<FedWatch><FedAction>Increase</FedAction></FedWatch>"],
+     [("FedWatch/FedAction", "enum")]),
+    (["<InjuryFatality><Injured><Age>1</Age></Injured><Injured><Age>151</Age></Injured>"
+      "<Injured><Age>3</Age></Injured></InjuryFatality>"],
+     [("InjuryFatality/Injured[2]/Age", "range")]),
+    (["<Trip><ToLocation><Country>ZZZ</Country></ToLocation></Trip>"],
+     [("Trip/ToLocation/Country", "iso3166")]),
+    (["<Trip><ToLocation><State>ZZ</State></ToLocation></Trip>"],
+     [("Trip/ToLocation/State", "usps")]),
+    (["<Deal><DealValue><Currency>usd</Currency><Amount>5</Amount></DealValue></Deal>"],
+     [("Deal/DealValue/Currency", "iso4217")]),
+    (["<Deal><Target><Ticker>bel</Ticker></Target></Deal>"],
+     [("Deal/Target/Ticker", "ticker")]),
+    (["<MedicalFinding><Illness>two words</Illness></MedicalFinding>"],
+     [("MedicalFinding/Illness", "token")]),
+    (["<Negotiation><Party><Organization><FullName>A</FullName></Organization></Party>"
+      "<Party><Person><Given> </Given></Person></Party>"
+      "<Party><Given>B</Given></Party></Negotiation>"],
+     [("Negotiation/Party[2]/Given", "empty")]),
+    (["<Earnings>" + _MONEY_XML.format("Loss") + _MONEY_XML.format("EarningsAmount")
+      + "</Earnings>"],
+     [("Earnings", "exclusive")]),
+    (["<Succession><Function>CEO</Function></Succession>"],
+     [("Succession", "required")]),
+    # spec order within a record and list items in their order, whatever
+    # the input order; the event rule after the event's fields; events in turn
+    (["<Trip><VisitorCount>-3</VisitorCount><Visitor><Age>200</Age></Visitor>"
+      "<Host><Ticker>x</Ticker></Host></Trip>",
+      "<Succession><Function> </Function></Succession>",
+      "<InjuryFatality><Killed><Age>-1</Age></Killed><Cause>Meteor</Cause>"
+      "<Killed><Country>USA</Country></Killed><Killed><Age>151</Age></Killed>"
+      "</InjuryFatality>"],
+     [("Trip[1]/Host/Ticker", "ticker"), ("Trip[1]/Visitor/Age", "range"),
+      ("Trip[1]/VisitorCount", "range"), ("Succession[2]/Function", "empty"),
+      ("Succession[2]", "required"), ("InjuryFatality[3]/Cause", "enum"),
+      ("InjuryFatality[3]/Killed[1]/Age", "range"),
+      ("InjuryFatality[3]/Killed[3]/Age", "range")]),
+], ids=["enum", "range-second-of-three", "iso3166", "usps", "iso4217", "ticker", "token",
+        "empty-wrapped-second-of-three", "exclusive", "required", "order"])
+def test_reader_reports_each_finding_where_validate_does(events, expected):
+    found = _reader_findings(_form(*events))
+    assert [(finding.path, finding.code) for finding in found] == expected
+
+
+@pytest.mark.parametrize("tail, error", [
+    ("<Bogus/>", SchemaError),
+    ("<Visitor><Age>old</Age></Visitor>", FieldTypeError),
+    ("<VisitorCount>4</VisitorCount>", SchemaError),
+])
+def test_an_error_after_a_finding_still_wins(tail, error):
+    xml = _form(f"<Trip><VisitorCount>-3</VisitorCount>{tail}</Trip>")
+    with pytest.raises(error):
+        parse_newsform(xml, [])
+
+
+def test_stray_text_wins_over_an_earlier_child_error():
+    xml = _form("<Trip><VisitorCount>x</VisitorCount><Host/>stray</Trip>")
+    with pytest.raises(SchemaError) as info:
+        parse_newsform(xml, [])
+    assert str(info.value) == "Trip: unexpected text content"
