@@ -7,6 +7,16 @@ reads standard input wherever a file is accepted.
 Exit codes: 0 success, 1 validation findings, 2 resource error (a
 missing or unreadable file or directory, or input that is not UTF-8),
 3 usage, query or rule syntax error.
+
+Every call is a fresh interpreter, so each command imports only the
+layers it runs: ``extract`` imports ``rules`` and ``pipeline``; ``query``,
+``stats`` and ``geo`` import ``corpus``; ``validate`` needs only the
+codec. Each command reports its own layer's syntax error (exit 3). The
+layers' functions are called through their module attributes
+(``corpus.build_index``, ``rules_mod.extract``), and ``load_lexicon_set``
+and ``serialize_newsform`` stay bound here at import, because the
+benchmark's tracer (``newsbench/spans.py``) times the layers by replacing
+those attributes until it reads an in-program trace instead.
 """
 
 from __future__ import annotations
@@ -15,9 +25,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import corpus, model, rules as rules_mod
+from . import model
 from .lexicons import LexiconError, load_lexicon_set
-from .pipeline import dump_parses
 from .resources import default_data_root
 from .xmlcodec import parse_newsform, serialize_newsform
 
@@ -26,12 +35,16 @@ EXIT_FINDINGS = 1
 EXIT_RESOURCE = 2
 EXIT_SYNTAX = 3
 
+# the values of corpus.Bucket, spelled here so the parser needs no corpus
+STATS_BUCKETS = ("day", "week")
+
 
 class ResourceError(Exception):
     pass
 
 
 def _load_resources(args):
+    from . import rules as rules_mod
     root = default_data_root()
     dirs = {name: Path(getattr(args, name)) if getattr(args, name) else root / name
             for name in ("lexicons", "rules", "kb")}
@@ -60,7 +73,13 @@ def _read_input(name: str) -> str:
 
 
 def _cmd_extract(args) -> int:
-    lexicons, compiled, kb = _load_resources(args)
+    from . import rules as rules_mod
+    from .pipeline import dump_parses
+    try:
+        lexicons, compiled, kb = _load_resources(args)
+    except rules_mod.RuleError as exc:   # a rule or kb file that does not compile
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SYNTAX
     for name in args.inputs:
         result = rules_mod.extract(_read_input(name), lexicons, compiled, kb)
         if args.debug:
@@ -102,27 +121,46 @@ def _corpus_dir(corpus_arg: str) -> Path:
 
 
 def _corpus_index(directory: Path):
+    from . import corpus
     index = corpus.build_index(corpus.corpus_paths(directory))
     for line in index.diagnostics:
         print(line, file=sys.stderr)
     return index
 
 
+def _query_error(exc, text: str) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    print(f"  {text}", file=sys.stderr)
+    print(f"  {' ' * exc.position}^", file=sys.stderr)
+    return EXIT_SYNTAX
+
+
 # The corpus commands check the directory (exit 2), then the request
 # (exit 3), and only then read the corpus, so a mistyped query fails at once.
+# A query error is shown under the request text with a caret at its position.
 
 def _cmd_query(args) -> int:
+    from . import corpus
     directory = _corpus_dir(args.corpus)
-    expr = corpus.parse_query(args.query)
-    for hit in corpus.evaluate_query(_corpus_index(directory), expr):
+    try:
+        expr = corpus.parse_query(args.query)
+        hits = corpus.evaluate_query(_corpus_index(directory), expr)
+    except corpus.QueryError as exc:
+        return _query_error(exc, args.query)
+    for hit in hits:
         print(f"{hit.doc_id}\t{hit.path}\t{hit.sort_value}")
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
+    from . import corpus
     directory = _corpus_dir(args.corpus)
-    corpus.event_type(args.variant)
-    result = corpus.stats(_corpus_index(directory), args.variant, corpus.Bucket(args.bucket))
+    try:
+        corpus.event_type(args.variant)
+        result = corpus.stats(_corpus_index(directory), args.variant,
+                              corpus.Bucket(args.bucket))
+    except corpus.QueryError as exc:
+        return _query_error(exc, args.variant)
     for start, count in result.buckets:
         print(f"{start.strftime('%Y%m%d')}\t{count}")
     print(f"UNDATED\t{result.undated}")
@@ -130,9 +168,13 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_geo(args) -> int:
+    from . import corpus
     directory = _corpus_dir(args.corpus)
-    expr = corpus.parse_query(args.query)
-    distribution = corpus.geo_distribution(_corpus_index(directory), expr)
+    try:
+        expr = corpus.parse_query(args.query)
+        distribution = corpus.geo_distribution(_corpus_index(directory), expr)
+    except corpus.QueryError as exc:
+        return _query_error(exc, args.query)
     for code, (positive, negative, other) in distribution.per_country:
         print(f"{code}\t{positive}\t{negative}\t{other}")
     positive, negative, other = distribution.unlocated
@@ -177,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="per-day or per-week event counts")
     p.add_argument("corpus")
     p.add_argument("variant")
-    p.add_argument("bucket", choices=[b.value for b in corpus.Bucket])
+    p.add_argument("bucket", choices=STATS_BUCKETS)
 
     p = sub.add_parser("geo", help="geographic sentiment distribution")
     p.add_argument("corpus")
@@ -199,15 +241,6 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except rules_mod.RuleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    except corpus.QueryError as exc:
-        text = args.variant if args.command == "stats" else args.query
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"  {text}", file=sys.stderr)
-        print(f"  {' ' * exc.position}^", file=sys.stderr)
-        return EXIT_SYNTAX
 
 
 if __name__ == "__main__":

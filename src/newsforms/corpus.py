@@ -29,6 +29,7 @@ Timestamps use the dateline format ``YYYYMMDDTHHMMSSZ``.
 from __future__ import annotations
 
 import operator
+import os
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -146,7 +147,18 @@ def build_index(paths: Iterable) -> CorpusIndex:
 
 
 def corpus_paths(directory) -> list[Path]:
-    return sorted(Path(directory).glob(f"*{FILE_EXTENSION}"))
+    """The directory's entries named ``*.newsform.xml``, in name order: the
+    list ``sorted(Path(directory).glob("*.newsform.xml"))`` gives, dot-files
+    and matching subdirectories included, but sorted as name strings rather
+    than as Path objects, which costs more than the listing itself."""
+    base = Path(directory)
+    try:
+        with os.scandir(base) as entries:
+            names = sorted(entry.name for entry in entries
+                           if entry.name.endswith(FILE_EXTENSION))
+    except OSError:   # as with glob, a directory that cannot be listed lists nothing
+        return []
+    return [base / name for name in names]
 
 
 # ---------------------------------------------------------------------------

@@ -125,38 +125,44 @@ class LexiconSet:
                 if key is None or key == exact]
 
 
+_KINDS = {kind.value: kind for kind in EntryKind}
+
+
 def _add_file(lexicons: LexiconSet, path: Path, case_sensitive: bool):
     """Add one TSV lexicon; malformed lines raise with their line number. A
     (surface, kind, normalized) triple repeated within the file is kept once."""
-    seen = set()
+    index, seen = lexicons.index, set()
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
+        line = raw.strip()
+        if not line or line[0] == "#":
             continue
         columns = raw.split("\t")
         if len(columns) not in (3, 4):
             raise LexiconError(path, lineno, f"expected 3 or 4 tab-separated columns, got {len(columns)}")
-        surface, kind_token, normalized = (c.strip() for c in columns[:3])
+        surface, kind_token, normalized = columns[0].strip(), columns[1].strip(), columns[2].strip()
         if not surface:
             raise LexiconError(path, lineno, "empty surface")
-        try:
-            kind = EntryKind(kind_token)
-        except ValueError:
-            raise LexiconError(path, lineno, f"unknown entry kind {kind_token!r}") from None
+        kind = _KINDS.get(kind_token)
+        if kind is None:
+            raise LexiconError(path, lineno, f"unknown entry kind {kind_token!r}")
         if not normalized:
             raise LexiconError(path, lineno, "empty normalized value")
         attrs = _parse_attrs(columns[3], path, lineno) if len(columns) == 4 else ()
         entry = LexiconEntry(surface, kind, normalized, attrs)
-        if kind in (EntryKind.CITY, EntryKind.COUNTRY):
+        if kind is EntryKind.CITY or kind is EntryKind.COUNTRY:
             _check_coordinates(entry, path, lineno)
         exact = " ".join(surface.split())
         key = exact if case_sensitive else None   # None matches in any case
         folded = exact.casefold()
-        if (key, folded, kind, normalized) in seen:
+        identity = (key, folded, kind_token, normalized)   # a str hashes faster than a kind
+        if identity in seen:
             continue
-        seen.add((key, folded, kind, normalized))
-        if folded not in lexicons.index:
+        seen.add(identity)
+        bucket = index.get(folded)
+        if bucket is None:
             _add_prefixes(lexicons.prefixes, folded)
-        lexicons.index.setdefault(folded, []).append((key, entry))
+            bucket = index[folded] = []
+        bucket.append((key, entry))
 
 
 def _add_prefixes(prefixes: set[str], folded: str):

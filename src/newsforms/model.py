@@ -91,12 +91,16 @@ def format_decimal(value: Decimal) -> str:
 def parse_timestamp(text: str) -> datetime:
     """The UTC datetime of dateline-format text (``YYYYMMDDTHHMMSSZ``).
 
-    Accepts and rejects exactly what ``datetime.strptime(text,
-    TIMESTAMP_FORMAT)`` does, raising ValueError; the canonical spelling
-    skips strptime, which is slow, and any other spelling goes through it.
+    Accepts and rejects what ``datetime.strptime(text, TIMESTAMP_FORMAT)``
+    does on ASCII text, raising ValueError, and rejects all other text:
+    strptime reads other scripts' digits, which the codec would write back
+    in ASCII. The canonical spelling skips strptime, which is slow, and any
+    other ASCII spelling goes through it.
     """
     match = _TIMESTAMP_RE.fullmatch(text)
     if match is None:
+        if not text.isascii():
+            raise ValueError(f"time data {text!r} is not ASCII")
         return datetime.strptime(text, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
     return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
 

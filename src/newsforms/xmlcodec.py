@@ -3,7 +3,7 @@
 Input is liberal: children may appear in any order, person-or-organization
 fields may spell the value inline or wrapped in an explicit ``<Person>`` /
 ``<Organization>`` element, and "Martial Arts" is accepted for the
-MartialArts sport token. Numbers are read in ASCII digits only.
+MartialArts sport token. Numbers and timestamps are read in ASCII digits only.
 
 Reading checks a document in the same walk: each field's reader, compiled
 from its ``FieldSpec``, parses the leaf text into the field's type and runs
@@ -27,7 +27,6 @@ import xml.etree.ElementTree as ET
 from decimal import Decimal
 from functools import partial
 from typing import Optional, Union
-from xml.sax.saxutils import escape
 
 from . import model
 from .model import (
@@ -49,6 +48,14 @@ _INT_RE = re.compile(r"^[-+]?[0-9]+$")
 _DECIMAL_RE = re.compile(r"^[-+]?[0-9]+(\.[0-9]+)?$")
 _MEASURE_RE = re.compile(r"^([-+]?[0-9]+(?:\.[0-9]+)?)\s+(\S+)$")
 _LINE_BREAK_RE = re.compile(r"\r\n?|\n")   # XML's line ends
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` in leaf text, ``&`` first; the same as
+    ``xml.sax.saxutils.escape`` without an entity map, whose import would
+    load ``urllib.request`` and ``email`` into every command."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
 
 _PERSON_ONLY = {s.element for s in model.specs_for(Person)} - {"Email", "URL"}
 _ORG_ONLY = {s.element for s in model.specs_for(Organization)} - {"Email", "URL"}

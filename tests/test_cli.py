@@ -1,17 +1,20 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from newsforms.cli import main
+from newsforms import corpus
+from newsforms.cli import STATS_BUCKETS, main
 
 from conftest import INTRO_TEXT, EARTHQUAKE_XML
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -275,3 +278,54 @@ def test_multiple_inputs_emit_in_input_order(capsys, tmp_path):
     fed = out.index("<FedWatch>")
     empty = out.rindex("<NewsForm>\n  <Head/>\n</NewsForm>")
     assert fed < empty
+
+
+def test_query_with_a_non_ascii_timestamp_is_exit_3(capsys, corpus_dir):
+    code, out, err = run(capsys, "query", corpus_dir, "InjuryFatality since ١٩٩٩0101T000000Z")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: bad timestamp '١٩٩٩0101T000000Z'")
+
+
+def test_stats_bucket_choices_are_the_corpus_buckets():
+    assert STATS_BUCKETS == tuple(bucket.value for bucket in corpus.Bucket)
+
+
+# ---------------------------------------------------------------------------
+# Fresh interpreters: each command imports only its own layers, which an
+# in-process test cannot see, as the test session has imported them all
+
+def _fresh(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def _modules_after(code: str) -> set[str]:
+    result = _fresh("-c", f"{code}\nimport sys\nprint(*sys.modules)")
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_cli_import_loads_neither_unused_layers_nor_the_url_stack():
+    loaded = _modules_after("import newsforms.cli") - _modules_after("pass")
+    assert "newsforms.cli" in loaded
+    assert not loaded & {"newsforms.rules", "newsforms.pipeline", "newsforms.corpus"}
+    heavy = ("xml.sax", "urllib.request", "http", "email", "ssl")
+    assert sorted(m for m in loaded if any(m == h or m.startswith(h + ".") for h in heavy)) == []
+
+
+def test_query_error_in_a_fresh_interpreter_is_exit_3_with_a_caret(tmp_path):
+    result = _fresh("-m", "newsforms.cli", "query", str(tmp_path), "Deal.Bogus = x")
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == ("error: unknown field path 'Deal.Bogus'\n"
+                             "  Deal.Bogus = x\n"
+                             "  ^\n")
+
+
+def test_malformed_rule_file_in_a_fresh_interpreter_is_exit_3(tmp_path, intro_file):
+    rules = tmp_path / "rules"
+    rules.mkdir()
+    (rules / "bad.rules").write_text("earthquake struck ?Location:loc\n", encoding="utf-8")
+    result = _fresh("-m", "newsforms.cli", "--rules", str(rules), "extract", str(intro_file))
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == "error: r001: missing '=>' between pattern and template\n"

@@ -8,6 +8,7 @@ agree with it on every generated query.
 import random
 from datetime import datetime, timezone
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -301,6 +302,30 @@ def test_unknown_path_is_a_query_error(index):
     with pytest.raises(QueryError) as info:
         parse_query("Deal.Bogus = x")
     assert "Bogus" in str(info.value)
+
+
+@pytest.mark.parametrize("directory, cwd", [
+    ("c", "."), ("./c", "."), ("c//", "."), ("./c/", "."), (".", "c"), ("", "c"),
+])
+def test_corpus_paths_equal_sorted_glob(tmp_path, monkeypatch, directory, cwd):
+    c = tmp_path / "c"
+    c.mkdir()
+    for name in ("b.newsform.xml", "a.newsform.xml", "B.newsform.xml", "Z.newsform.xml",
+                 "a b.newsform.xml", "é.newsform.xml", ".hidden.newsform.xml",
+                 ".newsform.xml", "x.NEWSFORM.XML", "a.Newsform.xml", "newsform.xml",
+                 "a.newsform.xml.bak", ".a.newsform.xml~"):
+        (c / name).write_text("")
+    (c / "sub.newsform.xml").mkdir()
+    (c / "sub.newsform.xml" / "inner.newsform.xml").write_text("")
+    monkeypatch.chdir(tmp_path / cwd)
+    expected = sorted(Path(directory).glob("*.newsform.xml"))
+    listed = corpus_paths(directory)
+    assert listed == expected
+    assert [str(p) for p in listed] == [str(p) for p in expected]
+    assert [p.name for p in listed] == [
+        ".hidden.newsform.xml", ".newsform.xml", "B.newsform.xml", "Z.newsform.xml",
+        "a b.newsform.xml", "a.newsform.xml", "b.newsform.xml", "sub.newsform.xml",
+        "é.newsform.xml"]
 
 
 @pytest.mark.parametrize("literal", ["USD:١٢", "USD:１２", "USD:1.٥"])

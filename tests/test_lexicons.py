@@ -93,6 +93,24 @@ def test_unknown_kind_rejected(tmp_path):
         load_lexicon(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("\tCity\tNowhere", "empty surface"),
+    ("  \tCity\tNowhere", "empty surface"),
+    ("Nowhere\tCity\t ", "empty normalized value"),
+    ("Nowhere\tCity\tNowhere\tlat=north;lon=0", "lat is not a decimal: 'north'"),
+    ("Nowhere\tCountry\tNWH\tlon=1e", "lon is not a decimal: '1e'"),
+    ("thing\tGadget\tthing", "unknown entry kind 'Gadget'"),
+    ("thing\tcity\tthing", "unknown entry kind 'city'"),
+    ("Nowhere\tGadget\t", "unknown entry kind 'Gadget'"),
+])
+def test_malformed_line_reports_its_message_and_line_number(tmp_path, line, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# comment\n\nLondon\tCity\tLondon\tcountry=GBR\n{line}\n")
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(path)
+    assert (info.value.lineno, str(info.value)) == (4, f"{path}:4: {message}")
+
+
 def test_duplicate_triples_are_deduplicated(tmp_path):
     path = tmp_path / "dup.tsv"
     path.write_text("Paris\tCity\tParis\tcountry=FRA\n"

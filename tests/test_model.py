@@ -406,4 +406,7 @@ _STAMP_SHAPED = st.builds(
 @example("١٩٩٩٠١٢٥T181917Z")
 @example("19990125T181917Z\n")
 def test_parse_timestamp_agrees_with_strptime(text):
-    assert _parse_or_error(text) == _strptime_or_error(text)
+    # on ASCII text; strptime also reads other scripts' digits, which the
+    # codec could not write back as they were read
+    expected = _strptime_or_error(text) if text.isascii() else ValueError
+    assert _parse_or_error(text) == expected

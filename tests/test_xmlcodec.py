@@ -4,6 +4,7 @@ import random
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
 from decimal import Decimal
+from xml.sax import saxutils
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from newsforms.xmlcodec import (
     SchemaError,
     SerializeError,
     XmlSyntaxError,
+    escape,
     parse_newsform,
     serialize_newsform,
 )
@@ -356,6 +358,7 @@ def test_bytes_input_is_accepted():
     ("Deal", "Stake", "٤.٥"),
     ("Deal", "Stake", "4.५"),             # Devanagari after the point
     ("Weather", "WindSpeed", "١٢ mph"),
+    ("Head", "DatelineTime", "١٩٩٩0125T181917Z"),
 ])
 def test_numbers_are_read_in_ascii_digits_only(event, element, text):
     xml = f"<NewsForm><{event}><{element}>{text}</{element}></{event}></NewsForm>"
@@ -370,6 +373,12 @@ def test_money_amount_is_read_in_ascii_digits_only():
     with pytest.raises(FieldTypeError) as info:
         parse_newsform(xml)
     assert info.value.path == "Deal/DealValue/Amount"
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(), st.text(alphabet="&<>;amplgtquo#\"' x")))
+def test_escape_equals_saxutils_escape(text):
+    assert escape(text) == saxutils.escape(text)
 
 
 def test_integer_too_long_to_convert_is_a_type_error_with_path():
