@@ -120,9 +120,11 @@ def _corpus_dir(corpus_arg: str) -> Path:
     return directory
 
 
-def _corpus_index(directory: Path):
+def _corpus_index(directory: Path, variant: str):
+    """The index of the corpus documents holding a ``variant`` event, the
+    only ones a query, stats or geo request over that type reads."""
     from . import corpus
-    index = corpus.build_index(corpus.corpus_paths(directory))
+    index = corpus.build_index(corpus.corpus_paths(directory), variant)
     for line in index.diagnostics:
         print(line, file=sys.stderr)
     return index
@@ -144,7 +146,7 @@ def _cmd_query(args) -> int:
     directory = _corpus_dir(args.corpus)
     try:
         expr = corpus.parse_query(args.query)
-        hits = corpus.evaluate_query(_corpus_index(directory), expr)
+        hits = corpus.evaluate_query(_corpus_index(directory, expr.variant), expr)
     except corpus.QueryError as exc:
         return _query_error(exc, args.query)
     for hit in hits:
@@ -157,7 +159,7 @@ def _cmd_stats(args) -> int:
     directory = _corpus_dir(args.corpus)
     try:
         corpus.event_type(args.variant)
-        result = corpus.stats(_corpus_index(directory), args.variant,
+        result = corpus.stats(_corpus_index(directory, args.variant), args.variant,
                               corpus.Bucket(args.bucket))
     except corpus.QueryError as exc:
         return _query_error(exc, args.variant)
@@ -172,7 +174,7 @@ def _cmd_geo(args) -> int:
     directory = _corpus_dir(args.corpus)
     try:
         expr = corpus.parse_query(args.query)
-        distribution = corpus.geo_distribution(_corpus_index(directory), expr)
+        distribution = corpus.geo_distribution(_corpus_index(directory, expr.variant), expr)
     except corpus.QueryError as exc:
         return _query_error(exc, args.query)
     for code, (positive, negative, other) in distribution.per_country:

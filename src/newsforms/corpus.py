@@ -2,11 +2,18 @@
 
 A corpus is a directory of ``*.newsform.xml`` files. The index holds the
 documents that read without an error or a finding; the reader checks each
-document as it parses it, so indexing walks a document once. Its inverted
-map from (event type, field path, value token) to document ids is built
-only when something reads it.
+document as it parses it, so indexing walks a document once. Given an
+event type, the index keeps only the documents holding an event of that
+type, the only ones a query, stats or geo request over it reads. Its
+inverted map from (event type, field path, value token) to document ids
+is built only when something reads it.
 Each command builds the index once and runs one query, so queries scan
 the parsed documents rather than pay for postings they would read once.
+A large corpus is read in contiguous shards of its sorted file list, one
+per usable CPU, each after the first in a forked child that sends back
+only the documents kept; the shards are joined in file order, so the
+result equals a serial read. A small corpus, a single CPU, a platform
+without ``fork`` or a process running other threads gets one shard.
 Queries are a conjunction of field-path predicates that must all hold on
 one event record, with optional sorting, and time windows; results equal
 brute-force evaluation on every corpus.
@@ -19,10 +26,12 @@ Query surface syntax::
 Operators: = != < <= > >= contains. A bare variant name matches every
 document containing an event of that type. A predicate path ends at a
 value field, a money or a measure, never at a person, organization or
-location record. Money literals are written
-``USD:1000000.50``; comparing against a differently-denominated field is
-an error. A ``NaN`` literal on a numeric field is an error. Sorting is
-on the exact value; equal keys keep document order in both directions.
+location record. Money literals are written ``USD:1000000.50``;
+comparing against a differently-denominated field is an error. A literal
+on an integer or decimal field must be a finite number in ASCII digits;
+``NaN``, ``Infinity``, ``abc`` or other scripts' digits are an error.
+Sorting is on the exact value; equal keys keep document order in both
+directions.
 Timestamps use the dateline format ``YYYYMMDDTHHMMSSZ``.
 """
 
@@ -30,7 +39,9 @@ from __future__ import annotations
 
 import operator
 import os
+import pickle
 import re
+import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from decimal import Context, Decimal, InvalidOperation
@@ -126,24 +137,140 @@ def _leaf_postings(record, prefix: str):
                 yield from _leaf_postings(item, path)
 
 
-def build_index(paths: Iterable) -> CorpusIndex:
-    """Index the given files; invalid ones are skipped with a diagnostic."""
+# A shard goes to a child process only when each shard would hold at least
+# this many files. A fork round trip costs about 2 ms in a 30-40 MB process
+# (2 CPUs, Python 3.11), the parse of some 40 documents, and each kept
+# document is pickled across a pipe and read back; at 256 files a second
+# shard saves several times that, and small corpora such as test fixtures
+# stay in one process.
+SHARD_MIN_FILES = 256
+
+
+def build_index(paths: Iterable, variant: Optional[str] = None) -> CorpusIndex:
+    """Index the given files; invalid ones are skipped with a diagnostic.
+
+    Document ids count every path, ``d0001`` for the first, kept or
+    skipped. With ``variant``, only the documents holding an event of
+    that type are kept: queries, stats and geo over that type read no
+    other document.
+
+    The path list is read in contiguous shards, one per CPU this process
+    may run on. The first shard is read here; each later one in
+    a forked child, which pickles its documents and diagnostics to a pipe
+    and leaves with ``os._exit``, so it never flushes this process's
+    buffers or runs its exit handlers. The shards are joined in path
+    order, so documents and diagnostics come out as a serial read gives
+    them. A child that fails or sends an unreadable result costs only
+    time: its shard is read again here, which also raises whatever the
+    serial read would. Every child is reaped before this returns. One
+    shard, and no fork, where ``os.fork`` is missing, one CPU is usable,
+    another thread runs (a fork would copy its locks in whatever state),
+    or the shards would hold fewer than ``SHARD_MIN_FILES`` files each.
+    """
+    paths = list(paths)
+    cls = None if variant is None else event_type(variant)
+    count = _shard_count(len(paths))
+    bounds = [len(paths) * k // count for k in range(count + 1)]
+    shards = list(zip(bounds, bounds[1:]))
+    children = []   # (pid, read end of its pipe), one per shard after the first
+    try:
+        for start, stop in shards[1:]:
+            child = _fork_shard(paths, start, stop, cls, children)
+            if child is None:   # the fork failed; this and later shards are read here
+                break
+            children.append(child)
+        parts = [_read_shard(paths, *shards[0], cls)]
+        for start, stop in shards[1:]:
+            part = _receive(*children.pop(0)) if children else None
+            parts.append(part if part is not None else _read_shard(paths, start, stop, cls))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
     index = CorpusIndex()
-    for n, path in enumerate(paths, start=1):
-        doc_id = f"d{n:04d}"
+    for docs, diagnostics in parts:
+        index.docs += docs
+        index.diagnostics += diagnostics
+    return index
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shard_count(n_paths: int) -> int:
+    """How many shards ``build_index`` reads ``n_paths`` files in."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), n_paths // SHARD_MIN_FILES))
+
+
+def _read_shard(paths: list, start: int, stop: int, cls: Optional[type]):
+    """The kept documents and the diagnostics of ``paths[start:stop]``."""
+    docs: list[IndexedDoc] = []
+    diagnostics: list[str] = []
+    for n in range(start, stop):
+        path = paths[n]
         findings: list[model.Finding] = []
         try:
             form = read_newsform(path, findings)
         except (OSError, ValueError) as exc:
-            index.diagnostics.append(f"skipped\t{path}\t{exc}")
+            diagnostics.append(f"skipped\t{path}\t{exc}")
             continue
         if findings:
             first = findings[0]
-            index.diagnostics.append(
-                f"skipped\t{path}\tinvalid: {first.path}: {first.message}")
+            diagnostics.append(f"skipped\t{path}\tinvalid: {first.path}: {first.message}")
             continue
-        index.docs.append(IndexedDoc(doc_id, str(path), form))
-    return index
+        if cls is None or any(isinstance(event, cls) for event in form.events):
+            docs.append(IndexedDoc(f"d{n + 1:04d}", str(path), form))
+    return docs, diagnostics
+
+
+def _fork_shard(paths: list, start: int, stop: int, cls: Optional[type], children: list):
+    """Fork a child that reads ``paths[start:stop]`` and pickles the result
+    to a pipe; returns (pid, the pipe's read end), or None if the fork
+    fails. ``children`` are the children forked before, whose pipes the
+    new child closes, so that each child's pipe has one reader."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            for _, pipe in children:
+                pipe.close()
+            with open(write_fd, "wb") as out:
+                pickle.dump(_read_shard(paths, start, stop, cls), out,
+                            pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _receive(pid: int, pipe):
+    """What a shard's child sent, or None if it exited non-zero or sent
+    something that does not unpickle."""
+    try:
+        with pipe:
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        return None
+    try:
+        return pickle.loads(payload)
+    except (pickle.UnpicklingError, EOFError):   # a short or garbled payload
+        return None
 
 
 def corpus_paths(directory) -> list[Path]:
@@ -170,6 +297,7 @@ class Predicate:
     op: str
     value: str         # literal token as written
     specs: tuple[FieldSpec, ...] = ()
+    number: Optional[Decimal] = None   # the literal read once, on an INT or DECIMAL field
 
 
 class SortOrder(Enum):
@@ -193,11 +321,16 @@ _TOKEN_SPLIT_RE = re.compile(r'"[^"]*"|\S+')
 _DATELINE = (model.spec_by_element(model.Head, "DatelineTime"),)
 
 
-def _is_nan(literal: str) -> bool:
+def _number_literal(literal: str) -> Optional[Decimal]:
+    """The finite number an ASCII literal spells, or None. ``Decimal``
+    alone would also read other scripts' digits, NaN and Infinity."""
+    if not literal.isascii():
+        return None
     try:
-        return Decimal(literal).is_nan()
+        number = Decimal(literal)
     except InvalidOperation:
-        return False
+        return None
+    return number if number.is_finite() else None
 
 
 def event_type(name: str, position: int = 0) -> type:
@@ -305,9 +438,12 @@ def parse_query(text: str) -> QueryExpr:
                 and not _MONEY_LITERAL_RE.match(value_token):
             raise QueryError(
                 f"money literal must look like USD:100.50, got {value_token!r}", pos)
-        if kind in (FieldKind.INT, FieldKind.DECIMAL) and _is_nan(value):
-            raise QueryError(f"{value_token!r} is not a number", value_pos)
-        predicates.append(Predicate(rel, op_token, value, specs))
+        number = None
+        if kind in (FieldKind.INT, FieldKind.DECIMAL):
+            number = _number_literal(value)
+            if number is None:
+                raise QueryError(f"{value_token!r} is not a number", value_pos)
+        predicates.append(Predicate(rel, op_token, value, specs, number))
         i += 3
     if variant is None:
         raise QueryError("query names no event type")
@@ -345,10 +481,7 @@ def _predicate_holds(pred: Predicate, event) -> bool:
                     f"cannot compare {value.currency} amount with {currency} literal")
             lhs, rhs = value.amount, Decimal(amount)
         elif kind in (FieldKind.INT, FieldKind.DECIMAL):
-            try:
-                lhs, rhs = Decimal(value), Decimal(pred.value)
-            except InvalidOperation:
-                continue
+            lhs, rhs = value, pred.number   # an int compares exactly with a Decimal
         elif kind is FieldKind.TIMESTAMP:
             try:
                 lhs, rhs = value, model.parse_timestamp(pred.value)

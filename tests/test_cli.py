@@ -11,7 +11,9 @@ import pytest
 from newsforms import corpus
 from newsforms.cli import STATS_BUCKETS, main
 
-from conftest import INTRO_TEXT, EARTHQUAKE_XML
+from newsforms.xmlcodec import serialize_newsform
+
+from conftest import INTRO_TEXT, EARTHQUAKE_XML, DocGenerator
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -173,6 +175,17 @@ def test_query_nan_literal_is_exit_3(capsys, corpus_dir):
     assert err.startswith("error: 'NaN' is not a number")
 
 
+@pytest.mark.parametrize("text", ["InjuryFatality.KilledCount = ١٤٣",
+                                  "InjuryFatality.KilledCount = abc",
+                                  "InjuryFatality.KilledCount != abc"])
+def test_query_with_an_unreadable_number_is_exit_3(capsys, corpus_dir, text):
+    code, out, err = run(capsys, "query", corpus_dir, text)
+    literal = text.split()[-1]
+    assert (code, out) == (3, "")
+    assert err == (f"error: {literal!r} is not a number\n  {text}\n"
+                   f"  {' ' * text.index(literal)}^\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("query", "Deal.Bogus = x"), ("geo", "Deal.Stake < NaN"), ("stats", "Scandal", "day"),
 ])
@@ -329,3 +342,58 @@ def test_malformed_rule_file_in_a_fresh_interpreter_is_exit_3(tmp_path, intro_fi
     result = _fresh("-m", "newsforms.cli", "--rules", str(rules), "extract", str(intro_file))
     assert (result.returncode, result.stdout) == (3, "")
     assert result.stderr == "error: r001: missing '=>' between pattern and template\n"
+
+
+# ---------------------------------------------------------------------------
+# Sharded corpus reads: the same output on one CPU as on all of them
+
+@pytest.fixture(scope="module")
+def large_corpus(tmp_path_factory):
+    """A corpus with enough files for build_index to fork, with invalid,
+    malformed and non-UTF-8 files among them."""
+    directory = tmp_path_factory.mktemp("large")
+    generator = DocGenerator(seed=42)
+    bad = {5: EARTHQUAKE_XML.replace("143", "-143").encode(), 50: EARTHQUAKE_XML[:200].encode(),
+           70: b"<NewsForm><Head/></NewsForm>\xe9"}
+    for n in range(2 * corpus.SHARD_MIN_FILES + 40):
+        path = directory / f"doc-{n:04d}.newsform.xml"
+        if n % 97 in bad:
+            path.write_bytes(bad[n % 97])
+        else:
+            path.write_text(serialize_newsform(generator.document()))
+    return directory
+
+
+_PRINT_FIRST = ("import sys; from newsforms.cli import main; "
+                "sys.stdout.write('before '); sys.stderr.write('before '); "
+                "sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+@pytest.mark.parametrize("argv", [
+    ("query", "InjuryFatality sort InjuryFatality.KilledCount desc"),
+    ("stats", "Deal", "week"),
+    ("geo", "Earnings"),
+])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_one_cpu_and_all_cpus_give_the_same_output(large_corpus, argv, buffered):
+    # with buffered text on stdout and stderr when the corpus is read, a
+    # child that flushed the parent's buffers would print it twice
+    command, *rest = argv
+    args = ("-c", _PRINT_FIRST) if buffered else ("-m", "newsforms.cli")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    env.pop("PYTHONUNBUFFERED", None)   # keep the text in the buffers
+    runs = [subprocess.run([sys.executable, *args, command, str(large_corpus), *rest],
+                           capture_output=True, text=True, env=env, preexec_fn=preexec,
+                           timeout=120)
+            for preexec in (lambda: os.sched_setaffinity(0, {0}), None)]
+    one_cpu, all_cpus = [(r.returncode, r.stdout, r.stderr) for r in runs]
+    assert one_cpu == all_cpus
+    code, out, err = all_cpus
+    assert code == 0 and out.count("\t") > 2
+    assert err.count("skipped\t") == sum(n % 97 in (5, 50, 70)
+                                         for n in range(2 * corpus.SHARD_MIN_FILES + 40))
+    if buffered:
+        assert out.startswith("before ") and out.count("before") == 1
+        assert err.startswith("before ") and err.count("before") == 1

@@ -5,7 +5,11 @@ documents, with no index and no shared evaluation code; the engine must
 agree with it on every generated query.
 """
 
+import os
+import pickle
 import random
+import tempfile
+import threading
 from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -229,6 +233,148 @@ def test_rebuild_determinism(corpus_dir):
 
 
 # ---------------------------------------------------------------------------
+# Sharded reads: SHARD_MIN_FILES is set to 1 so that small corpora fork
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+_FIXTURE_TEXTS = [serialize_newsform(doc) for doc in fixture_documents().values()]
+_FILE_CONTENTS = {
+    "invalid": "<NewsForm><Head/><Trip><VisitorCount>-3</VisitorCount></Trip></NewsForm>\n",
+    "malformed": _FIXTURE_TEXTS[0][:len(_FIXTURE_TEXTS[0]) // 2],
+    "unknown": "<NewsForm><Head/><Mystery/></NewsForm>\n",
+    "non-utf8": "<NewsForm><Head/></NewsForm>\xe9".encode("latin-1"),
+}
+_FILE_KIND = st.one_of(st.sampled_from(range(len(_FIXTURE_TEXTS))),
+                       st.sampled_from(sorted(_FILE_CONTENTS) + ["missing"]))
+
+
+def _write_corpus(directory, kinds):
+    """One file per kind: a fixture document by number, or a bad file."""
+    paths = []
+    for n, kind in enumerate(kinds):
+        path = directory / f"f{n:03d}.newsform.xml"
+        content = _FIXTURE_TEXTS[kind] if isinstance(kind, int) else _FILE_CONTENTS.get(kind)
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+        elif content is not None:
+            path.write_bytes(content)
+        paths.append(path)
+    return paths
+
+
+def _serial_index(paths, variant=None):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_usable_cpus", lambda: 1)
+        return build_index(paths, variant)
+
+
+def _same_index(got, want):
+    assert [(d.doc_id, d.path) for d in got.docs] == [(d.doc_id, d.path) for d in want.docs]
+    assert [d.form for d in got.docs] == [d.form for d in want.docs]
+    assert got.diagnostics == want.diagnostics
+
+
+@pytest.fixture()
+def sharded(monkeypatch):
+    """Three shards for any corpus of three or more files."""
+    monkeypatch.setattr(corpus, "SHARD_MIN_FILES", 1)
+    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 3)
+
+
+@needs_fork
+@settings(max_examples=40, deadline=None)
+@given(kinds=st.lists(_FILE_KIND, max_size=12), cpus=st.integers(2, 4),
+       variant=st.one_of(st.none(), st.sampled_from(sorted(model.EVENT_TYPES))))
+def test_sharded_index_equals_the_one_shard_index(kinds, cpus, variant):
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        paths = _write_corpus(Path(directory), kinds)
+        want = _serial_index(paths, variant)
+        patch.setattr(corpus, "SHARD_MIN_FILES", 1)
+        patch.setattr(corpus, "_usable_cpus", lambda: cpus)
+        assert corpus._shard_count(len(paths)) == max(1, min(cpus, len(paths)))
+        _same_index(build_index(paths, variant), want)
+
+
+def test_variant_keeps_the_documents_with_that_event_under_their_ids(corpus_dir):
+    every = build_index(corpus_paths(corpus_dir))
+    deals = build_index(corpus_paths(corpus_dir), "Deal")
+    assert deals.docs == [d for d in every.docs
+                          if any(isinstance(e, model.Deal) for e in d.form.events)]
+    assert deals.docs and deals.diagnostics == every.diagnostics
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["exit 1", "garbled", "short", "no fork"])
+def test_a_failed_child_costs_only_time(sharded, monkeypatch, tmp_path, failure):
+    paths = _write_corpus(tmp_path, [0, "invalid", 1, "missing", 2, 3, "non-utf8", 4, 5])
+    want = _serial_index(paths)
+    parent, read_shard, dumps = os.getpid(), corpus._read_shard, pickle.dumps
+
+    def read_or_exit(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return read_shard(*args)
+
+    def bad_dump(obj, out, protocol):   # the child then exits 0
+        data = dumps(obj, protocol)
+        out.write(b"garbage" if failure == "garbled" else data[:len(data) // 2])
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+    if failure == "exit 1":
+        monkeypatch.setattr(corpus, "_read_shard", read_or_exit)
+    elif failure == "no fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        monkeypatch.setattr(corpus.pickle, "dump", bad_dump)
+    _same_index(build_index(paths), want)
+
+
+@needs_fork
+def test_an_unexpected_error_surfaces_as_in_a_serial_read(sharded, monkeypatch, tmp_path):
+    paths = _write_corpus(tmp_path, [0, 1, 2, 3])
+    read = corpus.read_newsform
+
+    def read_or_break(path, findings):
+        if path == paths[-1]:
+            raise RuntimeError("broken reader")
+        return read(path, findings)
+    monkeypatch.setattr(corpus, "read_newsform", read_or_break)
+    with pytest.raises(RuntimeError, match="broken reader"):
+        build_index(paths)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_no_child_outlives_the_call(sharded, tmp_path):
+    paths = _write_corpus(tmp_path, [0, 1, 2, 3, 4, 5, "invalid"])
+    build_index(paths)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_shard_for_small_corpora_one_cpu_or_other_threads(monkeypatch):
+    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 2)
+    assert corpus._shard_count(2 * corpus.SHARD_MIN_FILES) == 2
+    assert corpus._shard_count(2 * corpus.SHARD_MIN_FILES - 1) == 1
+    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 1)
+    assert corpus._shard_count(10 * corpus.SHARD_MIN_FILES) == 1
+    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert corpus._shard_count(2 * corpus.SHARD_MIN_FILES) == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert corpus._shard_count(2 * corpus.SHARD_MIN_FILES) == 1
+
+
+# ---------------------------------------------------------------------------
 # Queries
 
 @pytest.fixture(scope="module")
@@ -404,6 +550,20 @@ def test_nan_literal_on_a_numeric_field_is_a_query_error(text):
         parse_query(text)
 
 
+@pytest.mark.parametrize("literal", ["١٤٣", "１４３", "abc", "1e", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("op", ["=", "!=", "<", "contains"])
+def test_a_numeric_literal_must_be_a_finite_ascii_number(op, literal):
+    text = f"InjuryFatality.KilledCount {op} {literal}"
+    with pytest.raises(QueryError, match="is not a number") as info:
+        parse_query(text)
+    assert info.value.position == text.rindex(literal)
+
+
+def test_a_numeric_literal_is_read_once_at_parse_time():
+    pred, = parse_query("InjuryFatality.KilledCount > 1e1").predicates
+    assert pred.number == Decimal("1e1") and pred.value == "1e1"
+
+
 @pytest.mark.parametrize("path, literal", [
     ("KilledCount", "-0"), ("KilledCount", "-0.00"), ("KilledCount", "+5"),
     ("KilledCount", "5.0"), ("KilledCount", "5E0"),
@@ -431,7 +591,7 @@ def test_literal_beyond_the_decimal_range_matches_nothing(index):
 
 _QUERY_OPS = ["=", "!=", "<", "<=", ">", ">=", "contains"]
 _QUERY_LITERALS = ["NaN", "sNaN", "-Infinity", "1e999999999", "1e-999999999", "0.5",
-                   "143", "USD:1", "JPY:5000", "19990125T181917Z", '"a b"', '"',
+                   "143", "900", "4.29", "-75.68", "1e1", "5.25", "USD:1", "JPY:5000", "19990125T181917Z", '"a b"', '"',
                    "BEL", "Bad", "COL", '"75 mph"']
 _QUERY_WORDS = sorted(model.EVENT_TYPES) + _QUERY_OPS + _QUERY_LITERALS + [
     "and", "AND", "sort", "asc", "desc", "since", "until", "DatelineTime"]
