@@ -164,7 +164,7 @@ def _cmd_stats(args) -> int:
     except corpus.QueryError as exc:
         return _query_error(exc, args.variant)
     for start, count in result.buckets:
-        print(f"{start.strftime('%Y%m%d')}\t{count}")
+        print(f"{model.format_timestamp(start)[:8]}\t{count}")
     print(f"UNDATED\t{result.undated}")
     return EXIT_OK
 

@@ -26,12 +26,18 @@ Query surface syntax::
 Operators: = != < <= > >= contains. A bare variant name matches every
 document containing an event of that type. A predicate path ends at a
 value field, a money or a measure, never at a person, organization or
-location record. Money literals are written ``USD:1000000.50``;
-comparing against a differently-denominated field is an error. A literal
-on an integer or decimal field must be a finite number in ASCII digits;
-``NaN``, ``Infinity``, ``abc`` or other scripts' digits are an error.
-Sorting is on the exact value; equal keys keep document order in both
-directions.
+location record, and never at a timestamp: the dateline is read only by
+``since``, ``until`` and ``sort DatelineTime``. Ordering operators and
+``sort`` take number and money fields. ``parse_query`` reads each
+literal once into the operand every event is compared with: a number on
+an integer or decimal field, which must be finite and in ASCII digits
+(``NaN``, ``Infinity``, ``abc`` or other scripts' digits are an error);
+on a money field, but for ``contains``, a ``Money`` written
+``USD:1000000.50`` (``[A-Z]{3}:``, an optional ``-``, ASCII digits and
+an optional fraction); elsewhere the text, which ``contains`` also
+matches on. Comparing money against a differently-denominated field is
+an error. Sorting is on the exact value; equal keys keep document order
+in both directions.
 Timestamps use the dateline format ``YYYYMMDDTHHMMSSZ``.
 """
 
@@ -57,8 +63,10 @@ from .xmlcodec import FILE_EXTENSION, read_newsform
 
 _MONEY_LITERAL_RE = re.compile(r"^([A-Z]{3}):(-?[0-9]+(?:\.[0-9]+)?)$")
 
-_COMPARE_OPS = {"<", "<=", ">", ">="}
-_ALL_OPS = {"=", "!=", "<", "<=", ">", ">=", "contains"}
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_COMPARE_OPS = _COMPARE.keys() - {"=", "!="}   # the ordering operators
+_ALL_OPS = _COMPARE.keys() | {"contains"}
 
 
 class QueryError(ValueError):
@@ -293,25 +301,18 @@ def corpus_paths(directory) -> list[Path]:
 
 @dataclass(frozen=True)
 class Predicate:
-    path: str          # dotted, without the variant
     op: str
-    value: str         # literal token as written
-    specs: tuple[FieldSpec, ...] = ()
-    number: Optional[Decimal] = None   # the literal read once, on an INT or DECIMAL field
-
-
-class SortOrder(Enum):
-    ASC = "asc"
-    DESC = "desc"
+    value: str         # literal token as written, quotes stripped
+    specs: tuple[FieldSpec, ...]
+    literal: Decimal | Money | str   # ``value`` read once; see parse_query
 
 
 @dataclass(frozen=True)
 class QueryExpr:
     variant: str
     predicates: tuple[Predicate, ...] = ()
-    sort_path: Optional[str] = None
-    sort_specs: tuple[FieldSpec, ...] = ()
-    sort_order: SortOrder = SortOrder.ASC
+    sort_specs: tuple[FieldSpec, ...] = ()   # () unsorted; _DATELINE sorts on the dateline
+    descending: bool = False
     since: Optional[datetime] = None
     until: Optional[datetime] = None
 
@@ -347,9 +348,8 @@ def parse_query(text: str) -> QueryExpr:
         raise QueryError("empty query")
     variant: Optional[str] = None
     predicates: list[Predicate] = []
-    sort_path = None
     sort_specs: tuple[FieldSpec, ...] = ()
-    sort_order = SortOrder.ASC
+    descending = False
     since = until = None
     i = 0
 
@@ -384,10 +384,10 @@ def parse_query(text: str) -> QueryExpr:
             path_token, path_pos = tokens[i + 1]
             i += 2
             if i < len(tokens) and tokens[i][0].lower() in ("asc", "desc"):
-                sort_order = SortOrder(tokens[i][0].lower())
+                descending = tokens[i][0].lower() == "desc"
                 i += 1
             if path_token == "DatelineTime":
-                sort_path, sort_specs = path_token, _DATELINE
+                sort_specs = _DATELINE
                 continue
             rel = split_variant(path_token, path_pos)
             if rel is None:
@@ -399,7 +399,7 @@ def parse_query(text: str) -> QueryExpr:
                 raise QueryError(
                     f"sort field {path_token!r} is not numeric, date, or money",
                     path_pos)
-            sort_path, sort_specs = rel, specs
+            sort_specs = specs
             continue
         if lower == "since" or lower == "until":
             if i + 1 >= len(tokens):
@@ -434,29 +434,26 @@ def parse_query(text: str) -> QueryExpr:
         if op_token in _COMPARE_OPS and kind not in model.ORDERED_KINDS:
             raise QueryError(
                 f"operator {op_token!r} needs a numeric, date, or money field", op_pos)
-        if kind is FieldKind.MONEY and op_token != "contains" \
-                and not _MONEY_LITERAL_RE.match(value_token):
-            raise QueryError(
-                f"money literal must look like USD:100.50, got {value_token!r}", pos)
-        number = None
-        if kind in (FieldKind.INT, FieldKind.DECIMAL):
-            number = _number_literal(value)
-            if number is None:
+        literal = value
+        if kind is FieldKind.MONEY and op_token != "contains":
+            match = _MONEY_LITERAL_RE.match(value_token)
+            if match is None:
+                raise QueryError(
+                    f"money literal must look like USD:100.50, got {value_token!r}", pos)
+            literal = Money(Decimal(match[2]), match[1])
+        elif kind in (FieldKind.INT, FieldKind.DECIMAL):
+            literal = _number_literal(value)
+            if literal is None:
                 raise QueryError(f"{value_token!r} is not a number", value_pos)
-        predicates.append(Predicate(rel, op_token, value, specs, number))
+        predicates.append(Predicate(op_token, value, specs, literal))
         i += 3
     if variant is None:
         raise QueryError("query names no event type")
-    return QueryExpr(variant=variant, predicates=tuple(predicates),
-                     sort_path=sort_path, sort_specs=sort_specs,
-                     sort_order=sort_order, since=since, until=until)
+    return QueryExpr(variant=variant, predicates=tuple(predicates), sort_specs=sort_specs,
+                     descending=descending, since=since, until=until)
 
 
 # -- evaluation --------------------------------------------------------------
-
-_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
 
 def _text(spec: FieldSpec, value) -> str:
     """What ``contains`` and text equality see: the document token, or the
@@ -468,53 +465,41 @@ def _text(spec: FieldSpec, value) -> str:
 
 def _predicate_holds(pred: Predicate, event) -> bool:
     spec = pred.specs[-1]
-    kind = spec.kind
+    compare = _COMPARE.get(pred.op)   # None for contains
+    literal = pred.literal
     for value in model.values_at(event, pred.specs):
-        if pred.op == "contains":
-            if pred.value.lower() in _text(spec, value).lower():
-                return True
-            continue
-        if kind is FieldKind.MONEY:
-            currency, amount = _MONEY_LITERAL_RE.match(pred.value).groups()
-            if value.currency != currency:
-                raise QueryError(
-                    f"cannot compare {value.currency} amount with {currency} literal")
-            lhs, rhs = value.amount, Decimal(amount)
-        elif kind in (FieldKind.INT, FieldKind.DECIMAL):
-            lhs, rhs = value, pred.number   # an int compares exactly with a Decimal
-        elif kind is FieldKind.TIMESTAMP:
-            try:
-                lhs, rhs = value, model.parse_timestamp(pred.value)
-            except ValueError:
-                continue
+        if compare is None:
+            holds = pred.value.lower() in _text(spec, value).lower()
+        elif isinstance(literal, Money):
+            if value.currency != literal.currency:
+                raise QueryError(f"cannot compare {value.currency} amount "
+                                 f"with {literal.currency} literal")
+            holds = compare(value.amount, literal.amount)
+        elif isinstance(literal, Decimal):
+            holds = compare(value, literal)   # an int compares exactly with a Decimal
         else:
-            lhs, rhs = _text(spec, value), pred.value
-        if _COMPARE[pred.op](lhs, rhs):
+            holds = compare(_text(spec, value), literal)
+        if holds:
             return True
     return False
 
 
-def _event_matches(query: QueryExpr, event) -> bool:
-    return all(_predicate_holds(pred, event) for pred in query.predicates)
-
-
-def _doc_in_window(query: QueryExpr, doc: IndexedDoc) -> bool:
-    if query.since is None and query.until is None:
-        return True
-    stamp = doc.form.head.dateline_time
-    if stamp is None:
-        return False
-    if query.since is not None and stamp < query.since:
-        return False
-    if query.until is not None and stamp > query.until:
-        return False
-    return True
-
-
-def _matching_events(query: QueryExpr, doc: IndexedDoc) -> list:
+def _matches(index: CorpusIndex, query: QueryExpr):
+    """Yield (document, its matching events), in document order, for each
+    document dated inside the query's window that holds an event of its
+    type on which every predicate holds. A window skips undated documents."""
     cls = model.EVENT_TYPES[query.variant]
-    return [event for event in doc.form.events
-            if isinstance(event, cls) and _event_matches(query, event)]
+    since, until = query.since, query.until
+    for doc in index.docs:
+        if since is not None or until is not None:
+            stamp = doc.form.head.dateline_time
+            if stamp is None or (since is not None and stamp < since) \
+                    or (until is not None and stamp > until):
+                continue
+        events = [event for event in doc.form.events if isinstance(event, cls)
+                  and all(_predicate_holds(pred, event) for pred in query.predicates)]
+        if events:
+            yield doc, events
 
 
 @dataclass(frozen=True)
@@ -525,26 +510,23 @@ class QueryHit:
 
 
 def evaluate_query(index: CorpusIndex, query: QueryExpr) -> list[QueryHit]:
+    specs = query.sort_specs
+    on_head = specs == _DATELINE
     hits = []
-    for doc in index.docs:
-        if not _doc_in_window(query, doc):
-            continue
-        events = _matching_events(query, doc)
-        if not events:
-            continue
+    for doc, events in _matches(index, query):
         sort_key = None
-        if query.sort_path is not None:
-            records = (doc.form.head,) if query.sort_path == "DatelineTime" else events
+        if specs:
+            records = (doc.form.head,) if on_head else events
             sort_key = next((value for record in records
-                             for value in model.values_at(record, query.sort_specs)), None)
-        display = "-" if sort_key is None else _posting_token(query.sort_specs[-1], sort_key)
+                             for value in model.values_at(record, specs)), None)
+        display = "-" if sort_key is None else _posting_token(specs[-1], sort_key)
         hits.append((sort_key, QueryHit(doc.doc_id, doc.path, display)))
-    if query.sort_path is not None:
+    if specs:
         keyed = [pair for pair in hits if pair[0] is not None]
         # exact values; the sort is stable under reverse too, so equal keys
         # keep doc order; hits without a key follow in doc order
         keyed.sort(key=lambda pair: pair[0].amount if isinstance(pair[0], Money) else pair[0],
-                   reverse=query.sort_order is SortOrder.DESC)
+                   reverse=query.descending)
         hits = keyed + [pair for pair in hits if pair[0] is None]
     return [hit for _, hit in hits]
 
@@ -594,13 +576,10 @@ def stats(index: CorpusIndex, variant: str, bucket: Bucket) -> StatsResult:
     if not counts:
         return StatsResult(buckets=(), undated=undated)
     step = timedelta(days=7 if bucket is Bucket.WEEK else 1)
-    current = min(counts)
-    last = max(counts)
-    out = []
-    while current <= last:
-        out.append((current, counts.get(current, 0)))
-        current += step
-    return StatsResult(buckets=tuple(out), undated=undated)
+    first = min(counts)
+    starts = (first + k * step for k in range((max(counts) - first) // step + 1))
+    return StatsResult(buckets=tuple((start, counts.get(start, 0)) for start in starts),
+                       undated=undated)
 
 
 # ---------------------------------------------------------------------------
@@ -631,10 +610,8 @@ def resolve_event_country(event) -> Optional[str]:
 def geo_distribution(index: CorpusIndex, query_expr: QueryExpr) -> GeoDistribution:
     """Bucket matched events by country and sentiment."""
     tallies: dict[Optional[str], list[int]] = {}
-    for doc in index.docs:
-        if not _doc_in_window(query_expr, doc):
-            continue
-        for event in _matching_events(query_expr, doc):
+    for _, events in _matches(index, query_expr):
+        for event in events:
             country = resolve_event_country(event)
             slot = {Sentiment.POSITIVE: 0, Sentiment.NEGATIVE: 1,
                     Sentiment.OTHER: 2}[model.classify_sentiment(event)]

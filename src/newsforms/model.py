@@ -88,6 +88,14 @@ def format_decimal(value: Decimal) -> str:
     return format(value, "f")
 
 
+def format_timestamp(value: datetime) -> str:
+    """Dateline-format text of a datetime (``YYYYMMDDTHHMMSSZ``), the year
+    zero-padded to four digits, which ``strftime("%Y")`` is not on every C
+    library: glibc spells the year 999 as ``999``."""
+    return (f"{value.year:04d}{value.month:02d}{value.day:02d}"
+            f"T{value.hour:02d}{value.minute:02d}{value.second:02d}Z")
+
+
 def parse_timestamp(text: str) -> datetime:
     """The UTC datetime of dateline-format text (``YYYYMMDDTHHMMSSZ``).
 
@@ -227,6 +235,7 @@ def _type_check(spec: FieldSpec) -> Optional[Callable]:
     if spec.kind not in _LEAF_TYPES:
         return None
     expected, name = _LEAF_TYPES[spec.kind]
+    integer = spec.kind is FieldKind.INT
     decimal = spec.kind is FieldKind.DECIMAL
     timestamp = spec.kind is FieldKind.TIMESTAMP
 
@@ -235,6 +244,11 @@ def _type_check(spec: FieldSpec) -> Optional[Callable]:
             return "float", "binary floating point is not allowed; use Decimal"
         if not isinstance(value, expected) or isinstance(value, bool):
             return "type", f"expected {name}, got {type(value).__name__}"
+        if integer:
+            try:
+                str(value)   # how the codec writes it
+            except ValueError:   # more digits than the interpreter converts
+                return "range", f"integer too long to write ({value.bit_length()} bits)"
         if decimal and not value.is_finite():
             return "range", "decimal must be finite"
         if timestamp and value.utcoffset() != _UTC_OFFSET:
@@ -890,7 +904,7 @@ def leaf_token(spec: Optional[FieldSpec], value) -> str:
     if isinstance(value, Money):
         return f"{value.currency}:{format_decimal(value.amount)}"
     if isinstance(value, datetime):
-        return value.strftime(TIMESTAMP_FORMAT)
+        return format_timestamp(value)
     return str(value)
 
 

@@ -4,11 +4,12 @@ import io
 import os
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
-from newsforms import corpus
+from newsforms import corpus, model
 from newsforms.cli import STATS_BUCKETS, main
 
 from newsforms.xmlcodec import serialize_newsform
@@ -71,6 +72,19 @@ def test_extract_review_diagnostics_go_to_stderr(capsys, tmp_path):
     assert code == 0
     assert "merge\t" in err or "fragment\t" in err
     assert "merge" not in out
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter converts ints of any length")
+def test_an_integer_too_long_to_write_drops_its_event(capsys, monkeypatch):
+    # 5 x 10^4800 killed: more digits than str() converts, so the event
+    # would not serialize; validation drops it instead
+    text = ("An earthquake struck western Colombia on Monday, killing 5 "
+            + "trillion " * 400 + "people.")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "extract", "--review", "-")
+    assert (code, out) == (0, "<NewsForm>\n  <Head/>\n</NewsForm>\n")
+    assert "validate\t-\tdropped\tInjuryFatality/KilledCount: integer too long to write" in err
 
 
 def test_extract_missing_resources_is_exit_2(capsys, intro_file, tmp_path):
@@ -225,6 +239,35 @@ def test_stats_output(capsys, corpus_dir):
     code, out, err = run(capsys, "stats", corpus_dir, "NewProduct", "day")
     assert code == 0
     assert out == "19990127\t3\nUNDATED\t0\n"
+
+
+def _write_dated(directory, *stamps):
+    for n, stamp in enumerate(stamps):
+        doc = model.NewsForm(head=model.Head(dateline_time=stamp),
+                             events=(model.NewProduct(item="Widget"),))
+        (directory / f"p{n}.newsform.xml").write_text(serialize_newsform(doc))
+    return directory
+
+
+@pytest.mark.parametrize("bucket, row", [("day", "99991231\t1"), ("week", "99991227\t1")],
+                         ids=["day", "week"])
+def test_stats_on_the_last_day_of_the_calendar(capsys, tmp_path, bucket, row):
+    corpus_dir = _write_dated(tmp_path, datetime(9999, 12, 31, tzinfo=timezone.utc))
+    code, out, err = run(capsys, "stats", corpus_dir, "NewProduct", bucket)
+    assert (code, out, err) == (0, f"{row}\nUNDATED\t0\n", "")
+
+
+def test_years_before_1000_print_with_four_digits(capsys, tmp_path):
+    corpus_dir = _write_dated(tmp_path, datetime(1, 1, 1, tzinfo=timezone.utc),
+                              datetime(999, 1, 1, tzinfo=timezone.utc))
+    code, out, err = run(capsys, "query", corpus_dir, "NewProduct sort DatelineTime desc")
+    assert (code, err) == (0, "")
+    assert [line.split("\t")[2] for line in out.splitlines()] == [
+        "09990101T000000Z", "00010101T000000Z"]
+    code, out, err = run(capsys, "stats", corpus_dir, "NewProduct", "day")
+    assert (code, err) == (0, "")
+    assert out.startswith("00010101\t1\n00010102\t0\n")
+    assert out.endswith("09990101\t1\nUNDATED\t0\n")
 
 
 def test_geo_output(capsys, corpus_dir):

@@ -559,9 +559,18 @@ def test_a_numeric_literal_must_be_a_finite_ascii_number(op, literal):
     assert info.value.position == text.rindex(literal)
 
 
-def test_a_numeric_literal_is_read_once_at_parse_time():
-    pred, = parse_query("InjuryFatality.KilledCount > 1e1").predicates
-    assert pred.number == Decimal("1e1") and pred.value == "1e1"
+@pytest.mark.parametrize("text, value, literal", [
+    ("InjuryFatality.KilledCount > 1e1", "1e1", Decimal("1e1")),
+    ("Deal.DealValue >= USD:1000000", "USD:1000000", Money(Decimal("1000000"), "USD")),
+    ("Deal.DealValue contains USD:1", "USD:1", "USD:1"),
+    ('InjuryFatality.Source.Function = "Civil Defense Official"', "Civil Defense Official",
+     "Civil Defense Official"),
+], ids=["number", "money", "money-contains", "text"])
+def test_a_numeric_literal_is_read_once_at_parse_time(text, value, literal):
+    # the operand each event is compared with: a number, a money value, or text
+    pred, = parse_query(text).predicates
+    assert pred.value == value
+    assert type(pred.literal) is type(literal) and pred.literal == literal
 
 
 @pytest.mark.parametrize("path, literal", [

@@ -1,5 +1,6 @@
 """Validation behavior of the typed document model."""
 
+import sys
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
@@ -104,6 +105,17 @@ def test_stock_ratio_positive_and_shares_positive():
 def test_counts_must_be_nonnegative():
     report = validate(NewsForm(events=(InjuryFatality(killed_count=-1),)))
     assert [f.path for f in report.errors] == ["InjuryFatality/KilledCount"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter converts ints of any length")
+def test_an_integer_too_long_to_write_is_a_finding():
+    # the codec writes an int with str(), which refuses more digits than
+    # sys.get_int_max_str_digits(); 10^5000 is past the default limit
+    report = validate(NewsForm(events=(InjuryFatality(killed_count=10 ** 5000),)))
+    assert [(f.path, f.code) for f in report.errors] == [("InjuryFatality/KilledCount", "range")]
+    assert report.errors[0].message.startswith("integer too long to write")
+    assert validate(NewsForm(events=(InjuryFatality(killed_count=10 ** 4000),))).ok
 
 
 @pytest.mark.parametrize("ticker", ["BEL", "A", "BRK.A", "ABCDEF", "X1.B2"])

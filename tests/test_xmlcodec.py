@@ -128,6 +128,15 @@ def test_parse_raises_only_its_documented_errors(source):
         pass
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)))
+def test_a_dateline_of_any_year_round_trips_byte_for_byte(stamp):
+    # years before 1000 included, which strftime("%Y") does not zero-pad on glibc
+    text = (f"<NewsForm>\n  <Head>\n    <DatelineTime>{stamp.year:04d}{stamp:%m%dT%H%M%S}Z"
+            "</DatelineTime>\n  </Head>\n</NewsForm>\n")
+    assert serialize_newsform(parse_newsform(text)) == text
+
+
 def test_unknown_event_element_is_a_schema_error():
     with pytest.raises(SchemaError) as info:
         parse_newsform("<NewsForm><Head/><Scandal/></NewsForm>")
