@@ -9,11 +9,8 @@ inverted map from (event type, field path, value token) to document ids
 is built only when something reads it.
 Each command builds the index once and runs one query, so queries scan
 the parsed documents rather than pay for postings they would read once.
-A large corpus is read in contiguous shards of its sorted file list, one
-per usable CPU, each after the first in a forked child that sends back
-only the documents kept; the shards are joined in file order, so the
-result equals a serial read. A small corpus, a single CPU, a platform
-without ``fork`` or a process running other threads gets one shard.
+A large corpus is read in per-CPU shards of its sorted file list
+(``shards.run``), joined in file order, so the result equals a serial read.
 Queries are a conjunction of field-path predicates that must all hold on
 one event record, with optional sorting, and time windows; results equal
 brute-force evaluation on every corpus.
@@ -45,9 +42,7 @@ from __future__ import annotations
 
 import operator
 import os
-import pickle
 import re
-import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from decimal import Context, Decimal, InvalidOperation
@@ -56,7 +51,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
-from . import model
+from . import model, shards
 from .model import FieldKind, FieldSpec, Measure, Money, NewsForm
 from .vocab import Sentiment
 from .xmlcodec import FILE_EXTENSION, read_newsform
@@ -162,58 +157,19 @@ def build_index(paths: Iterable, variant: Optional[str] = None) -> CorpusIndex:
     that type are kept: queries, stats and geo over that type read no
     other document.
 
-    The path list is read in contiguous shards, one per CPU this process
-    may run on. The first shard is read here; each later one in
-    a forked child, which pickles its documents and diagnostics to a pipe
-    and leaves with ``os._exit``, so it never flushes this process's
-    buffers or runs its exit handlers. The shards are joined in path
-    order, so documents and diagnostics come out as a serial read gives
-    them. A child that fails or sends an unreadable result costs only
-    time: its shard is read again here, which also raises whatever the
-    serial read would. Every child is reaped before this returns. One
-    shard, and no fork, where ``os.fork`` is missing, one CPU is usable,
-    another thread runs (a fork would copy its locks in whatever state),
-    or the shards would hold fewer than ``SHARD_MIN_FILES`` files each.
+    The path list is read in contiguous shards of at least
+    ``SHARD_MIN_FILES`` files, one per usable CPU (``shards.run``), and
+    joined in path order, so documents and diagnostics come out as a
+    serial read gives them.
     """
     paths = list(paths)
     cls = None if variant is None else event_type(variant)
-    count = _shard_count(len(paths))
-    bounds = [len(paths) * k // count for k in range(count + 1)]
-    shards = list(zip(bounds, bounds[1:]))
-    children = []   # (pid, read end of its pipe), one per shard after the first
-    try:
-        for start, stop in shards[1:]:
-            child = _fork_shard(paths, start, stop, cls, children)
-            if child is None:   # the fork failed; this and later shards are read here
-                break
-            children.append(child)
-        parts = [_read_shard(paths, *shards[0], cls)]
-        for start, stop in shards[1:]:
-            part = _receive(*children.pop(0)) if children else None
-            parts.append(part if part is not None else _read_shard(paths, start, stop, cls))
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
     index = CorpusIndex()
-    for docs, diagnostics in parts:
+    for docs, diagnostics in shards.run(len(paths), SHARD_MIN_FILES,
+                                        lambda start, stop: _read_shard(paths, start, stop, cls)):
         index.docs += docs
         index.diagnostics += diagnostics
     return index
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _shard_count(n_paths: int) -> int:
-    """How many shards ``build_index`` reads ``n_paths`` files in."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return max(1, min(_usable_cpus(), n_paths // SHARD_MIN_FILES))
 
 
 def _read_shard(paths: list, start: int, stop: int, cls: Optional[type]):
@@ -235,50 +191,6 @@ def _read_shard(paths: list, start: int, stop: int, cls: Optional[type]):
         if cls is None or any(isinstance(event, cls) for event in form.events):
             docs.append(IndexedDoc(f"d{n + 1:04d}", str(path), form))
     return docs, diagnostics
-
-
-def _fork_shard(paths: list, start: int, stop: int, cls: Optional[type], children: list):
-    """Fork a child that reads ``paths[start:stop]`` and pickles the result
-    to a pipe; returns (pid, the pipe's read end), or None if the fork
-    fails. ``children`` are the children forked before, whose pipes the
-    new child closes, so that each child's pipe has one reader."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            for _, pipe in children:
-                pipe.close()
-            with open(write_fd, "wb") as out:
-                pickle.dump(_read_shard(paths, start, stop, cls), out,
-                            pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _receive(pid: int, pipe):
-    """What a shard's child sent, or None if it exited non-zero or sent
-    something that does not unpickle."""
-    try:
-        with pipe:
-            payload = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        return None
-    try:
-        return pickle.loads(payload)
-    except (pickle.UnpicklingError, EOFError):   # a short or garbled payload
-        return None
 
 
 def corpus_paths(directory) -> list[Path]:

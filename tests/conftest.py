@@ -57,6 +57,18 @@ JOSPIN_TEXT = (
     "maintained an awkward silence."
 )
 
+# stories for sharded-extraction tests: events of several types, merge and
+# fragment review lines, a pronoun and an empty story
+STORY_TEXTS = (
+    INTRO_TEXT,
+    JOSPIN_TEXT,
+    "The Federal Reserve raised its federal funds target to 5.25 percent.",
+    "",
+    "Officials said 5 people died. Later officials said 6 people died.",
+    "Lionel Jospin arrived in Paris on Monday. He was injured in a crash.",
+    "Bell Atlantic agreed to buy GTE for $52.8 billion in stock.",
+)
+
 
 @pytest.fixture(scope="session")
 def data_root() -> Path:

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import contextlib
 import io
 import os
 import subprocess
@@ -9,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from newsforms import corpus, model
+from newsforms import cli, corpus, model, shards
 from newsforms.cli import STATS_BUCKETS, main
 
 from newsforms.xmlcodec import serialize_newsform
 
-from conftest import INTRO_TEXT, EARTHQUAKE_XML, DocGenerator
+from conftest import INTRO_TEXT, JOSPIN_TEXT, EARTHQUAKE_XML, STORY_TEXTS, DocGenerator
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -440,3 +441,112 @@ def test_one_cpu_and_all_cpus_give_the_same_output(large_corpus, argv, buffered)
     if buffered:
         assert out.startswith("before ") and out.count("before") == 1
         assert err.startswith("before ") and err.count("before") == 1
+
+
+# ---------------------------------------------------------------------------
+# Sharded extraction: one, two or three shards give the same bytes
+
+def _extract_run(argv, stdin_text):
+    """(exit code, stdout, stderr) of one in-process extract call."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["extract", *map(str, argv)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture()
+def stories(tmp_path):
+    paths = []
+    for n, text in enumerate(STORY_TEXTS * 2):
+        paths.append(tmp_path / f"s{n:02d}.txt")
+        paths[-1].write_text(text, encoding="utf-8")
+    return paths
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("flags", [(), ("--debug",), ("--review",)], ids=["plain", "debug", "review"])
+@pytest.mark.parametrize("batch", ["files", "stdin", "missing", "non-utf8"])
+def test_sharded_extraction_equals_one_shard(monkeypatch, tmp_path, stories, flags, batch):
+    inputs = list(stories)
+    if batch == "stdin":
+        inputs.insert(5, "-")
+    elif batch == "missing":
+        inputs.insert(5, tmp_path / "absent.txt")
+    elif batch == "non-utf8":
+        inputs.insert(5, tmp_path / "latin1.txt")
+        inputs[5].write_bytes("Un sismo sacudió Bogotá.".encode("latin-1"))
+    monkeypatch.setattr(cli, "SHARD_MIN_STORIES", 1)
+    runs = []
+    for count in (1, 2, 3):
+        monkeypatch.setattr(shards, "_usable_cpus", lambda: count)
+        assert shards.shard_count(len(inputs), cli.SHARD_MIN_STORIES) == count
+        runs.append(_extract_run((*flags, *inputs), JOSPIN_TEXT))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    code, out, err = runs[0]
+    if batch in ("missing", "non-utf8"):   # the documents before it, then exit 2
+        assert code == 2 and out.count("<NewsForm>") == 5
+        assert err.endswith("\n") and err.splitlines()[-1].startswith("error: ")
+    else:
+        assert code == 0 and out.count("<NewsForm>") == len(inputs)
+    assert ("sentence\t0" in out) == ("--debug" in flags)
+    assert ("fragment\t" in err) == ("--review" in flags)
+
+
+def test_one_story_imports_neither_the_runner_nor_pickle(intro_file):
+    loaded = _modules_after("from newsforms.cli import main\n"
+                            f"main(['extract', {str(intro_file)!r}])")
+    assert not loaded & {"newsforms.shards", "pickle"}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+def test_extract_on_one_cpu_and_all_cpus_gives_the_same_output(tmp_path):
+    # buffered text on stdout and stderr before the stories are extracted:
+    # a child that flushed the parent's buffers would print it twice
+    paths = []
+    for n in range(2 * cli.SHARD_MIN_STORIES + 3):
+        paths.append(tmp_path / f"s{n:02d}.txt")
+        paths[-1].write_text(STORY_TEXTS[n % len(STORY_TEXTS)], encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    env.pop("PYTHONUNBUFFERED", None)   # keep the text in the buffers
+    runs = [subprocess.run([sys.executable, "-c", _PRINT_FIRST, "extract", "--review",
+                            *map(str, paths)],
+                           capture_output=True, text=True, env=env, preexec_fn=preexec,
+                           timeout=120)
+            for preexec in (lambda: os.sched_setaffinity(0, {0}), None)]
+    one_cpu, all_cpus = [(r.returncode, r.stdout, r.stderr) for r in runs]
+    assert one_cpu == all_cpus
+    code, out, err = all_cpus
+    assert code == 0 and out.count("<NewsForm>") == len(paths) and "fragment\t" in err
+    assert out.startswith("before ") and out.count("before") == 1
+    assert err.startswith("before ") and err.count("before") == 1
+
+
+# ---------------------------------------------------------------------------
+# A reader that closes standard output early
+
+@pytest.mark.parametrize("command", ["extract", "query"])
+def test_closed_stdout_is_exit_2_with_one_error_line(tmp_path, corpus_dir, command):
+    if command == "extract":
+        story = tmp_path / "story.txt"
+        story.write_text(INTRO_TEXT, encoding="utf-8")
+        argv = ["extract", *[str(story)] * 100]
+    else:   # rows enough to fill the pipe whatever the buffer sizes
+        for n in range(1500):
+            doc = model.NewsForm(head=model.Head(), events=(model.NewProduct(item="Widget"),))
+            (tmp_path / f"p{n:04d}.newsform.xml").write_text(serialize_newsform(doc))
+        argv = ["query", str(tmp_path), "NewProduct"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-m", "newsforms.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()   # the reader goes away after one line
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert first
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

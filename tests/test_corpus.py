@@ -5,19 +5,23 @@ documents, with no index and no shared evaluation code; the engine must
 agree with it on every generated query.
 """
 
+import contextlib
+import io
 import os
 import pickle
 import random
 import tempfile
 import threading
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newsforms import corpus, model
+from newsforms import cli, corpus, model, rules, shards
 from newsforms.model import FieldKind, Money, NewsForm
 from newsforms.corpus import (
     Bucket,
@@ -31,7 +35,7 @@ from newsforms.corpus import (
 )
 from newsforms.xmlcodec import serialize_newsform
 
-from conftest import fixture_documents, schema_paths
+from conftest import STORY_TEXTS, fixture_documents, schema_paths
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +237,9 @@ def test_rebuild_determinism(corpus_dir):
 
 
 # ---------------------------------------------------------------------------
-# Sharded reads: SHARD_MIN_FILES is set to 1 so that small corpora fork
+# Sharded runs (newsforms.shards). The corpus read and batch extraction both
+# run through the shared runner, so each failure-mode test checks both of
+# them; their per-shard minimums are set to 1 so that small inputs fork.
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
@@ -264,7 +270,7 @@ def _write_corpus(directory, kinds):
 
 def _serial_index(paths, variant=None):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(corpus, "_usable_cpus", lambda: 1)
+        patch.setattr(shards, "_usable_cpus", lambda: 1)
         return build_index(paths, variant)
 
 
@@ -276,9 +282,52 @@ def _same_index(got, want):
 
 @pytest.fixture()
 def sharded(monkeypatch):
-    """Three shards for any corpus of three or more files."""
+    """Three shards for any input of three or more items, for both callers."""
     monkeypatch.setattr(corpus, "SHARD_MIN_FILES", 1)
-    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(cli, "SHARD_MIN_STORIES", 1)
+    monkeypatch.setattr(shards, "_usable_cpus", lambda: 3)
+
+
+@dataclass
+class _Caller:
+    """A user of the runner, over inputs written for one test."""
+    name: str
+    item: tuple      # (module, attribute) of the call a shard makes per item
+    last: object     # that call's first argument for the last item
+    run: Callable    # one call, its outcome as data to compare
+
+
+def _callers(directory, kinds):
+    """The corpus read over files of ``kinds``, and extraction with
+    ``--review`` over one story per kind."""
+    paths = _write_corpus(directory, kinds)
+    texts = [STORY_TEXTS[n % len(STORY_TEXTS)] + " " * n for n in range(len(kinds))]
+    stories = []
+    for n, text in enumerate(texts):
+        stories.append(directory / f"s{n:03d}.txt")
+        stories[-1].write_text(text, encoding="utf-8")
+
+    def index():
+        got = build_index(paths)
+        return [(d.doc_id, d.path, d.form) for d in got.docs], got.diagnostics
+
+    def extract():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["extract", "--review", *map(str, stories)])
+        return code, out.getvalue(), err.getvalue()
+    return [_Caller("corpus", (corpus, "read_newsform"), paths[-1], index),
+            _Caller("extract", (rules, "extract"), texts[-1], extract)]
+
+
+def _no_fork():
+    raise BlockingIOError("Resource temporarily unavailable")
+
+
+def _serial(caller: _Caller):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shards, "_usable_cpus", lambda: 1)
+        return caller.run()
 
 
 @needs_fork
@@ -290,8 +339,9 @@ def test_sharded_index_equals_the_one_shard_index(kinds, cpus, variant):
         paths = _write_corpus(Path(directory), kinds)
         want = _serial_index(paths, variant)
         patch.setattr(corpus, "SHARD_MIN_FILES", 1)
-        patch.setattr(corpus, "_usable_cpus", lambda: cpus)
-        assert corpus._shard_count(len(paths)) == max(1, min(cpus, len(paths)))
+        patch.setattr(shards, "_usable_cpus", lambda: cpus)
+        assert shards.shard_count(len(paths), corpus.SHARD_MIN_FILES) == \
+            max(1, min(cpus, len(paths)))
         _same_index(build_index(paths, variant), want)
 
 
@@ -305,73 +355,94 @@ def test_variant_keeps_the_documents_with_that_event_under_their_ids(corpus_dir)
 
 @needs_fork
 @pytest.mark.parametrize("failure", ["exit 1", "garbled", "short", "no fork"])
-def test_a_failed_child_costs_only_time(sharded, monkeypatch, tmp_path, failure):
-    paths = _write_corpus(tmp_path, [0, "invalid", 1, "missing", 2, 3, "non-utf8", 4, 5])
-    want = _serial_index(paths)
-    parent, read_shard, dumps = os.getpid(), corpus._read_shard, pickle.dumps
-
-    def read_or_exit(*args):
-        if os.getpid() != parent:
-            os._exit(1)
-        return read_shard(*args)
+def test_a_failed_child_costs_only_time(sharded, tmp_path, failure):
+    parent, dumps = os.getpid(), pickle.dumps
 
     def bad_dump(obj, out, protocol):   # the child then exits 0
         data = dumps(obj, protocol)
         out.write(b"garbage" if failure == "garbled" else data[:len(data) // 2])
 
-    def no_fork():
-        raise BlockingIOError("Resource temporarily unavailable")
-    if failure == "exit 1":
-        monkeypatch.setattr(corpus, "_read_shard", read_or_exit)
-    elif failure == "no fork":
-        monkeypatch.setattr(os, "fork", no_fork)
-    else:
-        monkeypatch.setattr(corpus.pickle, "dump", bad_dump)
-    _same_index(build_index(paths), want)
+    for caller in _callers(tmp_path, [0, "invalid", 1, "missing", 2, 3, "non-utf8", 4, 5]):
+        want = _serial(caller)
+        module, name = caller.item
+        item = getattr(module, name)
+
+        def item_or_exit(*args, _item=item):
+            if os.getpid() != parent:
+                os._exit(1)
+            return _item(*args)
+        with pytest.MonkeyPatch.context() as patch:
+            if failure == "exit 1":
+                patch.setattr(module, name, item_or_exit)
+            elif failure == "no fork":
+                patch.setattr(os, "fork", _no_fork)
+            else:
+                patch.setattr(pickle, "dump", bad_dump)
+            assert caller.run() == want, caller.name
 
 
 @needs_fork
-def test_an_unexpected_error_surfaces_as_in_a_serial_read(sharded, monkeypatch, tmp_path):
-    paths = _write_corpus(tmp_path, [0, 1, 2, 3])
-    read = corpus.read_newsform
+def test_an_unexpected_error_surfaces_as_in_a_serial_read(sharded, tmp_path):
+    for caller in _callers(tmp_path, [0, 1, 2, 3]):
+        module, name = caller.item
+        item = getattr(module, name)
 
-    def read_or_break(path, findings):
-        if path == paths[-1]:
-            raise RuntimeError("broken reader")
-        return read(path, findings)
-    monkeypatch.setattr(corpus, "read_newsform", read_or_break)
-    with pytest.raises(RuntimeError, match="broken reader"):
-        build_index(paths)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        def item_or_break(first, *rest, _item=item, _last=caller.last):
+            if first == _last:
+                raise RuntimeError("broken reader")
+            return _item(first, *rest)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, name, item_or_break)
+            with pytest.raises(RuntimeError, match="broken reader"):
+                caller.run()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork
 def test_no_child_outlives_the_call(sharded, tmp_path):
-    paths = _write_corpus(tmp_path, [0, 1, 2, 3, 4, 5, "invalid"])
-    build_index(paths)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for caller in _callers(tmp_path, [0, 1, 2, 3, 4, 5, "invalid"]):
+        caller.run()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_one_shard_for_small_corpora_one_cpu_or_other_threads(monkeypatch):
-    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 2)
-    assert corpus._shard_count(2 * corpus.SHARD_MIN_FILES) == 2
-    assert corpus._shard_count(2 * corpus.SHARD_MIN_FILES - 1) == 1
-    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 1)
-    assert corpus._shard_count(10 * corpus.SHARD_MIN_FILES) == 1
-    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 2)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        assert corpus._shard_count(2 * corpus.SHARD_MIN_FILES) == 1
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    monkeypatch.delattr(os, "fork", raising=False)
-    assert corpus._shard_count(2 * corpus.SHARD_MIN_FILES) == 1
+    for minimum in (corpus.SHARD_MIN_FILES, cli.SHARD_MIN_STORIES):
+        monkeypatch.setattr(shards, "_usable_cpus", lambda: 2)
+        assert shards.shard_count(2 * minimum, minimum) == 2
+        assert shards.shard_count(2 * minimum - 1, minimum) == 1
+        monkeypatch.setattr(shards, "_usable_cpus", lambda: 1)
+        assert shards.shard_count(10 * minimum, minimum) == 1
+        monkeypatch.setattr(shards, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert shards.shard_count(2 * minimum, minimum) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delattr(os, "fork", raising=False)
+            assert shards.shard_count(2 * minimum, minimum) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 300), cpus=st.integers(1, 9), minimum=st.integers(1, 40))
+def test_shards_are_contiguous_non_empty_and_join_to_one_call(n, cpus, minimum):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shards, "_usable_cpus", lambda: cpus)
+        # every fork fails, so each shard runs here: no process per example
+        patch.setattr(os, "fork", _no_fork)
+        bounds = shards.shard_bounds(n, minimum)
+        parts = shards.run(n, minimum, lambda start, stop: list(range(start, stop)))
+    assert bounds[0][0] == 0 and bounds[-1][1] == n
+    assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+    assert all(start < stop for start, stop in bounds) or bounds == [(0, 0)]
+    assert len(bounds) == max(1, min(cpus, n // minimum))
+    assert [x for part in parts for x in part] == list(range(n))
 
 
 # ---------------------------------------------------------------------------
