@@ -27,8 +27,8 @@ location record, and never at a timestamp: the dateline is read only by
 ``since``, ``until`` and ``sort DatelineTime``. Ordering operators and
 ``sort`` take number and money fields. ``parse_query`` reads each
 literal once into the operand every event is compared with: a number on
-an integer or decimal field, which must be finite and in ASCII digits
-(``NaN``, ``Infinity``, ``abc`` or other scripts' digits are an error);
+an integer or decimal field, read by ``model.read_number`` (``NaN``,
+``Infinity``, ``abc``, ``1_4_3`` or other scripts' digits are an error);
 on a money field, but for ``contains``, a ``Money`` written
 ``USD:1000000.50`` (``[A-Z]{3}:``, an optional ``-``, ASCII digits and
 an optional fraction); elsewhere the text, which ``contains`` also
@@ -45,7 +45,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from decimal import Context, Decimal, InvalidOperation
+from decimal import Context, Decimal
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -234,18 +234,6 @@ _TOKEN_SPLIT_RE = re.compile(r'"[^"]*"|\S+')
 _DATELINE = (model.spec_by_element(model.Head, "DatelineTime"),)
 
 
-def _number_literal(literal: str) -> Optional[Decimal]:
-    """The finite number an ASCII literal spells, or None. ``Decimal``
-    alone would also read other scripts' digits, NaN and Infinity."""
-    if not literal.isascii():
-        return None
-    try:
-        number = Decimal(literal)
-    except InvalidOperation:
-        return None
-    return number if number.is_finite() else None
-
-
 def event_type(name: str, position: int = 0) -> type:
     """The event class of a variant name; QueryError if there is none."""
     if name not in model.EVENT_TYPES:
@@ -354,7 +342,7 @@ def parse_query(text: str) -> QueryExpr:
                     f"money literal must look like USD:100.50, got {value_token!r}", pos)
             literal = Money(Decimal(match[2]), match[1])
         elif kind in (FieldKind.INT, FieldKind.DECIMAL):
-            literal = _number_literal(value)
+            literal = model.read_number(value)
             if literal is None:
                 raise QueryError(f"{value_token!r} is not a number", value_pos)
         predicates.append(Predicate(op_token, value, specs, literal))

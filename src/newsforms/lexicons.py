@@ -4,7 +4,9 @@ A lexicon is a TSV file: ``surface<TAB>kind<TAB>normalized<TAB>attrs`` with
 ``;``-separated ``key=value`` attrs and ``#`` comment lines. One surface may
 carry several entries, across files or within one; lookup always returns
 all of them, in load order, so downstream stages see every ambiguity
-(New York the city, the state, and several teams).
+(New York the city, the state, and several teams). Each number attribute
+the entity scanner reads must read through ``model.read_number``, and each
+``Unit`` must name one of ``UNIT_DIMENSIONS`` as its ``dim``.
 
 A manifest file in the lexicon directory lists the files to load, in
 order; a second column ``ci`` marks a lexicon as case-insensitive (number
@@ -26,10 +28,11 @@ its two shorter token forms, ``washington`` and ``washington ,``."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
 from enum import Enum
 from pathlib import Path
 from typing import Optional
+
+from .model import read_number
 
 
 class EntryKind(Enum):
@@ -94,17 +97,29 @@ def _parse_attrs(raw: str, path, lineno: int) -> tuple[tuple[str, str], ...]:
     return tuple(attrs)
 
 
-def _check_coordinates(entry: LexiconEntry, path, lineno: int):
-    for key, bound in (("lat", 90), ("lon", 180)):
-        raw = entry.attr(key)
-        if raw is None:
+# the attributes the entity scanner reads as numbers, each with its bound or None
+_COORDINATES = {"lat": 90, "lon": 180}
+_NUMBER_ATTRS = {EntryKind.CITY: _COORDINATES, EntryKind.COUNTRY: _COORDINATES,
+                 EntryKind.NUMBER_WORD: {"val": None, "mag": None},
+                 EntryKind.CURRENCY_UNIT: {"scale": None}}
+
+# the dimensions a Unit names; each names its reading kind
+UNIT_DIMENSIONS = ("percent", "distance", "duration", "speed", "temperature")
+
+
+def _check_attrs(entry: LexiconEntry, path, lineno: int):
+    bounds = _NUMBER_ATTRS.get(entry.kind, {})
+    for key, raw in entry.attributes:
+        if key not in bounds:
             continue
-        try:
-            value = Decimal(raw)
-        except InvalidOperation:
-            raise LexiconError(path, lineno, f"{key} is not a decimal: {raw!r}") from None
-        if not -bound <= value <= bound:
+        value = read_number(raw)
+        if value is None:
+            raise LexiconError(path, lineno, f"{key} is not a decimal: {raw!r}")
+        if bounds[key] is not None and not -bounds[key] <= value <= bounds[key]:
             raise LexiconError(path, lineno, f"{key} out of range: {raw}")
+    if entry.kind is EntryKind.UNIT and entry.attr("dim") not in UNIT_DIMENSIONS:
+        raise LexiconError(path, lineno, f"dim must be one of {', '.join(UNIT_DIMENSIONS)}, "
+                                         f"got {entry.attr('dim')!r}")
 
 
 @dataclass
@@ -149,8 +164,7 @@ def _add_file(lexicons: LexiconSet, path: Path, case_sensitive: bool):
             raise LexiconError(path, lineno, "empty normalized value")
         attrs = _parse_attrs(columns[3], path, lineno) if len(columns) == 4 else ()
         entry = LexiconEntry(surface, kind, normalized, attrs)
-        if kind is EntryKind.CITY or kind is EntryKind.COUNTRY:
-            _check_coordinates(entry, path, lineno)
+        _check_attrs(entry, path, lineno)
         exact = " ".join(surface.split())
         key = exact if case_sensitive else None   # None matches in any case
         folded = exact.casefold()

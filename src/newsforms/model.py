@@ -9,6 +9,9 @@ that invalid data can be represented and then reported by :func:`validate`.
 Validation is pure and exhaustive: every vocabulary, code-table, and range
 constraint violation is reported with the field path where it occurred.
 An empty error list means the document is accepted.
+
+``read_conditions`` reads the one field-condition language of the kb and
+the sentiment table; ``read_number`` is the one ASCII number reader.
 """
 
 from __future__ import annotations
@@ -853,41 +856,125 @@ def validate(doc: NewsForm) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Sentiment classification (the map legend: negative / positive / other)
+# Field conditions, the one language of the kb and the sentiment table: ``*``
+# (always) or atoms joined by ``&``, each ``Field`` (``Field set``),
+# ``Field empty``, ``Field ambiguous`` or ``Field`` then ``=``, ``!=``, ``<``
+# or ``>`` then an operand. A field is a dotted path that may end at, but not
+# pass through, a list or person-or-organization field; a condition reads its
+# first value. An operand that is such a path names that field; any other is
+# the ``leaf_token`` text (``=``, ``!=``) or the number (``<``, ``>``, which
+# order number fields only) it is read into once, when the table loads.
+
+_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_OPERATOR_RE = re.compile(r"!=|[<>=]")
+_CONDITION_OPS = {"=": "eq", "!=": "ne", "<": "lt", ">": "gt"}
+_NUMBER_KINDS = (FieldKind.INT, FieldKind.DECIMAL)
+
+
+def read_number(text: str) -> Optional[Decimal]:
+    """The number ASCII text spells (``5``, ``-0.00``, ``+5``, ``.5``,
+    ``5E0``), or None. ``Decimal`` alone would also read other scripts'
+    digits, underscores, surrounding spaces, NaN and Infinity."""
+    if _NUMBER_RE.fullmatch(text) is None:
+        return None
+    try:
+        return Decimal(text)
+    except InvalidOperation:   # an exponent beyond what a Decimal holds
+        return None
+
 
 @dataclass(frozen=True)
-class _SentimentRule:
-    variant: str
-    spec: Optional[FieldSpec]   # None: the row matches every event
-    value: Optional[str]
-    sentiment: Sentiment
+class Condition:
+    specs: tuple[FieldSpec, ...]    # the field tested
+    op: str                         # set | empty | ambiguous | eq | ne | lt | gt
+    value: Union[str, Decimal, None] = None   # the token (eq, ne) or number (lt, gt) ...
+    value_specs: Optional[tuple[FieldSpec, ...]] = None   # ... unless the operand is a field
 
+    def holds(self, event, alternatives=None) -> bool:
+        """Whether the event meets the condition; ``ambiguous`` asks
+        ``alternatives``, the other readings extraction found per attribute."""
+        if self.op == "ambiguous":
+            return bool(alternatives and alternatives.get(self.specs[0].attr))
+        value = next(iter(values_at(event, self.specs)), None)
+        if self.op == "set" or self.op == "empty":
+            return (value is None) is (self.op == "empty")
+        other = self.value if self.value_specs is None else \
+            next(iter(values_at(event, self.value_specs)), None)
+        if value is None or other is None:
+            return False
+        if self.op == "eq" or self.op == "ne":
+            return (leaf_token(None, value) == leaf_token(None, other)) is (self.op == "eq")
+        numbers = isinstance(value, (int, Decimal)) and isinstance(other, (int, Decimal))
+        return numbers and (value < other if self.op == "lt" else value > other)
+
+
+def _condition_path(cls: type, path: str) -> Optional[tuple[FieldSpec, ...]]:
+    specs = resolve_path(cls, path)
+    if specs is None or any(spec.is_list or len(spec.records) > 1 for spec in specs[:-1]):
+        return None
+    return specs
+
+
+def read_conditions(cls: type, text: str) -> tuple[Condition, ...]:
+    """The conditions a table cell spells over events of ``cls``; ValueError
+    says why a cell spells none."""
+    text = text.strip()
+    return () if text == "*" else tuple(_read_condition(cls, atom.strip())
+                                        for atom in text.split("&"))
+
+
+def _read_condition(cls: type, atom: str) -> Condition:
+    operator = _OPERATOR_RE.search(atom)
+    if operator is None:
+        path, *test = atom.split() or [""]
+        op, operand = " ".join(test) or "set", None
+        if op not in ("set", "empty", "ambiguous"):
+            raise ValueError(f"bad condition {atom!r}")
+    else:
+        path, operand = atom[:operator.start()].strip(), atom[operator.end():].strip()
+        op = _CONDITION_OPS[operator.group()]
+        if not path or not operand or _OPERATOR_RE.search(operand):
+            raise ValueError(f"condition {atom!r} needs one operator between two sides")
+    specs = _condition_path(cls, path)
+    if specs is None:
+        raise ValueError(f"unknown field path {path!r}")
+    if operand is None:
+        return Condition(specs, op)
+    operand_specs = _condition_path(cls, operand)
+    if op == "eq" or op == "ne":
+        return Condition(specs, op, None if operand_specs else operand, operand_specs)
+    number = None if operand_specs else read_number(operand)
+    if not operand_specs and number is None:
+        raise ValueError(f"{atom!r} compares with {operand!r}, neither a field nor a number")
+    if any(side[-1].kind not in _NUMBER_KINDS for side in (specs, operand_specs) if side):
+        raise ValueError(f"{atom!r} orders a field that is not a number")
+    return Condition(specs, op, number, operand_specs)
+
+
+# ---------------------------------------------------------------------------
+# Sentiment classification (the map legend: negative / positive / other)
 
 @lru_cache(maxsize=None)
-def _sentiment_rules() -> tuple[_SentimentRule, ...]:
-    rules = []
+def _sentiment_table() -> dict[type, tuple[tuple[tuple[Condition, ...], Sentiment], ...]]:
+    """Each event class's (conditions, sentiment) rows, in file order."""
+    table: dict[type, list] = {}
     path = packaged_data_root() / "sentiment.tsv"
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"sentiment.tsv:{lineno}: expected 3 columns, got {len(parts)}")
-        variant, cond, sentiment = parts
-        if variant not in EVENT_TYPES:
-            raise ValueError(f"sentiment.tsv:{lineno}: unknown event type {variant!r}")
-        if cond == "*":
-            field = value = None
-        elif "=" in cond:
-            field, value = cond.split("=", 1)
-        else:
-            field, value = cond, None
-        spec = None if field is None else spec_by_element(EVENT_TYPES[variant], field)
-        if field is not None and spec is None:
-            raise ValueError(f"sentiment.tsv:{lineno}: unknown field {field!r}")
-        rules.append(_SentimentRule(variant, spec, value, Sentiment(sentiment)))
-    return tuple(rules)
+        try:
+            if len(parts) != 3:
+                raise ValueError(f"expected 3 columns, got {len(parts)}")
+            variant, cell, sentiment = parts
+            if variant not in EVENT_TYPES:
+                raise ValueError(f"unknown event type {variant!r}")
+            cls = EVENT_TYPES[variant]
+            table.setdefault(cls, []).append((read_conditions(cls, cell), Sentiment(sentiment)))
+        except ValueError as exc:
+            raise ValueError(f"sentiment.tsv:{lineno}: {exc}") from None
+    return {cls: tuple(rows) for cls, rows in table.items()}
 
 
 def leaf_token(spec: Optional[FieldSpec], value) -> str:
@@ -912,17 +999,10 @@ def classify_sentiment(event: NewsEvent) -> Sentiment:
     """Classify an event as Positive, Negative, or Other.
 
     Total and deterministic over all event types; driven by the shipped
-    classification table, first matching row wins.
+    classification table, whose conditions are the kb's, first matching
+    row wins.
     """
-    name = ELEMENT_OF_EVENT.get(type(event))
-    for rule in _sentiment_rules():
-        if rule.variant != name:
-            continue
-        if rule.spec is None:
-            return rule.sentiment
-        value = getattr(event, rule.spec.attr)
-        if value is None:
-            continue
-        if rule.value is None or leaf_token(rule.spec, value) == rule.value:
-            return rule.sentiment
+    for conditions, sentiment in _sentiment_table().get(type(event), ()):
+        if all(condition.holds(event) for condition in conditions):
+            return sentiment
     return Sentiment.OTHER

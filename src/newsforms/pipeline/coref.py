@@ -5,7 +5,10 @@ by, in order: exact full-name match, family-name match to a prior person,
 title match, and for pronouns the most recent prior person agreeing in
 sex (unknown sex matches either). Anything else gets a fresh identifier;
 an unresolvable pronoun is additionally flagged ambiguous. Identifiers
-look like PERSON3, ORG1, LOC4 and never mix entity kinds.
+look like PERSON3, ORG1, LOC4 and never mix entity kinds. A resolved
+pronoun reads as the person record of its entity's latest named mention,
+with the pronoun's sex where that record has none, so a pattern slot it
+fills carries the antecedent's name.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ class _Entity:
     kind: ReadingKind
     order: int  # creation index: later entities win lookups
     sex: Optional[Sex] = None
+    person: Optional[model.Person] = None  # the record of its latest named mention
 
 
 def _value_key(reading: EntityReading) -> Optional[str]:
@@ -143,6 +147,7 @@ class _Resolver:
                 self._carry(self.functions, function, entity)
             if entity.sex is None and isinstance(person.sex, Sex):
                 entity.sex = person.sex
+            entity.person = person
         else:
             key = _value_key(reading)
             if key:
@@ -164,6 +169,12 @@ def resolve_references(parses: list[SentenceParse]) -> list[SentenceParse]:
                     entity = resolver.fresh(ReadingKind.PERSON)
                     if mention.pronoun:
                         ambiguous = True
+                elif mention.pronoun and entity.person is not None:
+                    person = entity.person   # with the pronoun's sex where it has none
+                    if person.sex is None:
+                        person = replace(person, sex=primary.value.sex)
+                    mention = replace(mention, readings=(
+                        EntityReading(ReadingKind.PERSON, person),))
             else:
                 entity = resolver.resolve_value(primary)
                 if entity is None:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .. import model
-from ..lexicons import EntryKind, LexiconEntry, LexiconSet
+from ..lexicons import UNIT_DIMENSIONS, EntryKind, LexiconEntry, LexiconSet
 from .types import EntityMention, EntityReading, Pos, ReadingKind, Token
 
 # Lexicon kinds that stand alone as mentions; the rest feed the grammars.
@@ -46,13 +46,7 @@ _MONTHS = {"January", "February", "March", "April", "May", "June", "July",
 # free tokens so the pattern stage can match them as literals
 _STORM_WORDS = {"hurricane", "cyclone", "typhoon", "tropical"}
 
-_DIM_KIND = {
-    "percent": ReadingKind.PERCENT,
-    "distance": ReadingKind.DISTANCE,
-    "duration": ReadingKind.DURATION,
-    "speed": ReadingKind.SPEED,
-    "temperature": ReadingKind.TEMPERATURE,
-}
+_DIM_KIND = {dim: ReadingKind(dim.capitalize()) for dim in UNIT_DIMENSIONS}
 
 
 def _window_surface(tokens: list[Token], first: int, last: int) -> str:
@@ -94,7 +88,7 @@ def _reading_from_entry(entry: LexiconEntry) -> Optional[EntityReading]:
         value = model.Organization(full_name=entry.normalized, sport=entry.attr("sport"))
         return EntityReading(ReadingKind.ORGANIZATION, value)
     if kind is EntryKind.PRODUCT:
-        return EntityReading(ReadingKind.PRODUCT, entry.normalized, entry.attributes)
+        return EntityReading(ReadingKind.PRODUCT, entry.normalized)
     if kind is EntryKind.PERSON_NAME:
         given = entry.attr("given")
         family = entry.attr("family")
@@ -393,28 +387,24 @@ class _Scanner:
 
 
 def _merge_product_context(mentions: list[EntityMention]) -> list[EntityMention]:
-    """Fold an adjacent maker or model-year mention into a product mention."""
+    """Widen a product mention over an adjacent maker or model-year mention
+    before it (``United Airlines Boeing 777``, ``1999 Boeing 777``)."""
     out: list[EntityMention] = []
     for mention in mentions:
-        if (out and mention.primary_kind is ReadingKind.PRODUCT
-                and out[-1].last + 1 == mention.first):
-            prev = out[-1]
-            product = mention.readings[0]
-            if prev.primary_kind is ReadingKind.ORGANIZATION:
-                carrier = prev.readings[0].value.full_name
-                merged = EntityReading(ReadingKind.PRODUCT, product.value,
-                                       product.attrs + (("carrier", carrier),))
-                out[-1] = EntityMention(prev.first, mention.last, (merged,))
-                continue
-            if prev.primary_kind is ReadingKind.NUMBER:
-                year = prev.readings[0].value
-                if year == year.to_integral_value() and 1900 <= int(year) <= 2099:
-                    merged = EntityReading(ReadingKind.PRODUCT, product.value,
-                                           product.attrs + (("year", str(int(year))),))
-                    out[-1] = EntityMention(prev.first, mention.last, (merged,))
-                    continue
-        out.append(mention)
+        prev = out[-1] if out else None
+        if (prev and mention.primary_kind is ReadingKind.PRODUCT
+                and prev.last + 1 == mention.first
+                and (prev.primary_kind is ReadingKind.ORGANIZATION or _is_model_year(prev))):
+            out[-1] = EntityMention(prev.first, mention.last, mention.readings[:1])
+        else:
+            out.append(mention)
     return out
+
+
+def _is_model_year(mention: EntityMention) -> bool:
+    year = mention.readings[0].value
+    return (mention.primary_kind is ReadingKind.NUMBER
+            and year == year.to_integral_value() and 1900 <= int(year) <= 2099)
 
 
 def parse_entities(tokens: list[Token], lexicons: LexiconSet) -> list[EntityMention]:

@@ -63,13 +63,6 @@ class EntityReading:
 
     kind: ReadingKind
     value: object
-    attrs: tuple[tuple[str, str], ...] = ()
-
-    def attr(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        for k, v in self.attrs:
-            if k == key:
-                return v
-        return default
 
 
 @dataclass(frozen=True)

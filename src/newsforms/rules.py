@@ -20,7 +20,9 @@ compile and instantiate through one ``Template`` walk. Constants are
 checked as the validator checks document fields. Rules with more
 literals match first; file order breaks ties. Fragments of one event
 type merge into a single record per document, earliest sentence winning
-conflicts. A commonsense knowledge base then vets the merged events.
+conflicts. A commonsense knowledge base then vets the merged events; its
+rows spell their conditions in the language ``model.read_conditions``
+reads, which the sentiment table shares.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
-from decimal import Decimal
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -291,11 +292,10 @@ class Fragment:
 
 
 class _Item:
-    __slots__ = ("mention", "token_index", "text")
+    __slots__ = ("mention", "text")
 
-    def __init__(self, mention=None, token_index=None, text=None):
+    def __init__(self, mention=None, text=None):
         self.mention = mention
-        self.token_index = token_index
         self.text = text
 
 
@@ -311,7 +311,7 @@ def _items_for(parse: SentenceParse) -> list[_Item]:
             items.append(_Item(mention=mention))
             i = mention.last + 1
         else:
-            items.append(_Item(token_index=i, text=parse.tokens[i].text))
+            items.append(_Item(text=parse.tokens[i].text))
             i += 1
     return items
 
@@ -553,18 +553,10 @@ def merge_fragments(fragments: Sequence[Fragment]) -> MergeOutcome:
 # Commonsense knowledge base
 
 @dataclass(frozen=True)
-class Condition:
-    specs: tuple[FieldSpec, ...]    # the field tested
-    op: str                         # set | empty | ambiguous | eq | ne | lt | gt
-    value: Optional[str] = None     # token compared against, unless ...
-    value_specs: Optional[tuple[FieldSpec, ...]] = None  # ... it names a field
-
-
-@dataclass(frozen=True)
 class CommonsenseRule:
     rule_id: str
     variant: str
-    conditions: tuple[Condition, ...]
+    conditions: tuple[model.Condition, ...]
     action: str      # RejectFragment | DropField | PreferReading
     target: Optional[FieldSpec] = None   # the field DropField/PreferReading acts on
     prefer: Optional[type] = None        # the record class PreferReading wants
@@ -572,39 +564,6 @@ class CommonsenseRule:
 
 _ACTIONS = {"RejectFragment", "DropField", "PreferReading"}
 _PREFERABLE = {"Person": model.Person, "Organization": model.Organization}
-
-
-def _kb_path(cls: type, path: str) -> Optional[tuple[FieldSpec, ...]]:
-    """Spec chain of a condition path, or None. Conditions read one value,
-    so the path may end at, but not pass through, a list field or a field
-    of several record classes."""
-    specs = model.resolve_path(cls, path)
-    if specs is None or any(spec.is_list or len(spec.records) > 1
-                            for spec in specs[:-1]):
-        return None
-    return specs
-
-
-def _parse_condition(rule_id: str, variant_cls: type, atom: str) -> Condition:
-    atom = atom.strip()
-    for op_text, op in (("!=", "ne"), ("<", "lt"), (">", "gt"), ("=", "eq")):
-        if op_text in atom:
-            lhs, op_value = (side.strip() for side in atom.split(op_text, 1))
-            break
-    else:
-        parts = atom.split()
-        if len(parts) == 2 and parts[1] in ("set", "empty", "ambiguous"):
-            lhs, op = parts
-        elif len(parts) == 1:
-            lhs, op = parts[0], "set"
-        else:
-            raise RuleError(rule_id, f"bad condition {atom!r}")
-        op_value = None
-    specs = _kb_path(variant_cls, lhs)
-    if specs is None:
-        raise RuleError(rule_id, f"unknown field path {lhs!r}")
-    value_specs = _kb_path(variant_cls, op_value) if op_value else None
-    return Condition(specs, op, None if value_specs else op_value, value_specs)
 
 
 def compile_kb(source: str) -> list[CommonsenseRule]:
@@ -622,8 +581,10 @@ def compile_kb(source: str) -> list[CommonsenseRule]:
         if action not in _ACTIONS:
             raise RuleError(rule_id, f"unknown action {action!r}")
         cls = model.EVENT_TYPES[variant]
-        conditions = tuple(_parse_condition(rule_id, cls, atom)
-                           for atom in when.split("&"))
+        try:
+            conditions = model.read_conditions(cls, when)
+        except ValueError as exc:
+            raise RuleError(rule_id, str(exc)) from None
         target_spec = prefer = None
         if action == "DropField":
             target_spec = model.spec_by_element(cls, target)
@@ -651,44 +612,6 @@ def load_kb(directory) -> list[CommonsenseRule]:
     return rules
 
 
-def _value_at(event, specs):
-    values = model.values_at(event, specs)
-    return values[0] if values else None
-
-
-def _condition_holds(cond: Condition, draft: EventDraft) -> bool:
-    value = _value_at(draft.event, cond.specs)
-    if cond.op == "set":
-        return value is not None
-    if cond.op == "empty":
-        return value is None
-    if cond.op == "ambiguous":
-        return bool(draft.alternatives.get(cond.specs[0].attr))
-    if value is None:
-        return False
-    token = model.leaf_token(cond.specs[-1], value)
-    rhs_value, rhs_token = None, cond.value
-    if cond.value_specs is not None:
-        rhs_value = _value_at(draft.event, cond.value_specs)
-        if rhs_value is None:
-            return False
-        rhs_token = model.leaf_token(cond.value_specs[-1], rhs_value)
-    if cond.op == "eq":
-        return token == rhs_token
-    if cond.op == "ne":
-        return token != rhs_token
-    lhs_num = value if isinstance(value, (int, Decimal)) else None
-    rhs_num = rhs_value if isinstance(rhs_value, (int, Decimal)) else None
-    if rhs_num is None and rhs_token is not None:
-        try:
-            rhs_num = Decimal(rhs_token)
-        except ArithmeticError:
-            return False
-    if lhs_num is None or rhs_num is None:
-        return False
-    return lhs_num < rhs_num if cond.op == "lt" else lhs_num > rhs_num
-
-
 def apply_commonsense(events: Sequence, kb: Sequence[CommonsenseRule]):
     """Vet merged events against the knowledge base.
 
@@ -707,7 +630,7 @@ def apply_commonsense(events: Sequence, kb: Sequence[CommonsenseRule]):
         for rule in kb:
             if rule.variant != name:
                 continue
-            if not all(_condition_holds(c, draft) for c in rule.conditions):
+            if not all(c.holds(draft.event, draft.alternatives) for c in rule.conditions):
                 continue
             if rule.action == "RejectFragment":
                 diagnostics.append(Diagnostic(

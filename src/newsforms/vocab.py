@@ -17,10 +17,6 @@ class TokenEnum(Enum):
     def __str__(self) -> str:
         return self.value
 
-    @classmethod
-    def _missing_(cls, value):
-        return None
-
 
 class Sentiment(TokenEnum):
     POSITIVE = "Positive"

@@ -191,6 +191,7 @@ def test_query_nan_literal_is_exit_3(capsys, corpus_dir):
 
 
 @pytest.mark.parametrize("text", ["InjuryFatality.KilledCount = ١٤٣",
+                                  "InjuryFatality.KilledCount = 1_4_3",
                                   "InjuryFatality.KilledCount = abc",
                                   "InjuryFatality.KilledCount != abc"])
 def test_query_with_an_unreadable_number_is_exit_3(capsys, corpus_dir, text):
@@ -199,6 +200,47 @@ def test_query_with_an_unreadable_number_is_exit_3(capsys, corpus_dir, text):
     assert (code, out) == (3, "")
     assert err == (f"error: {literal!r} is not a number\n  {text}\n"
                    f"  {' ' * text.index(literal)}^\n")
+
+
+def test_query_with_a_padded_quoted_number_is_exit_3(capsys, corpus_dir):
+    text = 'InjuryFatality.KilledCount = "5 "'
+    code, out, err = run(capsys, "query", corpus_dir, text)
+    caret = " " * text.index('"') + "^"
+    assert (code, out) == (3, "")
+    assert err == f"error: '\"5 \"' is not a number\n  {text}\n  {caret}\n"
+
+
+@pytest.mark.parametrize("when, message", [
+    ("Rate<=PreviousRate", "condition 'Rate<=PreviousRate' needs one operator between two sides"),
+    ("Direction==Up", "condition 'Direction==Up' needs one operator between two sides"),
+    ("Direction=", "condition 'Direction=' needs one operator between two sides"),
+    ("Rate<high", "'Rate<high' compares with 'high', neither a field nor a number"),
+])
+def test_kb_row_that_spells_no_condition_is_exit_3(capsys, intro_file, tmp_path, when, message):
+    (tmp_path / "bad.tsv").write_text(f"bad-row\tEconomicRelease\t{when}\tDropField\tDirection\n",
+                                      encoding="utf-8")
+    code, out, err = run(capsys, "--kb", tmp_path, "extract", intro_file)
+    assert (code, out, err) == (3, "", f"error: bad-row: {message}\n")
+
+
+@pytest.mark.parametrize("filename, line, message", [
+    ("number_words.tsv", "zork\tNumberWord\tzork\tval=abc", "val is not a decimal: 'abc'"),
+    ("units.tsv", "blarg\tUnit\tblarg\tdim=volume",
+     "dim must be one of percent, distance, duration, speed, temperature, got 'volume'"),
+])
+def test_lexicon_attribute_the_scanner_cannot_read_is_exit_2(
+        capsys, data_root, intro_file, tmp_path, filename, line, message):
+    directory = tmp_path / "lexicons"
+    directory.mkdir()
+    for source in (data_root / "lexicons").iterdir():
+        (directory / source.name).write_bytes(source.read_bytes())
+    path = directory / filename
+    lines = path.read_text(encoding="utf-8").splitlines() + [line]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "--lexicons", directory, "extract", intro_file)
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot load lexicons from {directory}: "
+                   f"{path}:{len(lines)}: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

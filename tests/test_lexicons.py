@@ -102,6 +102,15 @@ def test_unknown_kind_rejected(tmp_path):
     ("thing\tGadget\tthing", "unknown entry kind 'Gadget'"),
     ("thing\tcity\tthing", "unknown entry kind 'city'"),
     ("Nowhere\tGadget\t", "unknown entry kind 'Gadget'"),
+    ("Nowhere\tCity\tNowhere\tlat=NaN", "lat is not a decimal: 'NaN'"),
+    ("Nowhere\tCity\tNowhere\tlat=1_0", "lat is not a decimal: '1_0'"),
+    ("zork\tNumberWord\tzork\tval=abc", "val is not a decimal: 'abc'"),
+    ("zork\tNumberWord\tzork\tmag=1e", "mag is not a decimal: '1e'"),
+    ("zork\tCurrencyUnit\tUSD\tscale=٤", "scale is not a decimal: '٤'"),
+    ("blarg\tUnit\tblarg\tdim=volume",
+     "dim must be one of percent, distance, duration, speed, temperature, got 'volume'"),
+    ("blarg\tUnit\tblarg",
+     "dim must be one of percent, distance, duration, speed, temperature, got None"),
 ])
 def test_malformed_line_reports_its_message_and_line_number(tmp_path, line, message):
     path = tmp_path / "bad.tsv"

@@ -308,6 +308,26 @@ def test_plain_trip_is_other():
     assert model.classify_sentiment(Trip()) is Sentiment.OTHER
 
 
+@pytest.mark.parametrize("text, number", [
+    ("5", "5"), ("5.0", "5.0"), ("5E0", "5"), ("-0.00", "-0.00"), ("+5", "5"),
+    (".5", "0.5"), ("5.", "5"), ("1e999999999", "1E+999999999"),
+    ("1_4_3", None), ("5 ", None), (" 5", None), ("١٤٣", None), ("NaN", None),
+    ("Infinity", None), ("1e", None), ("", None), ("-", None), ("1e99999999999999999999", None),
+])
+def test_read_number_takes_ascii_numbers_only(text, number):
+    assert model.read_number(text) == (None if number is None else Decimal(number))
+
+
+def test_a_sentiment_row_is_a_kb_condition():
+    assert model.read_conditions(Earnings, "*") == ()
+    assert model.read_conditions(Earnings, "GoodBad=Bad") == (
+        model.Condition(model.resolve_path(Earnings, "GoodBad"), "eq", "Bad"),)
+    set_row, = model.read_conditions(model.LegalEvent, "AccusationAction")
+    assert set_row.op == "set"
+    with pytest.raises(ValueError, match="needs one operator between two sides"):
+        model.read_conditions(Earnings, "GoodBad=")
+
+
 def test_sentiment_is_total_and_deterministic_over_all_types():
     for cls in model.EVENT_TYPES.values():
         event = cls()

@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from newsforms import model
 from newsforms.model import Location, Money, Organization, Person
 from newsforms.pipeline import analyze, chunk_noun_groups, coref, split_sentences, tag_pos
 from newsforms.pipeline.sentences import ABBREVIATIONS
@@ -289,6 +290,7 @@ class _OracleEntity:
     families: set = field(default_factory=set)
     functions: set = field(default_factory=set)
     values: set = field(default_factory=set)
+    person: Optional[Person] = None   # the record a resolved pronoun reads as
 
 
 class OracleResolver:
@@ -350,6 +352,7 @@ class OracleResolver:
                 entity.functions.add(function)
             if entity.sex is None and isinstance(person.sex, Sex):
                 entity.sex = person.sex
+            entity.person = person
         else:
             key = coref._value_key(reading)
             if key:
@@ -389,6 +392,31 @@ def test_indexed_resolver_matches_the_scanning_oracle(sentences):
     with mock.patch.object(coref, "_Resolver", OracleResolver):
         expected = coref.resolve_references(parses)
     assert coref.resolve_references(parses) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_MENTIONS, max_size=6), max_size=8))
+def test_a_resolved_pronoun_carries_its_antecedents_record(sentences):
+    parses = [SentenceParse(0, 0, (), tuple(mentions)) for mentions in sentences]
+    latest = {}   # entity id -> the person record of its latest named mention
+    for before, after in zip(parses, coref.resolve_references(parses)):
+        for mention, resolved in zip(before.mentions, after.mentions):
+            if mention.readings[0].kind is not ReadingKind.PERSON:
+                continue
+            person = resolved.readings[0].value
+            if not mention.pronoun:
+                latest[resolved.resolved_id] = person
+                continue
+            record = latest.get(resolved.resolved_id)
+            if record is None:   # no named antecedent: the pronoun reads as itself
+                assert resolved.readings == mention.readings
+                continue
+            for spec in model.specs_for(Person):
+                held = getattr(record, spec.attr)
+                if held is not None:
+                    assert getattr(person, spec.attr) == held
+            if record.sex is None:
+                assert person.sex == mention.readings[0].value.sex
 
 
 @pytest.mark.parametrize("unit", ["Mr. ", "Mr. she "])

@@ -547,6 +547,63 @@ def test_kb_right_hand_side_names_a_field_only_on_the_kb_path_language():
     assert events == []
 
 
+@pytest.mark.parametrize("when, message", [
+    ("Rate<=PreviousRate", "condition 'Rate<=PreviousRate' needs one operator between two sides"),
+    ("Direction==Up", "condition 'Direction==Up' needs one operator between two sides"),
+    ("Direction=", "condition 'Direction=' needs one operator between two sides"),
+    ("=Up", "condition '=Up' needs one operator between two sides"),
+    ("Rate<high", "'Rate<high' compares with 'high', neither a field nor a number"),
+    ("Rate<1_0", "'Rate<1_0' compares with '1_0', neither a field nor a number"),
+    ("Direction>0", "'Direction>0' orders a field that is not a number"),
+    ("Rate<Direction", "'Rate<Direction' orders a field that is not a number"),
+    ("Direction set empty", "bad condition 'Direction set empty'"),
+])
+def test_kb_rows_that_spell_no_condition_are_rule_errors(when, message):
+    with pytest.raises(RuleError) as info:
+        compile_kb(f"bad-row\tEconomicRelease\t{when}\tDropField\tDirection\n")
+    assert str(info.value) == f"bad-row: {message}"
+
+
+def test_kb_operands_are_read_when_the_table_loads():
+    by_number, = compile_kb("x\tEconomicRelease\tRate>5E0 & Rate<.75E1\tDropField\tRate\n")
+    assert [c.value for c in by_number.conditions] == [Decimal(5), Decimal("7.5")]
+    always, = compile_kb("x\tEconomicRelease\t*\tDropField\tRate\n")
+    assert always.conditions == ()
+    event = EconomicRelease(rate=Decimal("6"))
+    assert apply_commonsense([event], [by_number])[0] == [EconomicRelease()]
+    assert apply_commonsense([EconomicRelease(rate=Decimal("5"))], [by_number])[1] == []
+    assert apply_commonsense([event], [always])[0] == [EconomicRelease()]
+
+
+def test_a_pronoun_slot_fills_from_its_antecedent(lexicons, rules, kb):
+    text = "Lionel Jospin arrived in Paris on Monday. He was injured in a crash."
+    event, = extract(text, lexicons, rules, kb).document.events
+    assert event.injured == (Person(family="Jospin", given="Lionel", sex="Male"),)
+
+
+@settings(max_examples=40, deadline=None)
+@given(title=st.sampled_from(["", "Mr. ", "Mrs. ", "President "]),
+       given_name=st.sampled_from(["", "Lionel ", "Mary "]),
+       family=st.sampled_from(["Jospin", "Quonk"]),
+       pronoun=st.sampled_from(["He", "She"]))
+def test_a_resolved_person_slot_carries_its_antecedents_record(
+        lexicons, rules, kb, title, given_name, family, pronoun):
+    named = f"{title}{given_name}{family} arrived in Paris on Monday."
+    result = extract(f"{named} {pronoun} was injured in a crash.", lexicons, rules, kb)
+    antecedent = result.parses[0].mentions[0]
+    slot = next(m for m in result.parses[1].mentions if m.pronoun)
+    if slot.resolved_id != antecedent.resolved_id:
+        return   # the pronoun disagrees in sex and resolves to no one
+    record = analyze(named, lexicons)[0].mentions[0].readings[0].value
+    event, = result.document.events
+    person, = event.injured
+    for spec in model.specs_for(Person):
+        if getattr(record, spec.attr) is not None:
+            assert getattr(person, spec.attr) == getattr(record, spec.attr)
+    if record.sex is None:
+        assert person.sex.value == ("Male" if pronoun == "He" else "Female")
+
+
 # ---- end-to-end -----------------------------------------------------------------
 
 def test_extract_intro_matches_worked_example(lexicons, rules, kb):
