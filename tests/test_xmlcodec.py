@@ -1,6 +1,10 @@
 """Parsing and canonical serialization."""
 
+import collections
+import copy
+import hashlib
 import random
+import re
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -571,3 +575,91 @@ def test_stray_text_wins_over_an_earlier_child_error():
     with pytest.raises(SchemaError) as info:
         parse_newsform(xml, [])
     assert str(info.value) == "Trip: unexpected text content"
+
+
+# ---------------------------------------------------------------------------
+# Pinned outcomes: a seeded set of structurally mutated documents, each read
+# to its exception or its findings, digested. The mutations keep the XML
+# well-formed, so no message of the XML parser, which differs between
+# Python versions, enters the digest.
+
+# leaf texts: empty, out of range, an unknown token, an unknown code, other
+_PIN_TEXTS = (("", "   "), ("-1", "151", "-91", "181", "-0.5", "99999999999"),
+              ("Bogus", "two words", "bel", "x.Y"), ("ZZZ", "ZZ", "usd", "QQ"),
+              ("0", "1.5", "+7", "1e5", "abc", "5 mph", "Male", "Win", "19990101T000000Z"))
+_PIN_NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?$")
+_PIN_TAGS = ("Age", "Cause", "Country", "Amount", "Currency", "Person", "Organization",
+             "Given", "Sport", "Injured", "Mystery", "Head", "Trip", "City")
+_PIN_SPORTS = ("Martial Arts", "MartialArts", " Martial Arts ", "martial arts",
+               "Martial  Arts", "Martial_Arts")
+
+
+def _pin_mutate(root, rng):
+    """Apply one to three structural mutations to a document tree."""
+    for _ in range(rng.randrange(1, 4)):
+        elems = list(root.iter())
+        parents = {child: parent for parent in elems for child in parent}
+        elem = rng.choice(elems)
+        parent = parents.get(elem)
+        how = rng.randrange(11)
+        if how == 0 and parent is not None:      # duplicate
+            parent.insert(list(parent).index(elem), copy.deepcopy(elem))
+        elif how == 1 and parent is not None:    # drop
+            parent.remove(elem)
+        elif how == 2 and parent is not None:    # move, within or across parents
+            parent.remove(elem)
+            target = rng.choice([e for e in root.iter() if e is not elem])
+            target.insert(rng.randrange(len(target) + 1), elem)
+        elif how == 3 and parent is not None:    # rename
+            siblings = [c.tag for c in parent] + list(_PIN_TAGS)
+            elem.tag = rng.choice(siblings)
+        elif how in (4, 5, 6, 7):                # leaf text, numbers mostly out of range
+            leaves = [e for e in elems if len(e) == 0 and e.tag != "DatelineTime"]
+            if leaves:
+                leaf = rng.choice(leaves)
+                numeric = _PIN_NUMBER_RE.match(leaf.text or "") and rng.random() < 0.7
+                leaf.text = rng.choice(_PIN_TEXTS[1] if numeric else rng.choice(_PIN_TEXTS))
+        elif how == 8:                           # attribute
+            elem.set(rng.choice(("id", "lang", "x")), str(rng.randrange(10)))
+        elif how == 9:                           # stray text, or only space
+            stray = rng.choice(("stray", " ", "\n  ", "x "))
+            if parent is not None and rng.random() < 0.5:
+                elem.tail = stray
+            else:
+                elem.text = stray
+        else:                                    # a Sport in another spelling
+            sports = [e for e in elems if e.tag == "Sport"]
+            spelling = rng.choice(_PIN_SPORTS)
+            if sports:
+                rng.choice(sports).text = spelling
+            else:
+                event = ET.fromstring(f"<Competition><Sport>{spelling}</Sport></Competition>")
+                root.insert(rng.randrange(len(root) + 1), event)
+
+
+def _pin_outcome(text: str) -> tuple[str, str]:
+    """The kind of a document's outcome and its text: the exception class
+    and message, the findings, or the canonical form of a valid document."""
+    found = []
+    try:
+        form = parse_newsform(text, found)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    if found:
+        return "findings", "\n".join(f"{f.path}\t{f.code}\t{f.message}" for f in found)
+    return "valid", serialize_newsform(form)
+
+
+def test_mutated_document_outcomes_are_pinned():
+    rng = random.Random(160)
+    generator = DocGenerator(160)
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    for n in range(2000):
+        root = ET.fromstring(serialize_newsform(generator.document()))
+        _pin_mutate(root, rng)
+        kind, outcome = _pin_outcome(ET.tostring(root, encoding="unicode"))
+        kinds[kind] += 1
+        digest.update(f"{n}\t{kind}\n{outcome}\n".encode())
+    assert min(kinds.values()) >= 50, kinds
+    assert digest.hexdigest() == "36c8033a0e1bb0a128dc4bd64564b5c17dce7dfe9b4f2847fc067f3cef4ecdac"
