@@ -1,6 +1,9 @@
 """Corpus index and query engine over news-event documents.
 
-A corpus is a directory of ``*.newsform.xml`` files. The index holds the
+A corpus is a directory of ``*.newsform.xml`` files. ``corpus_paths``
+lists them as ``str`` paths, the directory joined to each name, which the
+reader opens and ``IndexedDoc.path`` and the ``skipped`` lines carry as
+they are; no Path object is built per file. The index holds the
 documents that read without an error or a finding; the reader checks each
 document as it parses it, so indexing walks a document once. Given an
 event type, the index keeps only the documents holding an event of that
@@ -193,19 +196,24 @@ def _read_shard(paths: list, start: int, stop: int, cls: Optional[type]):
     return docs, diagnostics
 
 
-def corpus_paths(directory) -> list[Path]:
-    """The directory's entries named ``*.newsform.xml``, in name order: the
-    list ``sorted(Path(directory).glob("*.newsform.xml"))`` gives, dot-files
-    and matching subdirectories included, but sorted as name strings rather
-    than as Path objects, which costs more than the listing itself."""
-    base = Path(directory)
+def corpus_paths(directory) -> list[str]:
+    """The directory's entries named ``*.newsform.xml``, in name order, as
+    path strings: those of the list ``sorted(Path(directory).glob(
+    "*.newsform.xml"))`` gives, dot-files and matching subdirectories
+    included, but sorted as name strings and joined to one normalized base
+    (``str(Path(directory))``; ``.`` gives no prefix) rather than built as
+    Path objects, which costs more than the listing itself."""
+    base = str(Path(directory))
     try:
         with os.scandir(base) as entries:
             names = sorted(entry.name for entry in entries
                            if entry.name.endswith(FILE_EXTENSION))
     except OSError:   # as with glob, a directory that cannot be listed lists nothing
         return []
-    return [base / name for name in names]
+    if base == ".":
+        return names
+    prefix = os.path.join(base, "")
+    return [prefix + name for name in names]
 
 
 # ---------------------------------------------------------------------------

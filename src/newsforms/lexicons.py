@@ -28,6 +28,7 @@ its two shorter token forms, ``washington`` and ``washington ,``."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -97,11 +98,16 @@ def _parse_attrs(raw: str, path, lineno: int) -> tuple[tuple[str, str], ...]:
     return tuple(attrs)
 
 
-# the attributes the entity scanner reads as numbers, each with its bound or None
+# the attributes the entity scanner reads as numbers, each with the largest
+# magnitude it takes: a coordinate's range; for a number word's value and
+# magnitude and a currency unit's scale, 10^28, as the scanner computes in
+# the default decimal context, whose 28-digit precision ``total % 10``
+# (twenty five) exceeds on a value above 10^29
 _COORDINATES = {"lat": 90, "lon": 180}
+_SCANNER_BOUND = Decimal("1e28")
 _NUMBER_ATTRS = {EntryKind.CITY: _COORDINATES, EntryKind.COUNTRY: _COORDINATES,
-                 EntryKind.NUMBER_WORD: {"val": None, "mag": None},
-                 EntryKind.CURRENCY_UNIT: {"scale": None}}
+                 EntryKind.NUMBER_WORD: {"val": _SCANNER_BOUND, "mag": _SCANNER_BOUND},
+                 EntryKind.CURRENCY_UNIT: {"scale": _SCANNER_BOUND}}
 
 # the dimensions a Unit names; each names its reading kind
 UNIT_DIMENSIONS = ("percent", "distance", "duration", "speed", "temperature")
@@ -115,7 +121,7 @@ def _check_attrs(entry: LexiconEntry, path, lineno: int):
         value = read_number(raw)
         if value is None:
             raise LexiconError(path, lineno, f"{key} is not a decimal: {raw!r}")
-        if bounds[key] is not None and not -bounds[key] <= value <= bounds[key]:
+        if not -bounds[key] <= value <= bounds[key]:
             raise LexiconError(path, lineno, f"{key} out of range: {raw}")
     if entry.kind is EntryKind.UNIT and entry.attr("dim") not in UNIT_DIMENSIONS:
         raise LexiconError(path, lineno, f"dim must be one of {', '.join(UNIT_DIMENSIONS)}, "

@@ -705,8 +705,7 @@ def build_record(cls: type, values: dict):
     set: the others read their default from the class, as a dataclass
     field with a default does."""
     record = object.__new__(cls)
-    for name, value in values.items():
-        object.__setattr__(record, name, value)
+    record.__dict__.update(values)
     return record
 
 

@@ -195,11 +195,18 @@ class _Scanner:
         return total, j
 
     def magnitudes(self, value: Decimal, j: int):
+        """The value times each magnitude word from j on (five million),
+        and the index after them. The product stays within the decimal
+        context: the word that would overflow it (10^1000000 or beyond)
+        ends the number, and the words from it on read as any others."""
         while j < self.n:
             entry = self.single(j, EntryKind.NUMBER_WORD)
             if entry is None or entry.attr("mag") is None:
                 break
-            value *= Decimal(entry.attr("mag"))
+            try:
+                value *= Decimal(entry.attr("mag"))
+            except ArithmeticError:   # decimal.Overflow
+                break
             j += 1
         return value, j
 
@@ -254,7 +261,10 @@ class _Scanner:
         entry = self.single(j, EntryKind.CURRENCY_UNIT)
         if entry is not None and entry.attr("sym") != "pre":
             scale = entry.attr("scale")
-            amount = value * Decimal(scale) if scale else value
+            try:
+                amount = value * Decimal(scale) if scale else value
+            except ArithmeticError:   # decimal.Overflow: the figure is no amount
+                return None
             return EntityReading(ReadingKind.MONEY, model.Money(amount, entry.normalized)), j
         unit = self.unit_at(j)
         if unit is not None:

@@ -209,7 +209,7 @@ def _compile_value(rule_id, spec: FieldSpec, elem: ET.Element, slots):
         return _compile_record(rule_id, spec.records[0], elem, slots)
     findings: list = []
     try:
-        value = xmlcodec.read_field(elem, spec, spec.element, findings)
+        value = xmlcodec.read_field(elem, spec, findings)
     except ValueError as exc:
         raise RuleError(rule_id, f"bad constant for <{spec.element}>: {exc}") from None
     if findings:

@@ -5,11 +5,19 @@ fields may spell the value inline or wrapped in an explicit ``<Person>`` /
 ``<Organization>`` element, and "Martial Arts" is accepted for the
 MartialArts sport token. Numbers and timestamps are read in ASCII digits only.
 
-Reading checks a document in the same walk: each field's reader, compiled
-from its ``FieldSpec``, parses the leaf text into the field's type and runs
-the field's value check from ``model``, so ``parse_newsform`` reports the
-findings ``model.validate`` would, in its order. An unknown vocabulary
-token is kept verbatim, as the subject of its finding.
+Reading checks a document in the same walk, one pass over each record's
+children driven by a table built once from ``model.CHILD_SPECS``: per
+record class, each child tag gives the field's attribute, whether it is a
+list, its rank in spec order, how its element is read (text kept, text
+parsed, an enum member looked up by value, a record, a person or
+organization) and the field's value check from ``model``. Leaf children,
+most of a document, are read inline in that loop, with no call but the
+parser and the check; an enum's known member needs no check. So
+``parse_newsform`` reports the findings ``model.validate`` would, in its
+order. An unknown vocabulary token is kept verbatim, as the subject of its
+finding. A child's paths, the input path an error names and the path
+``validate`` gives a finding, are built only where an error is raised, a
+finding is appended or a record child is read, not for every leaf.
 
 Output is canonical and byte-deterministic: UTF-8, no XML declaration, no
 attributes, 2-space indentation, children in each type's fixed order.
@@ -25,7 +33,6 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from decimal import Decimal
-from functools import partial
 from typing import Optional, Union
 
 from . import model
@@ -130,26 +137,24 @@ def parse_newsform(text: Union[str, bytes], findings: Optional[list] = None) -> 
     # validate reports the Head first; its one field, a timestamp, has no
     # value check, so the Head's place in the input does not matter
     found = [] if findings is None else findings
-    head = Head()
-    seen_head = False
+    head = None
     events = []
-    event_total = sum(1 for child in root if child.tag != "Head")
-    event_no = 0
+    tags = [child.tag for child in root]
+    several = len(tags) - tags.count("Head") > 1
     for child in root:
-        if child.tag == "Head":
-            if seen_head:
+        tag = child.tag
+        if tag == "Head":
+            if head is not None:
                 raise SchemaError("Head", "duplicate Head element")
-            seen_head = True
             head = _read_record(Head, child, "Head", "Head", found)
-        elif child.tag in model.EVENT_TYPES:
-            event_no += 1
-            path = f"{child.tag}[{event_no}]" if event_total > 1 else child.tag
-            event = _read_record(model.EVENT_TYPES[child.tag], child, path, path, found)
+        elif tag in model.EVENT_TYPES:
+            path = f"{tag}[{len(events) + 1}]" if several else tag
+            event = _read_record(model.EVENT_TYPES[tag], child, path, path, found)
             model.check_event_rules(found, path, event)
             events.append(event)
         else:
-            raise SchemaError(child.tag, f"unknown element <{child.tag}>")
-    return NewsForm(head=head, events=tuple(events))
+            raise SchemaError(tag, f"unknown element <{tag}>")
+    return model.build_record(NewsForm, {"head": head or Head(), "events": tuple(events)})
 
 
 def _decode(data: bytes) -> str:
@@ -164,74 +169,137 @@ def _decode(data: bytes) -> str:
 
 
 def read_newsform(path, findings: Optional[list] = None) -> NewsForm:
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:   # one read: no buffer to fill
         return parse_newsform(fh.read(), findings)
 
 
 def _reject_attributes(elem: ET.Element, path: str):
-    if elem.attrib:
-        name = next(iter(elem.attrib))
-        raise SchemaError(path, f"attributes are not allowed ({name!r})")
+    # ``keys()`` rather than ``attrib``, which makes a dict for an element
+    # that has none
+    names = elem.keys()
+    if names:
+        raise SchemaError(path, f"attributes are not allowed ({names[0]!r})")
 
 
 def _reject_text(elem: ET.Element, path: str):
-    if elem.text and elem.text.strip():
+    text = elem.text
+    if text and not text.isspace():
         raise SchemaError(path, "unexpected text content")
     for child in elem:
-        if child.tail and child.tail.strip():
+        tail = child.tail
+        if tail and not tail.isspace():
             raise SchemaError(path, "unexpected text content")
 
 
-# Each field's reader, ``read(elem, path, fpath, found)``, converts its
-# element into the field's value and appends the value's findings to
-# ``found``. ``path`` locates errors in the input; ``fpath`` is the path
-# ``model.validate`` gives the value's findings, which differs inside a
-# wrapped person or organization (no wrapper element) and for the items of
-# a list of several (``Injured[2]``).
+# Each record class's table maps a child tag to (attribute, list field?,
+# rank in spec order, how, read, value check); ``how`` says what ``read``
+# is: None for text the leaf keeps (_TEXT), a parser of the stripped text
+# that raises ValueError with its message (_PARSE), an enum's members by
+# value (_ENUM), a record class (_RECORD), or None for a person or
+# organization (_EITHER). ``path`` locates errors in the input; ``fpath``
+# is the path ``model.validate`` gives the value's findings, which differs
+# inside a wrapped person or organization (no wrapper element) and for the
+# items of a list of several (``Injured[2]``).
+
+_TEXT, _PARSE, _ENUM, _RECORD, _EITHER = range(5)
+
+
+class _Members(dict):
+    """An enum's members by value. A value not among them is read by the
+    enum itself, which may take another spelling (``Sport`` reads
+    ``Martial Arts`` through ``_missing_``), or else kept as the text."""
+
+    def __init__(self, enum: type):
+        super().__init__((member.value, member) for member in enum)
+        self.enum = enum
+
+    def __missing__(self, text: str):
+        try:
+            return self.enum(text)
+        except ValueError:
+            return text
+
+
+def _join(path: str, tag: str) -> str:
+    return f"{path}/{tag}" if path else tag
+
 
 def _read_record(cls: type, elem: ET.Element, path: str, fpath: str, found: list):
     _reject_attributes(elem, path)
     _reject_text(elem, path)
-    fields = _FIELDS[cls]
+    values = _read_fields(_FIELDS[cls], elem, path, fpath, found)
+    if cls is Money and len(values) < 2:
+        raise SchemaError(path, "money needs both <Amount> and <Currency>")
+    return model.build_record(cls, values)
+
+
+def _read_fields(fields: dict, children, path: str, fpath: str, found: list) -> dict:
+    """The field values of ``children``, read through ``fields``, a
+    record class's table; the record's findings go to ``found`` in spec
+    order."""
     values: dict[str, object] = {}
     lists = None     # list field -> whether it has several items
     runs = None      # (spec rank, first finding) of each child that found any
-    for child in elem:
+    for child in children:
         tag = child.tag
         entry = fields.get(tag)
         if entry is None:
-            raise SchemaError(f"{path}/{tag}", f"unknown element <{tag}>")
-        attr, is_list, rank, read = entry
-        child_path = f"{path}/{tag}"
-        child_fpath = child_path if fpath is path else f"{fpath}/{tag}"
-        mark = len(found)
-        if is_list:
-            if lists is None:
-                lists = {}
-            if attr not in lists:
-                lists[attr] = sum(1 for other in elem if other.tag == tag) > 1
-                values[attr] = []
-            items = values[attr]
-            if lists[attr]:
-                child_fpath = f"{child_fpath}[{len(items) + 1}]"
-            items.append(read(child, child_path, child_fpath, found))
-        else:
-            value = read(child, child_path, child_fpath, found)
-            if attr in values:
-                raise SchemaError(child_path, f"<{tag}> may appear at most once")
-            values[attr] = value
-        if len(found) > mark:
-            if runs is None:
-                runs = []
-            runs.append((rank, mark))
+            raise SchemaError(_join(path, tag), f"unknown element <{tag}>")
+        attr, is_list, rank, how, read, check = entry
+        if how < _RECORD:   # a leaf; never a list item
+            if len(child) or child.keys():
+                _reject_attributes(child, _join(path, tag))
+                raise SchemaError(_join(path, tag), f"<{tag}> must not contain child elements")
+            text = child.text
+            value = text.strip() if text else ""
+            if how == _ENUM:
+                value = read[value]
+                if value.__class__ is not str:   # a member: its check holds
+                    check = None
+            elif how == _PARSE:
+                try:
+                    value = read(value)
+                except ValueError as exc:
+                    raise FieldTypeError(_join(path, tag), str(exc)) from None
+            if check is not None:
+                problem = check(value)
+                if problem is not None:
+                    if runs is None:
+                        runs = []
+                    runs.append((rank, len(found)))
+                    found.append(model.Finding(_join(fpath, tag), *problem))
+        else:   # a record, read under its own paths
+            mark = len(found)
+            child_path = _join(path, tag)
+            child_fpath = _join(fpath, tag)
+            if is_list:
+                if lists is None:
+                    lists = {}
+                if attr not in lists:
+                    lists[attr] = [other.tag for other in children].count(tag) > 1
+                    values[attr] = []
+                if lists[attr]:
+                    child_fpath = f"{child_fpath}[{len(values[attr]) + 1}]"
+            if how == _RECORD:
+                value = _read_record(read, child, child_path, child_fpath, found)
+            else:
+                value = _read_org_or_person(child, child_path, child_fpath, found)
+            if len(found) > mark:
+                if runs is None:
+                    runs = []
+                runs.append((rank, mark))
+            if is_list:
+                values[attr].append(value)
+                continue
+        if attr in values:
+            raise SchemaError(_join(path, tag), f"<{tag}> may appear at most once")
+        values[attr] = value
     if runs is not None and len(runs) > 1:
         _in_spec_order(found, runs)
     if lists is not None:
         for attr in lists:
             values[attr] = tuple(values[attr])
-    if cls is Money and len(values) < 2:
-        raise SchemaError(path, "money needs both <Amount> and <Currency>")
-    return model.build_record(cls, values)
+    return values
 
 
 def _in_spec_order(found: list, runs: list):
@@ -254,8 +322,8 @@ def _read_org_or_person(elem: ET.Element, path: str, fpath: str, found: list):
         cls = Person if inner.tag == "Person" else Organization
         return _read_record(cls, inner, f"{path}/{inner.tag}", fpath, found)
     names = {child.tag for child in children}
-    has_person = bool(names & _PERSON_ONLY)
-    has_org = bool(names & _ORG_ONLY)
+    has_person = not names.isdisjoint(_PERSON_ONLY)
+    has_org = not names.isdisjoint(_ORG_ONLY)
     if has_person and has_org:
         raise SchemaError(path, "mixes Person-only and Organization-only children")
     # Only shared children (Email/URL) or empty: read as Person. The
@@ -264,43 +332,37 @@ def _read_org_or_person(elem: ET.Element, path: str, fpath: str, found: list):
     return _read_record(cls, elem, path, fpath, found)
 
 
-def _parse_int(text: str, path: str) -> int:
+# Each leaf parser takes the stripped text and returns the field's value,
+# or raises ValueError with the message the reader gives the path.
+
+def _parse_int(text: str) -> int:
     if not _INT_RE.match(text):
-        raise FieldTypeError(path, f"not an integer: {text!r}")
+        raise ValueError(f"not an integer: {text!r}")
     try:
         return int(text)
     except ValueError:   # more digits than the interpreter converts
-        raise FieldTypeError(path, f"integer too long to read ({len(text)} characters)") from None
+        raise ValueError(f"integer too long to read ({len(text)} characters)") from None
 
 
-def _parse_decimal(text: str, path: str) -> Decimal:
+def _parse_decimal(text: str) -> Decimal:
     if not _DECIMAL_RE.match(text):
-        raise FieldTypeError(path, f"not a decimal number: {text!r}")
+        raise ValueError(f"not a decimal number: {text!r}")
     return Decimal(text)
 
 
-def _parse_timestamp(text: str, path: str):
+def _parse_timestamp(text: str):
     try:
         return model.parse_timestamp(text)
     except ValueError:
-        raise FieldTypeError(
-            path, f"not a basic-format UTC timestamp (YYYYMMDDTHHMMSSZ): {text!r}") from None
+        raise ValueError(
+            f"not a basic-format UTC timestamp (YYYYMMDDTHHMMSSZ): {text!r}") from None
 
 
-def _parse_measure(text: str, path: str) -> Measure:
+def _parse_measure(text: str) -> Measure:
     match = _MEASURE_RE.match(text)
     if not match:
-        raise FieldTypeError(path, f"not a 'value unit' measure: {text!r}")
+        raise ValueError(f"not a 'value unit' measure: {text!r}")
     return Measure(Decimal(match.group(1)), match.group(2))
-
-
-def _enum_parser(vocabulary: type):
-    def parse(text: str, path: str):
-        try:
-            return vocabulary(text)
-        except ValueError:
-            return text   # kept verbatim; the value check reports it
-    return parse
 
 
 # the text parser of each leaf kind; the other kinds keep the text
@@ -310,42 +372,35 @@ _LEAF_PARSERS = {
 }
 
 
-def _reader(spec: model.FieldSpec):
-    """The reader of one field's element, compiled from its spec."""
+def _entry(rank: int, spec: model.FieldSpec) -> tuple:
+    """A field's entry in its record class's table (see above)."""
     if len(spec.records) > 1:
-        return _read_org_or_person
-    if spec.records:
-        return partial(_read_record, spec.records[0])
-    parse = _enum_parser(spec.enum) if spec.kind is FieldKind.ENUM \
-        else _LEAF_PARSERS.get(spec.kind)
-    check = spec.value_check
-
-    def read(elem: ET.Element, path: str, fpath: str, found: list):
-        if elem.attrib or len(elem):
-            _reject_attributes(elem, path)
-            raise SchemaError(path, f"<{elem.tag}> must not contain child elements")
-        text = elem.text
-        value = text.strip() if text else ""
-        if parse is not None:
-            value = parse(value, path)
-        if check is not None:
-            problem = check(value)
-            if problem is not None:
-                found.append(model.Finding(fpath, *problem))
-        return value
-    return read
+        how, read = _EITHER, None
+    elif spec.records:
+        how, read = _RECORD, spec.records[0]
+    elif spec.kind is FieldKind.ENUM:
+        how, read = _ENUM, _MEMBERS[spec.enum]
+    elif spec.kind in _LEAF_PARSERS:
+        how, read = _PARSE, _LEAF_PARSERS[spec.kind]
+    else:
+        how, read = _TEXT, None
+    return spec.attr, spec.is_list, rank, how, read, spec.value_check
 
 
-# tag -> (attribute, list field?, rank in spec order, reader), per record class
-_FIELDS = {cls: {spec.element: (spec.attr, spec.is_list, rank, _reader(spec))
-                 for rank, spec in enumerate(specs)}
+_MEMBERS = {spec.enum: _Members(spec.enum) for specs in model.CHILD_SPECS.values()
+            for spec in specs if spec.enum is not None}
+
+_FIELDS = {cls: {spec.element: _entry(rank, spec) for rank, spec in enumerate(specs)}
            for cls, specs in model.CHILD_SPECS.items()}
 
 
-def read_field(elem: ET.Element, spec: model.FieldSpec, path: str, findings: list):
-    """One field's value read from its element at ``path``, as the
-    document reader reads it; its findings are appended to ``findings``."""
-    return _reader(spec)(elem, path, path, findings)
+def read_field(elem: ET.Element, spec: model.FieldSpec, findings: list):
+    """One field's value read from its element, whose tag is the path its
+    errors and findings give, by the document reader's own code; its
+    findings are appended to ``findings``. An item of a list field is read
+    alone."""
+    value = _read_fields({elem.tag: _entry(0, spec)}, (elem,), "", "", findings)[spec.attr]
+    return value[0] if spec.is_list else value
 
 
 # ---------------------------------------------------------------------------

@@ -225,11 +225,24 @@ def test_kb_row_that_spells_no_condition_is_exit_3(capsys, intro_file, tmp_path,
 
 @pytest.mark.parametrize("filename, line, message", [
     ("number_words.tsv", "zork\tNumberWord\tzork\tval=abc", "val is not a decimal: 'abc'"),
+    ("number_words.tsv", "zork\tNumberWord\tzork\tval=1e30", "val out of range: 1e30"),
+    ("number_words.tsv", "zork\tNumberWord\tzork\tval=1e999999999",
+     "val out of range: 1e999999999"),
     ("units.tsv", "blarg\tUnit\tblarg\tdim=volume",
      "dim must be one of percent, distance, duration, speed, temperature, got 'volume'"),
 ])
 def test_lexicon_attribute_the_scanner_cannot_read_is_exit_2(
         capsys, data_root, intro_file, tmp_path, filename, line, message):
+    directory, path, lineno = _lexicons_with(data_root, tmp_path, filename, line)
+    code, out, err = run(capsys, "--lexicons", directory, "extract", intro_file)
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot load lexicons from {directory}: "
+                   f"{path}:{lineno}: {message}\n")
+
+
+def _lexicons_with(data_root, tmp_path, filename, line):
+    """A copy of the packaged lexicons with ``line`` appended to
+    ``filename``: the directory, the file and the line's number."""
     directory = tmp_path / "lexicons"
     directory.mkdir()
     for source in (data_root / "lexicons").iterdir():
@@ -237,10 +250,28 @@ def test_lexicon_attribute_the_scanner_cannot_read_is_exit_2(
     path = directory / filename
     lines = path.read_text(encoding="utf-8").splitlines() + [line]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, out, err = run(capsys, "--lexicons", directory, "extract", intro_file)
-    assert (code, out) == (2, "")
-    assert err == (f"error: cannot load lexicons from {directory}: "
-                   f"{path}:{len(lines)}: {message}\n")
+    return directory, path, len(lines)
+
+
+def test_number_word_at_the_lexicon_bound_extracts(capsys, data_root, tmp_path):
+    directory, _, _ = _lexicons_with(data_root, tmp_path, "number_words.tsv",
+                                     "zork\tNumberWord\tzork\tval=1e28")
+    story = tmp_path / "story.txt"
+    story.write_text("Officials said zork zork people died.", encoding="utf-8")
+    code, out, err = run(capsys, "--lexicons", directory, "extract", story)
+    assert (code, err) == (0, "")
+    assert "<KilledCount>10000000000000000000000000000</KilledCount>" in out
+
+
+@pytest.mark.parametrize("first", ["one", "5"])
+def test_magnitude_words_past_the_decimal_range_are_no_traceback(capsys, tmp_path, first):
+    # 83,333 trillions make 10^999996; the next would overflow the decimal
+    # context, so the number ends before it and no count binds
+    story = tmp_path / "story.txt"
+    story.write_text(f"Officials said {first} " + "trillion " * 83334 + "people died.",
+                     encoding="utf-8")
+    code, out, err = run(capsys, "extract", story)
+    assert (code, out, err) == (0, "<NewsForm>\n  <Head/>\n</NewsForm>\n", "")
 
 
 @pytest.mark.parametrize("argv", [

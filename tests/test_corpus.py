@@ -535,11 +535,10 @@ def test_corpus_paths_equal_sorted_glob(tmp_path, monkeypatch, directory, cwd):
     (c / "sub.newsform.xml").mkdir()
     (c / "sub.newsform.xml" / "inner.newsform.xml").write_text("")
     monkeypatch.chdir(tmp_path / cwd)
-    expected = sorted(Path(directory).glob("*.newsform.xml"))
+    expected = [str(p) for p in sorted(Path(directory).glob("*.newsform.xml"))]
     listed = corpus_paths(directory)
     assert listed == expected
-    assert [str(p) for p in listed] == [str(p) for p in expected]
-    assert [p.name for p in listed] == [
+    assert [Path(p).name for p in listed] == [
         ".hidden.newsform.xml", ".newsform.xml", "B.newsform.xml", "Z.newsform.xml",
         "a b.newsform.xml", "a.newsform.xml", "b.newsform.xml", "sub.newsform.xml",
         "é.newsform.xml"]

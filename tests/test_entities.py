@@ -462,3 +462,23 @@ def test_trailing_range_word_after_a_number_is_no_error(lexicons):
     parses = analyze("He paid 3 to", lexicons)
     _, mention = mention_by_text(parses, "3")
     assert mention.readings[0].kind is ReadingKind.NUMBER
+
+
+# 10^(28 * 35714) = 10^999992 is the largest power of 10^28 the default
+# decimal context holds (Emax 999999)
+_ZILLIONS = 35714
+
+
+def test_magnitude_words_stop_composing_before_the_value_overflows(tmp_path):
+    path = tmp_path / "numbers.tsv"
+    path.write_text("one\tNumberWord\t1\tval=1\n"
+                    "zillion\tNumberWord\tzillion\tmag=1e28\n"
+                    "grand\tCurrencyUnit\tUSD\tscale=1e28\n")
+    lexicons = load_lexicon(path, case_sensitive=False)
+    for tail in ("zillion left.", "grand left."):
+        parses = analyze("one " + "zillion " * _ZILLIONS + tail, lexicons)
+        parse, mention = flat_mentions(parses)[0]
+        assert (mention.first, mention.last) == (0, _ZILLIONS)
+        # the next magnitude, or a scale, would overflow: a plain number
+        assert [(r.kind, r.value) for r in mention.readings] == [
+            (ReadingKind.NUMBER, Decimal(10) ** (28 * _ZILLIONS))]

@@ -107,6 +107,11 @@ def test_unknown_kind_rejected(tmp_path):
     ("zork\tNumberWord\tzork\tval=abc", "val is not a decimal: 'abc'"),
     ("zork\tNumberWord\tzork\tmag=1e", "mag is not a decimal: '1e'"),
     ("zork\tCurrencyUnit\tUSD\tscale=٤", "scale is not a decimal: '٤'"),
+    ("zork\tNumberWord\tzork\tval=1e30", "val out of range: 1e30"),
+    ("zork\tNumberWord\tzork\tval=1e999999999", "val out of range: 1e999999999"),
+    ("zork\tNumberWord\tzork\tmag=-10000000000000000000000000001",
+     "mag out of range: -10000000000000000000000000001"),
+    ("zork\tCurrencyUnit\tUSD\tscale=1.1e28", "scale out of range: 1.1e28"),
     ("blarg\tUnit\tblarg\tdim=volume",
      "dim must be one of percent, distance, duration, speed, temperature, got 'volume'"),
     ("blarg\tUnit\tblarg",
