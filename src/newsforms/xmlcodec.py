@@ -201,7 +201,7 @@ def _reject_text(elem: ET.Element, path: str):
 # inside a wrapped person or organization (no wrapper element) and for the
 # items of a list of several (``Injured[2]``).
 
-_TEXT, _PARSE, _ENUM, _RECORD, _EITHER = range(5)
+_TEXT, _PARSE, _ENUM, _RECORD, _EITHER = range(5)   # the leaf ways below _RECORD
 
 
 class _Members(dict):
