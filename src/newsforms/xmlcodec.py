@@ -5,19 +5,16 @@ fields may spell the value inline or wrapped in an explicit ``<Person>`` /
 ``<Organization>`` element, and "Martial Arts" is accepted for the
 MartialArts sport token. Numbers and timestamps are read in ASCII digits only.
 
-Reading checks a document in the same walk, one pass over each record's
-children driven by a table built once from ``model.CHILD_SPECS``: per
-record class, each child tag gives the field's attribute, whether it is a
-list, its rank in spec order, how its element is read (text kept, text
-parsed, an enum member looked up by value, a record, a person or
-organization) and the field's value check from ``model``. Leaf children,
-most of a document, are read inline in that loop, with no call but the
-parser and the check; an enum's known member needs no check. So
-``parse_newsform`` reports the findings ``model.validate`` would, in its
-order. An unknown vocabulary token is kept verbatim, as the subject of its
-finding. A child's paths, the input path an error names and the path
-``validate`` gives a finding, are built only where an error is raised, a
-finding is appended or a record child is read, not for every leaf.
+Reading checks a document in the same walk: one pass over each record's
+children through its class's table, built once from ``model.CHILD_SPECS``,
+which gives each child tag its field, how the element is read and the
+field's value check from ``model``. Leaves, most of a document, are read
+inline in that loop; an enum leaf is looked up among its members by value,
+and a known member needs no check. So ``parse_newsform`` reports the
+findings ``model.validate`` would, in its order. An unknown vocabulary
+token is kept verbatim, as the subject of its finding. A child's paths are
+built only where an error is raised, a finding is appended or a record
+child is read.
 
 Output is canonical and byte-deterministic: UTF-8, no XML declaration, no
 attributes, 2-space indentation, children in each type's fixed order.
