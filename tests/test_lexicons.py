@@ -1,7 +1,11 @@
 """Lexicon loading and ambiguity-preserving lookup."""
 
+import hashlib
+from decimal import Decimal
+
 import pytest
 
+from newsforms import model
 from newsforms.lexicons import (
     EntryKind,
     LexiconError,
@@ -204,3 +208,22 @@ def test_manifest_rejects_unknown_flags(tmp_path):
     (tmp_path / "manifest").write_text("a.tsv\tloud\n")
     with pytest.raises(LexiconError):
         load_lexicon_set(tmp_path)
+
+
+# sha256 of every packaged lexicon bucket as loaded: the folded key, each
+# entry's exact key, surface, kind, normalized value and attributes, number
+# attributes spelled with ``model.format_decimal``
+_PACKAGED_BUCKETS_DIGEST = "2b31962da6380e50f5643790416bdfae289c89612cc8a62da030f01ce83da772"
+_NUMBER_KEYS = {"lat", "lon", "val", "mag", "scale"}
+
+
+def test_packaged_lexicon_buckets_are_pinned(lexicons):
+    digest = hashlib.sha256()
+    for folded, bucket in lexicons.index.items():
+        for key, entry in bucket:
+            attrs = ";".join(f"{k}={model.format_decimal(Decimal(v)) if k in _NUMBER_KEYS else v}"
+                             for k, v in entry.attributes)
+            digest.update(f"{folded}\t{key}\t{entry.surface}\t{entry.kind.value}\t"
+                          f"{entry.normalized}\t{attrs}\n".encode())
+    assert len(lexicons) == 1223
+    assert digest.hexdigest() == _PACKAGED_BUCKETS_DIGEST
