@@ -5,8 +5,9 @@ A lexicon is a TSV file: ``surface<TAB>kind<TAB>normalized<TAB>attrs`` with
 carry several entries, across files or within one; lookup always returns
 all of them, in load order, so downstream stages see every ambiguity
 (New York the city, the state, and several teams). Each number attribute
-the entity scanner reads must read through ``model.read_number``, and each
-``Unit`` must name one of ``UNIT_DIMENSIONS`` as its ``dim``.
+the entity scanner reads must read through ``model.read_number`` and is
+kept as that decimal, and each ``Unit`` must name one of
+``UNIT_DIMENSIONS`` as its ``dim``.
 
 A manifest file in the lexicon directory lists the files to load, in
 order; a second column ``ci`` marks a lexicon as case-insensitive (number
@@ -31,9 +32,10 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 from .model import read_number
+from .resources import rows
 
 
 class EntryKind(Enum):
@@ -68,34 +70,13 @@ class LexiconEntry:
     surface: str
     kind: EntryKind
     normalized: str
-    attributes: tuple[tuple[str, str], ...] = ()
+    attributes: tuple[tuple[str, Union[str, Decimal]], ...] = ()
 
-    def attr(self, key: str, default: Optional[str] = None) -> Optional[str]:
+    def attr(self, key: str, default=None) -> Union[str, Decimal, None]:
         for k, v in self.attributes:
             if k == key:
                 return v
         return default
-
-
-def _parse_attrs(raw: str, path, lineno: int) -> tuple[tuple[str, str], ...]:
-    attrs: list[tuple[str, str]] = []
-    seen = set()
-    for piece in raw.split(";"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" not in piece:
-            raise LexiconError(path, lineno, f"bad attribute (need key=value): {piece!r}")
-        key, value = piece.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise LexiconError(path, lineno, f"bad attribute (empty key or value): {piece!r}")
-        if key in seen:
-            raise LexiconError(path, lineno, f"duplicate attribute key {key!r}")
-        seen.add(key)
-        attrs.append((key, value))
-    return tuple(attrs)
 
 
 # the attributes the entity scanner reads as numbers, each with the largest
@@ -113,29 +94,48 @@ _NUMBER_ATTRS = {EntryKind.CITY: _COORDINATES, EntryKind.COUNTRY: _COORDINATES,
 UNIT_DIMENSIONS = ("percent", "distance", "duration", "speed", "temperature")
 
 
-def _check_attrs(entry: LexiconEntry, path, lineno: int):
-    bounds = _NUMBER_ATTRS.get(entry.kind, {})
-    for key, raw in entry.attributes:
-        if key not in bounds:
+def _read_attrs(raw: str, kind: EntryKind, path, lineno: int) -> tuple:
+    """A line's ``key=value`` attributes, each checked as it is read; a
+    number the entity scanner reads is kept as the decimal it spells."""
+    bounds = _NUMBER_ATTRS.get(kind, {})
+    attrs: dict[str, Union[str, Decimal]] = {}
+    for piece in raw.split(";"):
+        piece = piece.strip()
+        if not piece:
             continue
-        value = read_number(raw)
-        if value is None:
-            raise LexiconError(path, lineno, f"{key} is not a decimal: {raw!r}")
-        if not -bounds[key] <= value <= bounds[key]:
-            raise LexiconError(path, lineno, f"{key} out of range: {raw}")
-    if entry.kind is EntryKind.UNIT and entry.attr("dim") not in UNIT_DIMENSIONS:
+        if "=" not in piece:
+            raise LexiconError(path, lineno, f"bad attribute (need key=value): {piece!r}")
+        key, value = piece.split("=", 1)
+        key = key.strip()
+        value = value.strip()
+        if not key or not value:
+            raise LexiconError(path, lineno, f"bad attribute (empty key or value): {piece!r}")
+        if key in attrs:
+            raise LexiconError(path, lineno, f"duplicate attribute key {key!r}")
+        if key in bounds:
+            number = read_number(value)
+            if number is None:
+                raise LexiconError(path, lineno, f"{key} is not a decimal: {value!r}")
+            if not -bounds[key] <= number <= bounds[key]:
+                raise LexiconError(path, lineno, f"{key} out of range: {value}")
+            value = number
+        attrs[key] = value
+    if kind is EntryKind.UNIT and attrs.get("dim") not in UNIT_DIMENSIONS:
         raise LexiconError(path, lineno, f"dim must be one of {', '.join(UNIT_DIMENSIONS)}, "
-                                         f"got {entry.attr('dim')!r}")
+                                         f"got {attrs.get('dim')!r}")
+    return tuple(attrs.items())
 
 
 @dataclass
 class LexiconSet:
     """One index over every loaded entry: the case-folded, whitespace-normalised
     surface maps to ``(exact surface, or None in a ci file; entry)`` pairs in
-    load order; ``prefixes`` holds the folded word prefixes of every key."""
+    load order; ``prefixes`` holds the folded word prefixes of every key;
+    ``readings``, no part of ``==``, memoizes the entity scanner's readings."""
 
     index: dict[str, list[tuple[Optional[str], LexiconEntry]]] = field(default_factory=dict)
     prefixes: set[str] = field(default_factory=set)
+    readings: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self.index.values())
@@ -153,11 +153,7 @@ def _add_file(lexicons: LexiconSet, path: Path, case_sensitive: bool):
     """Add one TSV lexicon; malformed lines raise with their line number. A
     (surface, kind, normalized) triple repeated within the file is kept once."""
     index, seen = lexicons.index, set()
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        columns = raw.split("\t")
+    for lineno, columns in rows(path.read_text(encoding="utf-8")):
         if len(columns) not in (3, 4):
             raise LexiconError(path, lineno, f"expected 3 or 4 tab-separated columns, got {len(columns)}")
         surface, kind_token, normalized = columns[0].strip(), columns[1].strip(), columns[2].strip()
@@ -168,9 +164,7 @@ def _add_file(lexicons: LexiconSet, path: Path, case_sensitive: bool):
             raise LexiconError(path, lineno, f"unknown entry kind {kind_token!r}")
         if not normalized:
             raise LexiconError(path, lineno, "empty normalized value")
-        attrs = _parse_attrs(columns[3], path, lineno) if len(columns) == 4 else ()
-        entry = LexiconEntry(surface, kind, normalized, attrs)
-        _check_attrs(entry, path, lineno)
+        attrs = _read_attrs(columns[3] if len(columns) == 4 else "", kind, path, lineno)
         exact = " ".join(surface.split())
         key = exact if case_sensitive else None   # None matches in any case
         folded = exact.casefold()
@@ -182,7 +176,7 @@ def _add_file(lexicons: LexiconSet, path: Path, case_sensitive: bool):
         if bucket is None:
             _add_prefixes(lexicons.prefixes, folded)
             bucket = index[folded] = []
-        bucket.append((key, entry))
+        bucket.append((key, LexiconEntry(surface, kind, normalized, attrs)))
 
 
 def _add_prefixes(prefixes: set[str], folded: str):
@@ -210,14 +204,10 @@ def load_lexicon_set(directory) -> LexiconSet:
     if not manifest.is_file():
         raise FileNotFoundError(f"no lexicon manifest at {manifest}")
     lexicons = LexiconSet()
-    for lineno, raw in enumerate(manifest.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        filename = parts[0].strip()
-        flags = {p.strip() for p in parts[1:]}
-        unknown = flags - {"ci"}
+    for lineno, columns in rows(manifest.read_text(encoding="utf-8")):
+        # the columns of the stripped line: a tab before or after the names opens none
+        filename, *flags = (c.strip() for c in "\t".join(columns).strip().split("\t"))
+        unknown = set(flags) - {"ci"}
         if unknown:
             raise LexiconError(manifest, lineno, f"unknown flag(s) {sorted(unknown)}")
         _add_file(lexicons, directory / filename, case_sensitive="ci" not in flags)

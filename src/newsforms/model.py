@@ -24,7 +24,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional, Union, get_args
 
-from .resources import packaged_data_root, read_code_table
+from .resources import packaged_data_root, read_code_table, rows
 from .vocab import (
     AccusationAction,
     Agreement,
@@ -937,6 +937,9 @@ def _read_condition(cls: type, atom: str) -> Condition:
     specs = _condition_path(cls, path)
     if specs is None:
         raise ValueError(f"unknown field path {path!r}")
+    if op == "ambiguous" and (len(specs) > 1 or len(specs[0].records) < 2):
+        raise ValueError(f"{atom!r}: only a person-or-organization field of the event "
+                         f"is ambiguous")
     if operand is None:
         return Condition(specs, op)
     operand_specs = _condition_path(cls, operand)
@@ -958,11 +961,8 @@ def _sentiment_table() -> dict[type, tuple[tuple[tuple[Condition, ...], Sentimen
     """Each event class's (conditions, sentiment) rows, in file order."""
     table: dict[type, list] = {}
     path = packaged_data_root() / "sentiment.tsv"
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    for lineno, columns in rows(path.read_text(encoding="utf-8")):
+        parts = "\t".join(columns).strip().split("\t")   # the stripped line's columns
         try:
             if len(parts) != 3:
                 raise ValueError(f"expected 3 columns, got {len(parts)}")

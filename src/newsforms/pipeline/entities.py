@@ -23,7 +23,6 @@ windows, so a matcher asking for kinds the start lacks returns at once.
 from __future__ import annotations
 
 from decimal import Decimal
-from functools import lru_cache
 from typing import Optional
 
 from .. import model
@@ -54,26 +53,19 @@ def _window_surface(tokens: list[Token], first: int, last: int) -> str:
     return text.replace(" , ", ", ")
 
 
-def _dec(raw: Optional[str]) -> Optional[Decimal]:
-    return Decimal(raw) if raw is not None else None
-
-
-# entries and readings are immutable, so each entry's reading is built and
-# validated once; the bound holds the packaged lexicons (~1,200 entries) thrice
-@lru_cache(maxsize=4096)
 def _reading_from_entry(entry: LexiconEntry) -> Optional[EntityReading]:
     kind = entry.kind
     if kind is EntryKind.CITY:
         value = model.Location(city=entry.normalized, country=entry.attr("country"),
-                               state=entry.attr("state"), latitude=_dec(entry.attr("lat")),
-                               longitude=_dec(entry.attr("lon")))
+                               state=entry.attr("state"), latitude=entry.attr("lat"),
+                               longitude=entry.attr("lon"))
         return EntityReading(ReadingKind.LOCATION, value)
     if kind is EntryKind.STATE:
         value = model.Location(state=entry.normalized, country=entry.attr("country"))
         return EntityReading(ReadingKind.LOCATION, value)
     if kind is EntryKind.COUNTRY:
-        value = model.Location(country=entry.normalized, latitude=_dec(entry.attr("lat")),
-                               longitude=_dec(entry.attr("lon")))
+        value = model.Location(country=entry.normalized, latitude=entry.attr("lat"),
+                               longitude=entry.attr("lon"))
         return EntityReading(ReadingKind.LOCATION, value)
     if kind is EntryKind.REGION:
         return EntityReading(ReadingKind.LOCATION, model.Location(region=entry.normalized))
@@ -163,6 +155,15 @@ class _Scanner:
                 return last, entries
         return None
 
+    def reading(self, entry: LexiconEntry) -> EntityReading:
+        """A standalone entry's reading, built once per lexicon set; the memo
+        is keyed by identity, as the set holds each entry it lists."""
+        readings = self.lexicons.readings
+        reading = readings.get(id(entry))
+        if reading is None:
+            reading = readings[id(entry)] = _reading_from_entry(entry)
+        return reading
+
     # -- quantity grammar ----------------------------------------------
 
     def number_at(self, i: int):
@@ -179,7 +180,7 @@ class _Scanner:
             entry = self.single(j, EntryKind.NUMBER_WORD)
             if entry is None or entry.attr("val") is None:
                 break
-            word_value = Decimal(entry.attr("val"))
+            word_value = entry.attr("val")
             if total is None:
                 total = word_value
                 j += 1
@@ -204,7 +205,7 @@ class _Scanner:
             if entry is None or entry.attr("mag") is None:
                 break
             try:
-                value *= Decimal(entry.attr("mag"))
+                value *= entry.attr("mag")
             except ArithmeticError:   # decimal.Overflow
                 break
             j += 1
@@ -262,7 +263,7 @@ class _Scanner:
         if entry is not None and entry.attr("sym") != "pre":
             scale = entry.attr("scale")
             try:
-                amount = value * Decimal(scale) if scale else value
+                amount = value if scale is None else value * scale
             except ArithmeticError:   # decimal.Overflow: the figure is no amount
                 return None
             return EntityReading(ReadingKind.MONEY, model.Money(amount, entry.normalized)), j
@@ -323,10 +324,7 @@ class _Scanner:
             sex=sex,
         )
         readings = [EntityReading(ReadingKind.PERSON, person)]
-        for entry in self.entries_at(i, j - 1, _STANDALONE_KINDS):
-            extra = _reading_from_entry(entry)
-            if extra is not None:
-                readings.append(extra)
+        readings += map(self.reading, self.entries_at(i, j - 1, _STANDALONE_KINDS))
         return EntityMention(i, j - 1, _dedupe(readings))
 
     # -- other matchers ---------------------------------------------------
@@ -336,14 +334,7 @@ class _Scanner:
         if found is None:
             return None
         last, entries = found
-        readings = []
-        for entry in entries:
-            reading = _reading_from_entry(entry)
-            if reading is not None:
-                readings.append(reading)
-        if not readings:
-            return None
-        return EntityMention(i, last, _dedupe(readings))
+        return EntityMention(i, last, _dedupe(list(map(self.reading, entries))))
 
     def match_org_suffix(self, i: int) -> Optional[EntityMention]:
         closed = (Pos.DET, Pos.PREP, Pos.CONJ, Pos.PRON, Pos.PUNCT, Pos.SYM,

@@ -3,7 +3,8 @@
 The resource root holds ``*.txt`` code tables, ``sentiment.tsv``, and the
 ``lexicons/``, ``rules/``, and ``kb/`` directories. The packaged copy is the
 default; the ``NEWSFORM_DATA`` environment variable or explicit paths
-override it.
+override it. The lexicon files, their manifest, the kb and the sentiment
+table are tab-separated tables read through ``rows``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import os
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 
 def packaged_data_root() -> Path:
@@ -32,3 +34,13 @@ def read_code_table(path: Path) -> frozenset[str]:
         if line:
             codes.add(line)
     return frozenset(codes)
+
+
+def rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Each row of a tab-separated table: its line number, from 1, and its
+    tab-split columns, unstripped. A blank line, or one whose first
+    non-blank character is ``#``, is no row."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and stripped[0] != "#":
+            yield lineno, line.split("\t")

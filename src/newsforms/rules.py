@@ -38,6 +38,7 @@ from .lexicons import LexiconSet
 from .model import FieldKind, FieldSpec, NewsForm
 from .pipeline import ReadingKind, SentenceParse, analyze
 from .pipeline.types import EntityMention, EntityReading
+from .resources import rows
 
 
 class RuleError(ValueError):
@@ -223,6 +224,8 @@ def _compile_record(rule_id: str, cls: type, elem: ET.Element, slots) -> Templat
         spec = model.spec_by_element(cls, child.tag)
         if spec is None:
             raise RuleError(rule_id, f"<{child.tag}> is not a schema element of <{elem.tag}>")
+        if not spec.is_list and any(seen is spec for seen, _ in parts):
+            raise RuleError(rule_id, f"<{child.tag}> may appear at most once")
         parts.append((spec, _compile_value(rule_id, spec, child, slots)))
     return Template(cls, tuple(parts))
 
@@ -434,8 +437,8 @@ def _instantiate(rule: ExtractionRule, bindings: dict, parse: SentenceParse,
             for child_spec, child_part in part.parts:
                 value = resolve(child_spec, child_part)
                 if value is not None:
-                    if child_spec.is_list and not isinstance(value, tuple):
-                        value = (value,)
+                    if child_spec.is_list:   # items accumulate in template order
+                        value = values.get(child_spec.attr, ()) + (value,)
                     values[child_spec.attr] = value
             return part.cls(**values) if values else None
         return part
@@ -568,11 +571,7 @@ _PREFERABLE = {"Person": model.Person, "Organization": model.Organization}
 
 def compile_kb(source: str) -> list[CommonsenseRule]:
     rules = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        columns = raw.split("\t")
+    for lineno, columns in rows(source):
         if len(columns) != 5:
             raise RuleError(f"kb:{lineno}", f"expected 5 columns, got {len(columns)}")
         rule_id, variant, when, action, target = (c.strip() for c in columns)
@@ -597,6 +596,9 @@ def compile_kb(source: str) -> list[CommonsenseRule]:
             target_spec = model.spec_by_element(cls, field_name)
             if target_spec is None:
                 raise RuleError(rule_id, f"unknown field {field_name!r}")
+            if target_spec.is_list or len(target_spec.records) < 2:   # has no alternatives
+                raise RuleError(rule_id, f"PreferReading target {field_name!r} is not "
+                                         f"a single person-or-organization field")
             prefer = _PREFERABLE.get(kind_name)
             if prefer is None:
                 raise RuleError(rule_id, "PreferReading kind must be Person or Organization")

@@ -223,6 +223,32 @@ def test_kb_row_that_spells_no_condition_is_exit_3(capsys, intro_file, tmp_path,
     assert (code, out, err) == (3, "", f"error: bad-row: {message}\n")
 
 
+def test_kb_row_preferring_a_reading_for_a_list_field_is_exit_3(capsys, data_root, tmp_path):
+    # the parties Dell (a company and, in this copy, a person) and Compaq,
+    # one bound by each rule: preferring a Person for the list would keep
+    # Michael Dell alone
+    lexicons, _, _ = _lexicons_with(data_root, tmp_path, "person_names.tsv",
+                                    "Dell\tPersonName\tMichael Dell\tgiven=Michael;family=Dell")
+    (tmp_path / "rules").mkdir()
+    (tmp_path / "rules" / "talks.rules").write_text(
+        "?Organization:a and ?Organization:b began talks =>\n"
+        "  <Negotiation><Party>?a</Party></Negotiation>\n\n"
+        "?Organization:c joined the talks => <Negotiation><Party>?c</Party></Negotiation>\n")
+    (tmp_path / "kb").mkdir()
+    (tmp_path / "kb" / "prefer.tsv").write_text(
+        "p\tNegotiation\tParty ambiguous\tPreferReading\tParty:Person\n")
+    story = tmp_path / "story.txt"
+    story.write_text("Dell and Compaq began talks on Monday. Compaq joined the talks.\n")
+    code, out, err = run(capsys, "--lexicons", lexicons, "--rules", tmp_path / "rules",
+                         "--kb", tmp_path / "kb", "extract", story)
+    assert (code, out) == (3, "")
+    assert err == ("error: p: PreferReading target 'Party' is not a single "
+                   "person-or-organization field\n")
+    code, out, _ = run(capsys, "--lexicons", lexicons, "--rules", tmp_path / "rules",
+                       "extract", story)
+    assert code == 0 and out.count("<Party>") == 2
+
+
 @pytest.mark.parametrize("filename, line, message", [
     ("number_words.tsv", "zork\tNumberWord\tzork\tval=abc", "val is not a decimal: 'abc'"),
     ("number_words.tsv", "zork\tNumberWord\tzork\tval=1e30", "val out of range: 1e30"),

@@ -458,6 +458,18 @@ def test_mentions_of_one_entry_share_one_reading(lexicons):
     assert all(a is b for a, b in zip(first.readings, second.readings, strict=True))
 
 
+def test_no_reading_outlives_its_lexicon_set(data_root):
+    text = "New York voted. Colombia and Boeing agreed."
+    sets = [load_lexicon_set(data_root / "lexicons") for _ in range(2)]
+    readings = [[r for parse in analyze(text, lexicons) for m in parse.mentions
+                 for r in m.readings] for lexicons in sets]
+    assert readings[0] == readings[1]
+    assert len(readings[0]) >= 5
+    assert not any(a is b for a in readings[0] for b in readings[1])
+    first, second = (set(map(id, lexicons.readings.values())) for lexicons in sets)
+    assert first and not first & second
+
+
 def test_trailing_range_word_after_a_number_is_no_error(lexicons):
     parses = analyze("He paid 3 to", lexicons)
     _, mention = mention_by_text(parses, "3")

@@ -6,6 +6,8 @@ from decimal import Decimal
 import pytest
 
 from newsforms import model
+from newsforms.model import Money
+from newsforms.pipeline import analyze
 from newsforms.lexicons import (
     EntryKind,
     LexiconError,
@@ -39,8 +41,7 @@ def test_colombia_normalizes_to_col_with_centroid(lexicons):
     assert len(entries) == 1
     entry = entries[0]
     assert entry.normalized == "COL"
-    assert entry.attr("lat") == "4.57"
-    assert entry.attr("lon") == "-74.30" or entry.attr("lon") == "-74.3"
+    assert (entry.attr("lat"), entry.attr("lon")) == (Decimal("4.57"), Decimal("-74.3"))
 
 
 def test_single_line_file(tmp_path):
@@ -201,6 +202,58 @@ def test_set_lookup_order_is_load_then_file_order(data_root):
     # cities.tsv loads before us_states.tsv before countries.tsv
     assert kinds == sorted(kinds, key=[EntryKind.CITY, EntryKind.STATE,
                                        EntryKind.COUNTRY].index)
+
+
+_SKIPPED = b"# comment\r\n\r\n \t \r\n  # indented\r\n\t# tabbed\r\n"
+
+
+def test_lexicon_rows_skip_blank_and_comment_lines_and_read_crlf(tmp_path):
+    path = tmp_path / "crlf.tsv"
+    path.write_bytes(_SKIPPED + b"London\tCity\tLondon\tcountry=GBR;lat=51.5\r\n")
+    entry, = load_lexicon(path).lookup("London")
+    assert entry.attributes == (("country", "GBR"), ("lat", Decimal("51.5")))
+    path.write_bytes(path.read_bytes() + b"Paris\tCity\r\n")
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(path)
+    assert str(info.value) == f"{path}:7: expected 3 or 4 tab-separated columns, got 2"
+
+
+def test_manifest_rows_skip_blank_and_comment_lines_and_read_crlf(tmp_path):
+    (tmp_path / "a.tsv").write_text("x\tCity\tX\tcountry=USA\n")
+    (tmp_path / "manifest").write_bytes(_SKIPPED + b"a.tsv\r\n")
+    assert len(load_lexicon_set(tmp_path)) == 1
+    (tmp_path / "manifest").write_bytes(_SKIPPED + b"a.tsv\r\na.tsv\tci\tloud\r\n")
+    with pytest.raises(LexiconError) as info:
+        load_lexicon_set(tmp_path)
+    assert str(info.value) == f"{tmp_path / 'manifest'}:7: unknown flag(s) ['loud']"
+
+
+@pytest.mark.parametrize("line", ["a.tsv\t", "a.tsv\tci\t", "\ta.tsv", " a.tsv \t ci "])
+def test_manifest_line_with_a_tab_before_or_after_its_names_loads(tmp_path, line):
+    (tmp_path / "a.tsv").write_text("x\tCity\tX\tcountry=USA\n")
+    (tmp_path / "manifest").write_text(line + "\n")
+    assert len(load_lexicon_set(tmp_path)) == 1
+
+
+def test_manifest_empty_flag_between_names_is_unknown(tmp_path):
+    (tmp_path / "a.tsv").write_text("x\tCity\tX\tcountry=USA\n")
+    (tmp_path / "manifest").write_text("a.tsv\t\tci\n")
+    with pytest.raises(LexiconError) as info:
+        load_lexicon_set(tmp_path)
+    assert str(info.value).endswith(":1: unknown flag(s) ['']")
+
+
+def test_number_attributes_are_decimals_and_scale_zero_still_scales(tmp_path):
+    path = tmp_path / "money.tsv"
+    path.write_text("five\tNumberWord\t5\tval=5\n"
+                    "nothing\tCurrencyUnit\tUSD\tscale=0\n"
+                    "Rome\tState\tRM\tlat=north\n")
+    lexicons = load_lexicon(path, case_sensitive=False)
+    assert lexicons.lookup("five")[0].attr("val") == Decimal(5)
+    assert lexicons.lookup("Rome")[0].attr("lat") == "north"   # a State's lat is unread
+    mention, = (m for parse in analyze("It cost five nothing.", lexicons)
+                for m in parse.mentions)
+    assert mention.readings[0].value == Money(Decimal(0), "USD")
 
 
 def test_manifest_rejects_unknown_flags(tmp_path):

@@ -328,6 +328,27 @@ def test_a_sentiment_row_is_a_kb_condition():
         model.read_conditions(Earnings, "GoodBad=")
 
 
+def _sentiment_table_of(monkeypatch, tmp_path, data: bytes):
+    (tmp_path / "sentiment.tsv").write_bytes(data)
+    monkeypatch.setattr(model, "packaged_data_root", lambda: tmp_path)
+    return model._sentiment_table.__wrapped__()
+
+
+def test_sentiment_rows_skip_blank_and_comment_lines_and_read_crlf(monkeypatch, tmp_path):
+    rows = (b"# comment\r\n\r\n \t \r\n  # indented\r\n\t# tabbed\r\n"
+            b"Earnings\tGoodBad=Good\tPositive\r\n"
+            b" Trip\t*\tNegative\t\r\n")   # the stripped line's columns
+    table = _sentiment_table_of(monkeypatch, tmp_path, rows)
+    assert [sentiment for _, sentiment in table[Earnings]] == [Sentiment.POSITIVE]
+    assert table[Trip] == (((), Sentiment.NEGATIVE),)
+    with pytest.raises(ValueError) as info:
+        _sentiment_table_of(monkeypatch, tmp_path, rows + b"Trip\t*\r\n")
+    assert str(info.value) == "sentiment.tsv:8: expected 3 columns, got 2"
+    with pytest.raises(ValueError) as info:
+        _sentiment_table_of(monkeypatch, tmp_path, rows + b"Trip \t*\tNegative\r\n")
+    assert str(info.value) == "sentiment.tsv:8: unknown event type 'Trip '"
+
+
 def test_sentiment_is_total_and_deterministic_over_all_types():
     for cls in model.EVENT_TYPES.values():
         event = cls()

@@ -337,6 +337,20 @@ def test_unmatched_optional_slot_inside_a_record(lexicons):
     assert _events(slot_only, "A storm hit today.", lexicons) == [Weather(meteor="Hurricane")]
 
 
+def test_repeated_list_child_keeps_every_item_in_template_order(lexicons):
+    rule = ("?Organization:a and ?Organization:b began talks => "
+            "<Negotiation><Party>?a</Party><Party>?b</Party></Negotiation>")
+    event, = _events(rule, "Boeing and Airbus began talks on Monday.", lexicons)
+    assert [party.full_name for party in event.parties] == ["Boeing", "Airbus"]
+
+
+def test_repeated_single_valued_child_is_a_compile_error():
+    with pytest.raises(RuleError) as info:
+        compile_rules("quake => <InjuryFatality><Cause>Earthquake</Cause>"
+                      "<Cause>Alert</Cause></InjuryFatality>")
+    assert str(info.value) == "r001: <Cause> may appear at most once"
+
+
 def test_same_rule_can_fire_twice_per_sentence(lexicons):
     rules = compile_rules(INJURED_RULE)
     parses = analyze("Lionel Jospin was injured and Jacques Chirac was injured.",
@@ -557,11 +571,54 @@ def test_kb_right_hand_side_names_a_field_only_on_the_kb_path_language():
     ("Direction>0", "'Direction>0' orders a field that is not a number"),
     ("Rate<Direction", "'Rate<Direction' orders a field that is not a number"),
     ("Direction set empty", "bad condition 'Direction set empty'"),
+    ("Direction ambiguous",
+     "'Direction ambiguous': only a person-or-organization field of the event is ambiguous"),
 ])
 def test_kb_rows_that_spell_no_condition_are_rule_errors(when, message):
     with pytest.raises(RuleError) as info:
         compile_kb(f"bad-row\tEconomicRelease\t{when}\tDropField\tDirection\n")
     assert str(info.value) == f"bad-row: {message}"
+
+
+_NOT_A_SINGLE_EITHER = "is not a single person-or-organization field"
+_NEVER_AMBIGUOUS = "only a person-or-organization field of the event is ambiguous"
+
+
+@pytest.mark.parametrize("row, message", [
+    # a list field's alternatives belong to one of its items, not to the list
+    ("p\tNegotiation\tParty ambiguous\tPreferReading\tParty:Person",
+     f"p: PreferReading target 'Party' {_NOT_A_SINGLE_EITHER}"),
+    ("p\tWeather\t*\tPreferReading\tMeteor:Organization",
+     f"p: PreferReading target 'Meteor' {_NOT_A_SINGLE_EITHER}"),
+    ("p\tCompetition\tTeam ambiguous\tDropField\tTeam",
+     f"p: 'Team ambiguous': {_NEVER_AMBIGUOUS}"),
+    ("p\tInjuryFatality\tAtLocation.Country ambiguous\tRejectFragment\t-",
+     f"p: 'AtLocation.Country ambiguous': {_NEVER_AMBIGUOUS}"),
+])
+def test_kb_rows_that_can_never_act_are_rule_errors(row, message):
+    with pytest.raises(RuleError) as info:
+        compile_kb(row + "\n")
+    assert str(info.value) == message
+
+
+def test_ambiguous_reads_any_person_or_organization_field():
+    weather, = compile_kb("p\tWeather\tIssuer ambiguous\tPreferReading\tIssuer:Organization\n")
+    assert weather.prefer is Organization
+    negotiation, = compile_kb("p\tNegotiation\tParty ambiguous\tDropField\tParty\n")
+    assert negotiation.conditions[0].op == "ambiguous"
+
+
+def test_kb_rows_skip_blank_and_comment_lines_and_read_crlf():
+    good = "x\tLegalEvent\tJudgment=Innocent\tRejectFragment\t-"
+    source = f"# comment\r\n\r\n \t \r\n  # indented\r\n\t# tabbed\r\n{good}\r\n"
+    rule, = compile_kb(source)
+    assert (rule.rule_id, rule.target) == ("x", None)
+    with pytest.raises(RuleError) as info:
+        compile_kb(source + "y\tLegalEvent\tJudgment=Innocent\r\n")
+    assert str(info.value) == "kb:7: expected 5 columns, got 3"
+    with pytest.raises(RuleError) as info:
+        compile_kb(source + good + "\t\r\n")   # a trailing tab opens a sixth column
+    assert str(info.value) == "kb:7: expected 5 columns, got 6"
 
 
 def test_kb_operands_are_read_when_the_table_loads():
