@@ -596,7 +596,7 @@ def compile_kb(source: str) -> list[CommonsenseRule]:
             target_spec = model.spec_by_element(cls, field_name)
             if target_spec is None:
                 raise RuleError(rule_id, f"unknown field {field_name!r}")
-            if target_spec.is_list or len(target_spec.records) < 2:   # has no alternatives
+            if target_spec.is_list or len(target_spec.records) < 2:
                 raise RuleError(rule_id, f"PreferReading target {field_name!r} is not "
                                          f"a single person-or-organization field")
             prefer = _PREFERABLE.get(kind_name)
