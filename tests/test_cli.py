@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -621,6 +622,35 @@ def test_extract_on_one_cpu_and_all_cpus_gives_the_same_output(tmp_path):
     assert code == 0 and out.count("<NewsForm>") == len(paths) and "fragment\t" in err
     assert out.startswith("before ") and out.count("before") == 1
     assert err.startswith("before ") and err.count("before") == 1
+
+
+# sha256 of the standard output and standard error of `newsform extract
+# --debug --review` over the 216 benchmark stories of each seed
+# (newsbench/stories.py): tokens, tags, mention spans, kinds and ids, the
+# documents, diagnostics and fragments
+DEBUG_REVIEW_DIGESTS = {
+    1: ("4e5a80d4d4d4094c812d98ea0fa2448a6d9ff4c85184e29092b685434adde5dd",
+        "21959b0af899886acd58c9c77c5f1745eac481073992cc5ece30f9785072c269"),
+    2: ("5f3eec2fbe83ece33b765ee04ec77e42f75b43ec4c59df131314fe0957717995",
+        "31f668c1171d3f5335ddd941cb92356e58466b0481e2820565d9087a7715ea18"),
+    3: ("6e90dc3e6e14d4b472d50469749641d8e2ddb93230764d95b0beaa913bc14476",
+        "b402b45f2131980d367ca1818e6900d54359d527fbec0f2cf500e3b772f99bbf"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DEBUG_REVIEW_DIGESTS))
+def test_debug_review_output_over_the_bench_stories_is_pinned(capsys, monkeypatch, tmp_path, seed):
+    monkeypatch.delenv("NEWSFORM_DATA", raising=False)
+    monkeypatch.syspath_prepend(str(SRC.parent / "newsbench"))
+    from stories import make_stories
+    paths = []
+    for story in make_stories(seed, 216):
+        paths.append(tmp_path / story.name)
+        paths[-1].write_text(story.text, encoding="utf-8")
+    code, out, err = run(capsys, "extract", "--debug", "--review", *paths)
+    assert code == 0
+    digests = tuple(hashlib.sha256(s.encode("utf-8")).hexdigest() for s in (out, err))
+    assert digests == DEBUG_REVIEW_DIGESTS[seed]
 
 
 # ---------------------------------------------------------------------------
