@@ -57,6 +57,10 @@ class EntryKind(Enum):
     PRONOUN = "Pronoun"
     PRODUCT = "Product"
 
+    # a member is its own only equal: hashing by identity skips the
+    # by-name hash ``Enum`` computes in Python on every set or dict probe
+    __hash__ = object.__hash__
+
 
 class LexiconError(ValueError):
     def __init__(self, path, lineno: int, message: str):
@@ -141,9 +145,14 @@ class LexiconSet:
         return sum(len(bucket) for bucket in self.index.values())
 
     def lookup(self, surface: str) -> list[LexiconEntry]:
-        exact = " ".join(surface.split())
-        return [entry for key, entry in self.index.get(exact.casefold(), ())
-                if key is None or key == exact]
+        # keys are single-spaced and case folding moves no space, so a
+        # surface found as spelt needs no normalising
+        exact = surface
+        bucket = self.index.get(surface.casefold())
+        if bucket is None:
+            exact = " ".join(surface.split())
+            bucket = self.index.get(exact.casefold(), ())
+        return [entry for key, entry in bucket if key is None or key == exact]
 
 
 _KINDS = {kind.value: kind for kind in EntryKind}

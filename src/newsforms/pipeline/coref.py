@@ -19,7 +19,7 @@ from typing import Optional
 
 from .. import model
 from ..vocab import Sex
-from .types import EntityReading, ReadingKind, SentenceParse
+from .types import EntityMention, EntityReading, ReadingKind, SentenceParse
 
 _PREFIX = {
     ReadingKind.PERSON: "PERSON",
@@ -161,7 +161,8 @@ def resolve_references(parses: list[SentenceParse]) -> list[SentenceParse]:
     for parse in parses:
         new_mentions = []
         for mention in parse.mentions:
-            primary = mention.readings[0]
+            readings = mention.readings
+            primary = readings[0]
             ambiguous = mention.ambiguous
             if primary.kind is ReadingKind.PERSON:
                 entity = resolver.resolve_person(primary.value, mention.pronoun)
@@ -173,15 +174,15 @@ def resolve_references(parses: list[SentenceParse]) -> list[SentenceParse]:
                     person = entity.person   # with the pronoun's sex where it has none
                     if person.sex is None:
                         person = replace(person, sex=primary.value.sex)
-                    mention = replace(mention, readings=(
-                        EntityReading(ReadingKind.PERSON, person),))
+                    readings = (EntityReading(ReadingKind.PERSON, person),)
             else:
                 entity = resolver.resolve_value(primary)
                 if entity is None:
                     entity = resolver.fresh(primary.kind)
             if not mention.pronoun:
                 resolver.record(entity, primary)
-            new_mentions.append(replace(mention, resolved_id=entity.eid,
-                                        ambiguous=ambiguous))
-        resolved.append(replace(parse, mentions=tuple(new_mentions)))
+            new_mentions.append(EntityMention(mention.first, mention.last, readings,
+                                              entity.eid, mention.pronoun, ambiguous))
+        resolved.append(SentenceParse(parse.start, parse.end, parse.tokens,
+                                      tuple(new_mentions)))
     return resolved

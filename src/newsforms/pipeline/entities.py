@@ -10,14 +10,24 @@ that treats an unknown capitalized run as a family name. A span keeps
 every reading its sources supply; ambiguity is preserved for later stages
 to resolve.
 
+A start gate skips, without calling any matcher, each token that is no
+NUM, is not capitalised and whose case-folded text starts no lexicon key
+(``parse_entities`` says why no matcher can fire there). At a start
+whose windows hold no entry, only the three matchers of capitalised
+tokens run.
+
 Lexicon access goes through one table per start token, built on first
 use: the entries of each window that starts there, one probe per window.
 Windows stop before punctuation other than a comma and at the lexicon's
 prefix frontier, the first window whose folded surface is not in
 ``LexiconSet.prefixes`` because no key starts with it; a window ending in
 a comma token (``Washington ,``) is in that set whenever a key goes on
-past the comma. The table also keeps the set of entry kinds across its
-windows, so a matcher asking for kinds the start lacks returns at once.
+past the comma. A window within the frontier that is no key is not
+looked up. Each window's surface and folded key extend the previous
+window's by one token, with ``_window_surface``'s comma rule, from
+tokens folded once per sentence. The table also keeps the set of entry
+kinds across its windows, so a matcher asking for kinds the start lacks
+returns at once.
 """
 
 from __future__ import annotations
@@ -106,6 +116,7 @@ class _Scanner:
         self.tokens = tokens
         self.lexicons = lexicons
         self.n = len(tokens)
+        self.folded = [tok.text.casefold() for tok in tokens]
         self._windows: list[Optional[list[list[LexiconEntry]]]] = [None] * self.n
         self._kinds: list[Optional[set[EntryKind]]] = [None] * self.n  # across a start's windows
         self._org_scan_end = 0  # a failed org-suffix scan from any start before it
@@ -115,22 +126,45 @@ class _Scanner:
     def windows(self, i: int) -> list[list[LexiconEntry]]:
         """Entries of each window starting at i, looked up once on first use:
         item k is the window i..i+k. Windows stop before punctuation other
-        than a comma and before the first one that starts no lexicon key."""
+        than a comma and before the first one that starts no lexicon key.
+        Each window extends the one before it by a token, so its surface is
+        ``_window_surface``'s, built once: a comma joins the word before it
+        once a token follows it, unless that word is a comma which joined."""
         table = self._windows[i]
         if table is None:
             table = self._windows[i] = []
             kinds = self._kinds[i] = set()
-            prefixes = self.lexicons.prefixes
+            lexicons = self.lexicons
+            prefixes, index = lexicons.prefixes, lexicons.index
+            tokens, folded = self.tokens, self.folded
+            surface = key = ""
+            joins = False   # the window ends in a comma that joins the word before it
             for last in range(i, self.n):
-                if self.tokens[last].pos is Pos.PUNCT and self.tokens[last].text != ",":
+                tok = tokens[last]
+                if tok.pos is Pos.PUNCT and tok.text != ",":
                     break
-                surface = _window_surface(self.tokens, i, last)
-                if surface.casefold() not in prefixes:
+                if last == i:
+                    surface, key = tok.text, folded[last]
+                elif joins:
+                    surface = f"{surface[:-2]}, {tok.text}"
+                    key = f"{key[:-2]}, {folded[last]}"
+                    joins = False
+                else:
+                    surface = f"{surface} {tok.text}"
+                    key = f"{key} {folded[last]}"
+                    joins = tok.text == ","
+                if key not in prefixes:
                     break
-                entries = self.lexicons.lookup(surface)
+                # a prefix that is no key holds no entry: no lookup
+                entries = lexicons.lookup(surface) if key in index else []
                 table.append(entries)
                 kinds.update(entry.kind for entry in entries)
         return table
+
+    def kinds(self, i: int) -> set[EntryKind]:
+        """The entry kinds across the windows starting at i."""
+        self.windows(i)
+        return self._kinds[i]
 
     def entries_at(self, first: int, last: int, kinds) -> list[LexiconEntry]:
         table = self.windows(first)
@@ -411,20 +445,34 @@ def _is_model_year(mention: EntityMention) -> bool:
 def parse_entities(tokens: list[Token], lexicons: LexiconSet) -> list[EntityMention]:
     """Identify entity mentions over one sentence's tagged tokens."""
     scanner = _Scanner(list(tokens), lexicons)
+    prefixes, folded = lexicons.prefixes, scanner.folded
     mentions: list[EntityMention] = []
     i = 0
     while i < scanner.n:
         tok = scanner.tokens[i]
-        if tok.pos is Pos.PUNCT:
+        if tok.pos is Pos.PUNCT or (tok.pos is not Pos.NUM and not tok.text[0].isupper()
+                                    and folded[i] not in prefixes):
+            # The start gate. A token that is no NUM, is not capitalised and
+            # starts no lexicon key starts no mention: the quantity grammar
+            # needs a NUM token, or a number word or currency entry; person
+            # composition a title or given-name entry; the lexicon matcher
+            # an entry; the org-suffix, date and unknown-name matchers a
+            # capitalised token (PROPN is capitalised); the pronoun matcher
+            # a Pronoun entry. Every entry's key starts with its first token.
             i += 1
             continue
-        mention = (scanner.match_quantity(i)
-                   or scanner.match_person(i)
-                   or scanner.match_lexicon(i)
-                   or scanner.match_org_suffix(i)
-                   or scanner.match_pronoun(i)
-                   or scanner.match_date(i)
-                   or scanner.match_unknown_name(i))
+        if tok.pos is Pos.NUM or scanner.kinds(i):
+            mention = (scanner.match_quantity(i)
+                       or scanner.match_person(i)
+                       or scanner.match_lexicon(i)
+                       or scanner.match_org_suffix(i)
+                       or scanner.match_pronoun(i)
+                       or scanner.match_date(i)
+                       or scanner.match_unknown_name(i))
+        else:   # no entry in any window from here: the capitalised-token matchers
+            mention = (scanner.match_org_suffix(i)
+                       or scanner.match_date(i)
+                       or scanner.match_unknown_name(i))
         if mention is not None:
             mentions.append(mention)
             i = mention.last + 1

@@ -82,18 +82,20 @@ def _tag_word(word: str) -> Pos:
     pos = _CLOSED.get(lower)
     if pos is not None:
         return pos
-    if lower.endswith("ing") and len(lower) > 4:
+    size = len(lower)
+    if lower.endswith("ing") and size > 4:
         return Pos.ADJ if "-" in lower else Pos.VERB
-    if lower.endswith("ed") and len(lower) > 3:
+    if lower.endswith("ed") and size > 3:
         return Pos.VERB
-    if lower.endswith("ly") and len(lower) > 3:
+    if lower.endswith("ly") and size > 3:
         return Pos.ADV
-    for suffix in _ADJ_SUFFIXES:
-        if lower.endswith(suffix) and len(lower) > len(suffix) + 1:
-            return Pos.ADJ
+    if lower.endswith(_ADJ_SUFFIXES):
+        for suffix in _ADJ_SUFFIXES:
+            if lower.endswith(suffix) and size > len(suffix) + 1:
+                return Pos.ADJ
     if word[0].isupper():
         return Pos.PROPN
-    if any(ch.isdigit() for ch in word):
+    if not word.isalpha() and any(ch.isdigit() for ch in word):   # a letter is no digit
         return Pos.NUM
     return Pos.NOUN
 

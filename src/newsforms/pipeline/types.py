@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class Pos(Enum):
@@ -23,8 +23,8 @@ class Pos(Enum):
     OTHER = "OTHER"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """A tagged token; a named tuple, as one is built per token of the text."""
     text: str
     start: int  # character offsets into the source text
     end: int

@@ -65,7 +65,7 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class Literal:
-    text: str
+    text: str   # lower-cased, as the items it is compared with
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def _parse_pattern(rule_id: str, source: str) -> tuple:
             priority += 1
             if stack is None:
                 literals.add(token.lower())
-            target.append(Literal(token))
+            target.append(Literal(token.lower()))
     if stack is not None:
         raise RuleError(rule_id, "unbalanced '['")
     if not atoms:
@@ -294,28 +294,21 @@ class Fragment:
     alternatives: dict  # attr -> tuple of alternate typed values
 
 
-class _Item:
-    __slots__ = ("mention", "text")
-
-    def __init__(self, mention=None, text=None):
-        self.mention = mention
-        self.text = text
-
-
-def _items_for(parse: SentenceParse) -> list[_Item]:
-    items = []
-    covered: dict[int, EntityMention] = {}
-    for mention in parse.mentions:
-        covered[mention.first] = mention
+def _items_for(parse: SentenceParse) -> list:
+    """The sentence as pattern items: each mention, and the lower-cased
+    text of each token no mention covers."""
+    covered = {mention.first: mention for mention in parse.mentions}
+    tokens = parse.tokens
+    items: list = []
     i = 0
-    while i < len(parse.tokens):
+    while i < len(tokens):
         mention = covered.get(i)
-        if mention is not None:
-            items.append(_Item(mention=mention))
-            i = mention.last + 1
-        else:
-            items.append(_Item(text=parse.tokens[i].text))
+        if mention is None:
+            items.append(tokens[i].text.lower())
             i += 1
+        else:
+            items.append(mention)
+            i = mention.last + 1
     return items
 
 
@@ -325,13 +318,12 @@ def _match_at(atoms, items, pos: int) -> Optional[tuple[int, dict]]:
         return pos, {}
     head, rest = atoms[0], atoms[1:]
     if isinstance(head, Literal):
-        if pos < len(items) and items[pos].text is not None \
-                and items[pos].text.lower() == head.text.lower():
+        if pos < len(items) and items[pos] == head.text:   # a mention equals no text
             return _match_at(rest, items, pos + 1)
         return None
     if isinstance(head, Slot):
-        if pos < len(items) and items[pos].mention is not None:
-            mention = items[pos].mention
+        if pos < len(items) and not isinstance(items[pos], str):
+            mention = items[pos]
             if any(r.kind is head.kind for r in mention.readings):
                 result = _match_at(rest, items, pos + 1)
                 if result is not None:
@@ -465,7 +457,7 @@ def apply_patterns(parses: Sequence[SentenceParse],
     fragments: list[Fragment] = []
     for sentence_index, parse in enumerate(parses):
         items = _items_for(parse)
-        words = {item.text.lower() for item in items if item.text is not None}
+        words = {item for item in items if isinstance(item, str)}
         sentence_frags: list[tuple[int, Fragment]] = []
         for rule in ordered:
             if not rule.literals <= words:
@@ -509,7 +501,9 @@ def merge_fragments(fragments: Sequence[Fragment]) -> MergeOutcome:
     """Merge same-type fragments into one event per type per document.
 
     Disjoint fields union; on conflict the earliest sentence's value is
-    kept and a warning is recorded. Distinct event types never merge.
+    kept and a warning is recorded. A list field gathers the new items of
+    every fragment, and the alternatives of each fragment that adds items.
+    Distinct event types never merge.
     """
     drafts: dict[type, EventDraft] = {}
     order: list[type] = []
@@ -532,6 +526,9 @@ def merge_fragments(fragments: Sequence[Fragment]) -> MergeOutcome:
                     if item not in combined:
                         combined.append(item)
                 merged[spec.attr] = tuple(combined)
+                alts = fragment.alternatives.get(spec.attr)
+                if alts and len(combined) > len(mine):   # with its items, their alternatives
+                    draft.alternatives[spec.attr] = draft.alternatives.get(spec.attr, ()) + alts
                 continue
             if theirs is None:
                 merged[spec.attr] = mine
@@ -676,8 +673,9 @@ class ExtractionResult:
 
 def extract(text: str, lexicons: LexiconSet, rules: Sequence[ExtractionRule],
             kb: Sequence[CommonsenseRule]) -> ExtractionResult:
-    """Convert one story into a document: split, tag, chunk, parse
-    entities, resolve references, match patterns, merge, vet, validate."""
+    """Convert one story into a document: split, tag, parse entities,
+    resolve references, match patterns, merge, vet, validate. Noun groups
+    are chunked only for the ``--debug`` dump (``pipeline.dump_parses``)."""
     parses = analyze(text, lexicons)
     fragments = apply_patterns(parses, rules)
     outcome = merge_fragments(fragments)

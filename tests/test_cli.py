@@ -250,6 +250,34 @@ def test_kb_row_preferring_a_reading_for_a_list_field_is_exit_3(capsys, data_roo
     assert code == 0 and out.count("<Party>") == 2
 
 
+@pytest.mark.parametrize("text", [
+    "Dell and Boeing began talks on Monday. Compaq joined the talks.",
+    # the ambiguous party comes from the second fragment
+    "Compaq and Boeing began talks on Monday. Dell joined the talks.",
+])
+def test_an_ambiguous_party_from_any_fragment_makes_the_list_ambiguous(
+        capsys, data_root, tmp_path, text):
+    lexicons, _, _ = _lexicons_with(data_root, tmp_path, "person_names.tsv",
+                                    "Dell\tPersonName\tMichael Dell\tgiven=Michael;family=Dell")
+    (tmp_path / "rules").mkdir()
+    (tmp_path / "rules" / "talks.rules").write_text(
+        "?Organization:a and ?Organization:b began talks =>\n"
+        "  <Negotiation><Party>?a</Party><Party>?b</Party></Negotiation>\n\n"
+        "?Organization:c joined the talks => <Negotiation><Party>?c</Party></Negotiation>\n")
+    (tmp_path / "kb").mkdir()
+    (tmp_path / "kb" / "drop.tsv").write_text(
+        "p\tNegotiation\tParty ambiguous\tDropField\tParty\n")
+    story = tmp_path / "story.txt"
+    story.write_text(text + "\n")
+    code, out, _ = run(capsys, "--lexicons", lexicons, "--rules", tmp_path / "rules",
+                       "extract", story)
+    assert code == 0 and out.count("<Party>") == 3
+    code, out, err = run(capsys, "--lexicons", lexicons, "--rules", tmp_path / "rules",
+                         "--kb", tmp_path / "kb", "extract", "--review", story)
+    assert code == 0 and "<Party>" not in out
+    assert "commonsense\tp\tDropField\tNegotiation[1]/Party cleared\n" in err
+
+
 @pytest.mark.parametrize("filename, line, message", [
     ("number_words.tsv", "zork\tNumberWord\tzork\tval=abc", "val is not a decimal: 'abc'"),
     ("number_words.tsv", "zork\tNumberWord\tzork\tval=1e30", "val out of range: 1e30"),
