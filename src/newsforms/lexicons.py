@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .model import read_number
 from .resources import rows
@@ -69,8 +69,8 @@ class LexiconError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
+    """One lexicon line; a named tuple, as one is built per line loaded."""
     surface: str
     kind: EntryKind
     normalized: str

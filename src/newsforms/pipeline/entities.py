@@ -127,9 +127,10 @@ class _Scanner:
         """Entries of each window starting at i, looked up once on first use:
         item k is the window i..i+k. Windows stop before punctuation other
         than a comma and before the first one that starts no lexicon key.
-        Each window extends the one before it by a token, so its surface is
-        ``_window_surface``'s, built once: a comma joins the word before it
-        once a token follows it, unless that word is a comma which joined."""
+        Each window extends the one before it by a token and reads as
+        ``_window_surface`` reads it: a comma token joins the token before
+        it once another token follows, unless it follows a comma that
+        joined (``" , "`` reads ``", "`` from left to right)."""
         table = self._windows[i]
         if table is None:
             table = self._windows[i] = []

@@ -347,6 +347,24 @@ def test_mentions_equal_a_scanner_without_a_prefix_frontier(lexicons, data):
                 == entities.parse_entities(tokens, unbounded)), text
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_no_mention_starts_at_a_token_the_start_gate_skips(lexicons, data):
+    # a scanner whose prefix set holds every string lets every token through
+    # its gate, and still starts each mention at a number, a capitalised
+    # token or the start of a lexicon key
+    text = _key_word_text(lexicons, data)
+    unbounded = dataclasses.replace(lexicons, prefixes=_EveryPrefix())
+    for span in split_sentences(text):
+        tokens = tag_pos(text, span)
+        for mentions in (entities.parse_entities(tokens, lexicons),
+                         entities.parse_entities(tokens, unbounded)):
+            for mention in mentions:
+                token = tokens[mention.first]
+                assert (token.pos is Pos.NUM or token.text[0].isupper()
+                        or token.text.casefold() in lexicons.prefixes), (text, mention)
+
+
 @pytest.mark.parametrize("text, first, last, value", [
     # the comma token keeps the window going to the three-token key
     ("Washington, D.C.", 0, 2, Location(city="Washington", country="USA", state="DC",

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from newsforms import model
 from newsforms.model import Location, Money, Organization, Person
-from newsforms.pipeline import analyze, chunk_noun_groups, coref, split_sentences, tag_pos
+from newsforms.pipeline import analyze, chunk_noun_groups, coref, postag, split_sentences, tag_pos
 from newsforms.pipeline.sentences import ABBREVIATIONS
 from newsforms.pipeline.types import (
     EntityMention,
@@ -228,6 +228,53 @@ def test_tagging_is_deterministic():
     first = tag_pos(text, (0, len(text)))
     second = tag_pos(text, (0, len(text)))
     assert first == second
+
+
+def _reference_tag(word):
+    """postag's documented precedence, one rule after another: closed class,
+    -ing/-ed/-ly with their length limits, adjective suffixes, capitalised
+    -> PROPN, digit-bearing -> NUM, and NOUN."""
+    lower = word.lower()
+    if lower in postag._CLOSED:
+        return postag._CLOSED[lower]
+    if lower.endswith("ing") and len(lower) > 4:
+        return Pos.ADJ if "-" in lower else Pos.VERB
+    if lower.endswith("ed") and len(lower) > 3:
+        return Pos.VERB
+    if lower.endswith("ly") and len(lower) > 3:
+        return Pos.ADV
+    for suffix in ("ern", "ous", "ful", "ive", "able", "ible", "ic", "ish", "al", "est", "ian"):
+        if lower.endswith(suffix) and len(lower) > len(suffix) + 1:
+            return Pos.ADJ
+    if word[0].isupper():
+        return Pos.PROPN
+    for ch in word:
+        if ch.isdigit():
+            return Pos.NUM
+    return Pos.NOUN
+
+
+_TAG_SUFFIXES = ["", "ing", "ed", "ly", "ern", "ous", "ful", "ive", "able", "ible", "ic",
+                 "ish", "al", "est", "ian"]
+_TAG_STEMS = ["", "a", "b", "x", "ab", "ru", "fir", "west", "coffee-grow", "o'", "d’", "3", "x2",
+              "٣", "²", "Ro", "B", "Q-", "9a"]
+_WORDS_TO_TAG = st.one_of(
+    st.sampled_from(sorted(postag._CLOSED)),
+    st.builds(lambda stem, suffix, case: case(stem + suffix), st.sampled_from(_TAG_STEMS),
+              st.sampled_from(_TAG_SUFFIXES), st.sampled_from([str, str.upper, str.title])),
+    st.text(alphabet="aeiIngdlyE-'’09²", min_size=1, max_size=7),
+).filter(bool)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_WORDS_TO_TAG)
+@example("Western")
+@example("coffee-growing")
+@example("ic")
+@example("bic")
+@example("x2ly")
+def test_tag_word_equals_the_documented_precedence(word):
+    assert postag._tag_word(word) is _reference_tag(word)
 
 
 # ---- noun groups -------------------------------------------------------------
