@@ -53,8 +53,7 @@ class ReadingKind(Enum):
     DATE = "Date"
 
 
-@dataclass(frozen=True)
-class EntityReading:
+class EntityReading(NamedTuple):
     """One interpretation of a text span: a kind plus its typed payload.
 
     The payload is a model value (Person, Location, Organization, Money,
@@ -65,8 +64,7 @@ class EntityReading:
     value: object
 
 
-@dataclass(frozen=True)
-class EntityMention:
+class EntityMention(NamedTuple):
     first: int  # token indices, inclusive
     last: int
     readings: tuple[EntityReading, ...]
@@ -79,8 +77,7 @@ class EntityMention:
         return self.readings[0].kind
 
 
-@dataclass(frozen=True)
-class SentenceParse:
+class SentenceParse(NamedTuple):
     start: int  # character span of the sentence in the source
     end: int
     tokens: tuple[Token, ...]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from operator import attrgetter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -453,7 +454,8 @@ def apply_patterns(parses: Sequence[SentenceParse],
     A rule is tried only on sentences whose free tokens hold all of its
     mandatory literals; ``_match_at`` compares literals the same way, so
     the skipped rules are exactly those that could not match."""
-    ordered = sorted(rules, key=lambda r: (-r.priority, r.order))
+    ordered = sorted(rules, key=attrgetter("order"))   # file order breaks ties:
+    ordered.sort(key=attrgetter("priority"), reverse=True)   # the sort is stable
     fragments: list[Fragment] = []
     for sentence_index, parse in enumerate(parses):
         items = _items_for(parse)
