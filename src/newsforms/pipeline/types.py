@@ -1,4 +1,8 @@
-"""Shared datatypes for the text-analysis stages."""
+"""Shared datatypes for the text-analysis stages.
+
+Tokens, readings, mentions and sentence parses are built many times per
+story, so they are named tuples: immutable, compared and printed field by
+field like a frozen dataclass, and cheaper to build."""
 
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ class Pos(Enum):
 
 
 class Token(NamedTuple):
-    """A tagged token; a named tuple, as one is built per token of the text."""
     text: str
     start: int  # character offsets into the source text
     end: int

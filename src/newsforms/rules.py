@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from operator import attrgetter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -453,16 +452,19 @@ def apply_patterns(parses: Sequence[SentenceParse],
 
     A rule is tried only on sentences whose free tokens hold all of its
     mandatory literals; ``_match_at`` compares literals the same way, so
-    the skipped rules are exactly those that could not match."""
-    ordered = sorted(rules, key=attrgetter("order"))   # file order breaks ties:
-    ordered.sort(key=attrgetter("priority"), reverse=True)   # the sort is stable
+    the skipped rules are exactly those that could not match. Rules whose
+    literals the whole document lacks are set aside before any sentence."""
+    itemized = [_items_for(parse) for parse in parses]
+    words = [{item for item in items if isinstance(item, str)} for items in itemized]
+    present = set().union(*words)
+    ordered = sorted((rule for rule in rules if rule.literals <= present),
+                     key=lambda r: (-r.priority, r.order))
     fragments: list[Fragment] = []
     for sentence_index, parse in enumerate(parses):
-        items = _items_for(parse)
-        words = {item for item in items if isinstance(item, str)}
+        items = itemized[sentence_index]
         sentence_frags: list[tuple[int, Fragment]] = []
         for rule in ordered:
-            if not rule.literals <= words:
+            if not rule.literals <= words[sentence_index]:
                 continue
             pos = 0
             while pos < len(items):
