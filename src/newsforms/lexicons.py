@@ -57,10 +57,6 @@ class EntryKind(Enum):
     PRONOUN = "Pronoun"
     PRODUCT = "Product"
 
-    # a member is its own only equal: hashing by identity skips the
-    # by-name hash ``Enum`` computes in Python on every set or dict probe
-    __hash__ = object.__hash__
-
 
 class LexiconError(ValueError):
     def __init__(self, path, lineno: int, message: str):
