@@ -124,10 +124,7 @@ class _Resolver:
         return None
 
     def resolve_value(self, reading: EntityReading) -> Optional[_Entity]:
-        key = _value_key(reading)
-        if key is None:
-            return None
-        return self.values.get((reading.kind, key))
+        return self.values.get((reading.kind, _value_key(reading)))
 
     @staticmethod
     def _carry(index: dict, key, entity: _Entity):

@@ -63,7 +63,8 @@ def _window_surface(tokens: list[Token], first: int, last: int) -> str:
     return text.replace(" , ", ", ")
 
 
-def _reading_from_entry(entry: LexiconEntry) -> Optional[EntityReading]:
+def _reading_from_entry(entry: LexiconEntry) -> EntityReading:
+    """The reading of an entry of one of the ``_STANDALONE_KINDS``."""
     kind = entry.kind
     if kind is EntryKind.CITY:
         value = model.Location(city=entry.normalized, country=entry.attr("country"),
@@ -91,16 +92,14 @@ def _reading_from_entry(entry: LexiconEntry) -> Optional[EntityReading]:
         return EntityReading(ReadingKind.ORGANIZATION, value)
     if kind is EntryKind.PRODUCT:
         return EntityReading(ReadingKind.PRODUCT, entry.normalized)
-    if kind is EntryKind.PERSON_NAME:
-        given = entry.attr("given")
-        family = entry.attr("family")
-        if given is None and family is None:
-            parts = entry.normalized.split()
-            given = " ".join(parts[:-1]) or None
-            family = parts[-1]
-        value = model.Person(given=given, family=family, sex=entry.attr("sex"))
-        return EntityReading(ReadingKind.PERSON, value)
-    return None
+    given = entry.attr("given")   # PERSON_NAME, the standalone kind left
+    family = entry.attr("family")
+    if given is None and family is None:
+        parts = entry.normalized.split()
+        given = " ".join(parts[:-1]) or None
+        family = parts[-1]
+    value = model.Person(given=given, family=family, sex=entry.attr("sex"))
+    return EntityReading(ReadingKind.PERSON, value)
 
 
 def _dedupe(readings: list[EntityReading]) -> tuple[EntityReading, ...]:
@@ -180,15 +179,16 @@ class _Scanner:
         return next((e for e in table[0] if e.kind is kind), None)
 
     def longest(self, i: int, kinds):
-        """Longest lexicon window starting at i restricted to the given kinds."""
+        """Longest lexicon window starting at i restricted to the given kinds.
+        Every kind in ``_kinds[i]`` is some window's entry's, so past the
+        kinds test the loop returns."""
         table = self.windows(i)
         if self._kinds[i].isdisjoint(kinds):
             return None
-        for last in range(i + len(table) - 1, i - 1, -1):
-            entries = self.entries_at(i, last, kinds)
+        for k in range(len(table) - 1, -1, -1):
+            entries = [e for e in table[k] if e.kind in kinds]
             if entries:
-                return last, entries
-        return None
+                return i + k, entries
 
     def reading(self, entry: LexiconEntry) -> EntityReading:
         """A standalone entry's reading, built once per lexicon set; the memo
@@ -342,8 +342,6 @@ class _Scanner:
             return None  # a bare capitalized run is the fallback's job
         family_parts: list[str] = []
         while j < self.n and self.tokens[j].pos is Pos.PROPN:
-            if self.single(j, EntryKind.GIVEN_NAME) and not family_parts and given is None:
-                break  # a fresh given name starts a different person
             family_parts.append(self.tokens[j].text)
             j += 1
         family = " ".join(family_parts) or None

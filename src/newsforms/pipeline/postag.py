@@ -1,10 +1,10 @@
 """Tokenization and rule-based part-of-speech tagging.
 
 Tagging is deterministic, in fixed precedence: closed-class lexicon,
-suffix rules, capitalized word -> PROPN, digit-bearing -> NUM, and NOUN
-as the fallback. Numbers keep internal commas and decimal points as one
-token; currency and percent signs are SYM tokens; known abbreviations
-keep their trailing period.
+suffix rules, capitalized word -> PROPN, and NOUN as the fallback.
+Numbers keep internal commas and decimal points as one token; currency
+and percent signs are SYM tokens; known abbreviations keep their
+trailing period.
 """
 
 from __future__ import annotations
@@ -95,8 +95,6 @@ def _tag_word(word: str) -> Pos:
                 return Pos.ADJ
     if word[0].isupper():
         return Pos.PROPN
-    if not word.isalpha() and any(ch.isdigit() for ch in word):   # a letter is no digit
-        return Pos.NUM
     return Pos.NOUN
 
 

@@ -36,7 +36,8 @@ def _is_boundary(text: str, i: int, j: int) -> bool:
     when a sentence can start after it and it holds a ``?`` or ``!``, or
     its first period ends the word before it (a later period follows one
     in its own word). The next text is checked first, so the walk back
-    over the word runs at most once per word.
+    over the word runs at most once per word; a decimal point (``3.5``)
+    fails that check.
     """
     if j < len(text):
         if not text[j].isspace():
@@ -50,8 +51,6 @@ def _is_boundary(text: str, i: int, j: int) -> bool:
     run = text[i:j]
     if "?" in run or "!" in run:
         return True
-    if 0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
-        return False  # decimal point
     word = _preceding_word(text, i)
     if "." in word:
         return False  # internal-period abbreviation: U.S., e.g.

@@ -10,13 +10,12 @@ table are tab-separated tables read through ``rows``.
 from __future__ import annotations
 
 import os
-from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
 
 def packaged_data_root() -> Path:
-    return Path(resources.files("newsforms") / "data")
+    return Path(__file__).parent / "data"
 
 
 def default_data_root() -> Path:

@@ -37,7 +37,7 @@ from . import model, xmlcodec
 from .lexicons import LexiconSet
 from .model import FieldKind, FieldSpec, NewsForm
 from .pipeline import ReadingKind, SentenceParse, analyze
-from .pipeline.types import EntityMention, EntityReading
+from .pipeline.types import EntityMention
 from .resources import rows
 
 
@@ -335,32 +335,23 @@ def _match_at(atoms, items, pos: int) -> Optional[tuple[int, dict]]:
         if with_group is not None:
             return with_group
         return _match_at(rest, items, pos)
-    if isinstance(head, Skip):
-        for skipped in range(0, head.limit + 1):
-            if pos + skipped > len(items):
-                break
-            result = _match_at(rest, items, pos + skipped)
-            if result is not None:
-                return result
-        return None
-    raise AssertionError(f"unknown atom {head!r}")
+    for skipped in range(0, head.limit + 1):   # Skip, the one atom left
+        if pos + skipped > len(items):
+            break
+        result = _match_at(rest, items, pos + skipped)
+        if result is not None:
+            return result
+    return None
 
 
 class _BindError(Exception):
     pass
 
 
-def _reading_for(mention: EntityMention, kind: ReadingKind) -> EntityReading:
-    for reading in mention.readings:
-        if reading.kind is kind:
-            return reading
-    raise _BindError(f"no {kind.value} reading")
-
-
 def _convert(spec: FieldSpec, kind: ReadingKind, mention: EntityMention,
              parse: SentenceParse):
-    reading = _reading_for(mention, kind)
-    value = reading.value
+    # _match_at binds a slot only to a mention holding a reading of its kind
+    value = next(r.value for r in mention.readings if r.kind is kind)
     fk = spec.kind
     if spec.records or fk in (FieldKind.DECIMAL, FieldKind.MEASURE):
         return value
@@ -369,17 +360,17 @@ def _convert(spec: FieldSpec, kind: ReadingKind, mention: EntityMention,
             raise _BindError(f"{value} is not an integer count")
         return int(value)
     if fk is FieldKind.COUNTRY:
-        if isinstance(value, model.Location) and value.country:
+        if value.country:   # a LOCATION reading holds a model.Location
             return value.country
         raise _BindError("location has no country code")
     if fk is FieldKind.STATE:
-        if isinstance(value, model.Location) and value.state:
+        if value.state:
             return value.state
         raise _BindError("location has no state code")
     if fk is FieldKind.CURRENCY:
         return value.currency
     if fk is FieldKind.TICKER:
-        if isinstance(value, model.Organization) and value.ticker:
+        if value.ticker:   # an ORGANIZATION reading holds a model.Organization
             return value.ticker
         raise _BindError("organization has no ticker")
     if fk is FieldKind.ENUM:

@@ -96,6 +96,21 @@ def test_extract_missing_resources_is_exit_2(capsys, intro_file, tmp_path):
     assert "does not exist" in err
 
 
+def test_lexicon_directory_without_a_manifest_is_exit_2(capsys, intro_file, tmp_path):
+    code, out, err = run(capsys, "--lexicons", tmp_path, "extract", intro_file)
+    assert (code, out, err) == (
+        2, "", f"error: cannot load lexicons from {tmp_path}: "
+               f"no lexicon manifest at {tmp_path / 'manifest'}\n")
+
+
+def test_rule_file_that_does_not_compile_is_exit_3(capsys, intro_file, tmp_path):
+    (tmp_path / "x.rules").write_text(
+        "[ was injured => <InjuryFatality><KilledCount>1</KilledCount></InjuryFatality>\n",
+        encoding="utf-8")
+    code, out, err = run(capsys, "--rules", tmp_path, "extract", intro_file)
+    assert (code, out, err) == (3, "", "error: r001: unbalanced '['\n")
+
+
 @pytest.mark.parametrize("name, filename", [
     ("lexicons", "cities.tsv"), ("rules", "core.rules"), ("kb", "commonsense.tsv"),
 ])
@@ -178,6 +193,12 @@ def test_query_unknown_path_is_exit_3_with_caret(capsys, corpus_dir):
     assert "Bogus" in err
     assert "^" in err
     assert out == ""
+
+
+def test_query_error_past_the_first_token_puts_its_caret_there(capsys, corpus_dir):
+    code, out, err = run(capsys, "query", corpus_dir, "Deal sort Deal")
+    assert (code, out) == (3, "")
+    assert err == "error: sort path needs a field\n  Deal sort Deal\n            ^\n"
 
 
 def test_query_missing_corpus_is_exit_2(capsys, tmp_path):

@@ -407,6 +407,20 @@ def test_no_child_outlives_the_call(sharded, tmp_path):
             os.waitpid(-1, os.WNOHANG)
 
 
+@needs_fork
+def test_an_error_in_the_parents_own_shard_reaps_the_children(monkeypatch):
+    monkeypatch.setattr(shards, "_usable_cpus", lambda: 3)
+
+    def first_shard_breaks(start, stop):
+        if start == 0:
+            raise RuntimeError("broken shard")
+        return list(range(start, stop))
+    with pytest.raises(RuntimeError, match="broken shard"):
+        shards.run(3, 1, first_shard_breaks)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_one_shard_for_small_corpora_one_cpu_or_other_threads(monkeypatch):
     for minimum in (corpus.SHARD_MIN_FILES, cli.SHARD_MIN_STORIES):
         monkeypatch.setattr(shards, "_usable_cpus", lambda: 2)
@@ -521,6 +535,22 @@ def test_unknown_path_is_a_query_error(index):
     assert "Bogus" in str(info.value)
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("Deal sort", "sort needs a field path", 5),
+    ("Deal sort Deal", "sort path needs a field", 10),
+    ("Deal sort Deal.Bogus", "unknown field path 'Deal.Bogus'", 10),
+    ("Deal sort Deal.Target.FullName",
+     "sort field 'Deal.Target.FullName' is not numeric, date, or money", 10),
+    ("Deal since", "since needs a timestamp", 5),
+    ("Deal until", "until needs a timestamp", 5),
+    ("since 19990101T000000Z", "query names no event type", 0),
+])
+def test_query_errors_carry_their_position(text, message, position):
+    with pytest.raises(QueryError) as info:
+        parse_query(text)
+    assert (str(info.value), info.value.position) == (message, position)
+
+
 @pytest.mark.parametrize("directory, cwd", [
     ("c", "."), ("./c", "."), ("c//", "."), ("./c/", "."), (".", "c"), ("", "c"),
 ])
@@ -542,6 +572,12 @@ def test_corpus_paths_equal_sorted_glob(tmp_path, monkeypatch, directory, cwd):
         ".hidden.newsform.xml", ".newsform.xml", "B.newsform.xml", "Z.newsform.xml",
         "a b.newsform.xml", "a.newsform.xml", "b.newsform.xml", "sub.newsform.xml",
         "é.newsform.xml"]
+
+
+def test_corpus_paths_of_a_file_or_a_missing_path_list_nothing(tmp_path):
+    (tmp_path / "a.newsform.xml").write_text("")
+    assert corpus_paths(tmp_path / "a.newsform.xml") == []
+    assert corpus_paths(tmp_path / "nowhere") == []
 
 
 @pytest.mark.parametrize("literal", ["USD:١٢", "USD:１２", "USD:1.٥"])

@@ -10,9 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from newsforms.lexicons import load_lexicon, load_lexicon_set
 from newsforms.model import Location, Measure, Money, Person
-from newsforms.pipeline import analyze, chunk_noun_groups, entities, split_sentences, tag_pos
+from newsforms.pipeline import (
+    analyze,
+    chunk_noun_groups,
+    dump_parses,
+    entities,
+    split_sentences,
+    tag_pos,
+)
 from newsforms.pipeline.types import Pos, ReadingKind
 from newsforms.rules import extract
+from newsforms.vocab import Continent
 
 from conftest import INTRO_TEXT, JOSPIN_TEXT
 
@@ -127,6 +135,31 @@ def test_product_with_carrier_attribute(lexicons):
     assert mention.readings == (reading,)   # the maker widens the span only
 
 
+def test_a_model_year_widens_a_product_mention(lexicons):
+    parses = analyze("A 1999 Boeing 777 landed safely.", lexicons)
+    _, mention = mention_by_text(parses, "1999 Boeing 777")
+    assert mention.readings == ((ReadingKind.PRODUCT, "Boeing 777"),)
+    # a number outside the model years stays a mention of its own
+    parses = analyze("A 1850 Boeing 777 landed safely.", lexicons)
+    assert [p.mention_text(m) for p, m in flat_mentions(parses)] == ["1850", "Boeing 777"]
+
+
+def test_a_continent_reads_as_a_location(lexicons):
+    _, mention = mention_by_text(analyze("Floods hit South America.", lexicons), "South America")
+    assert mention.readings == (
+        (ReadingKind.LOCATION, Location(continent=Continent.SOUTH_AMERICA)),)
+
+
+def test_a_person_name_entry_without_given_or_family_splits_at_its_last_word(tmp_path):
+    path = tmp_path / "person_names.tsv"
+    path.write_text("Anna Maria Ortiz\tPersonName\tAnna Maria Ortiz\n"
+                    "Madonna\tPersonName\tMadonna\n")
+    parses = analyze("Anna Maria Ortiz met Madonna.", load_lexicon(path))
+    assert [m.readings for _, m in flat_mentions(parses)] == [
+        ((ReadingKind.PERSON, Person(given="Anna Maria", family="Ortiz")),),
+        ((ReadingKind.PERSON, Person(family="Madonna")),)]
+
+
 def test_unmatched_noun_groups_yield_no_mentions(lexicons):
     parses = analyze("The sky is blue.", lexicons)
     assert all(not p.mentions for p in parses)
@@ -193,6 +226,20 @@ def test_document_initial_pronoun_is_fresh_and_flagged(lexicons):
     assert mention.pronoun
     assert mention.ambiguous
     assert mention.resolved_id.startswith("PERSON")
+
+
+def test_the_debug_dump_flags_an_unresolved_pronoun(lexicons):
+    dump = dump_parses(analyze("He left.", lexicons))
+    assert "mention\t[0..0]\tPERSON1\tPerson\tHe\tpronoun\tambiguous\n" in dump
+
+
+def test_a_pronoun_tagged_word_no_pronoun_entry_lists_is_no_mention(tmp_path):
+    # "us" here is the microsecond unit, not a pronoun
+    path = tmp_path / "units.tsv"
+    path.write_text("us\tUnit\tus\tdim=duration\n")
+    parses = analyze("They told us. It took 5 us.", load_lexicon(path, case_sensitive=False))
+    assert [(p.mention_text(m), m.readings) for p, m in flat_mentions(parses)] == [
+        ("5 us", ((ReadingKind.DURATION, Measure(Decimal(5), "us")),))]
 
 
 def test_pronoun_respects_sex_agreement(lexicons):

@@ -121,6 +121,8 @@ def test_unknown_kind_rejected(tmp_path):
      "dim must be one of percent, distance, duration, speed, temperature, got 'volume'"),
     ("blarg\tUnit\tblarg",
      "dim must be one of percent, distance, duration, speed, temperature, got None"),
+    ("Nowhere\tCity\tNowhere\tcountry= ", "bad attribute (empty key or value): 'country='"),
+    ("Nowhere\tCity\tNowhere\t=GBR", "bad attribute (empty key or value): '=GBR'"),
 ])
 def test_malformed_line_reports_its_message_and_line_number(tmp_path, line, message):
     path = tmp_path / "bad.tsv"

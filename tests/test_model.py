@@ -16,12 +16,15 @@ from newsforms.model import (
     InjuryFatality,
     IPO,
     Location,
+    Measure,
     Money,
+    Negotiation,
     NewsForm,
     Organization,
     Person,
     Succession,
     Trip,
+    Weather,
     validate,
 )
 from newsforms.vocab import Cause, Sentiment, Sex
@@ -167,6 +170,18 @@ def test_money_rejects_float():
         Money(1.5, "USD")
 
 
+def test_measure_rejects_float():
+    with pytest.raises(TypeError):
+        Measure(2.5, "mph")
+
+
+def test_list_arguments_become_tuples():
+    hurricane = Weather(meteor="Hurricane")
+    assert NewsForm(events=[hurricane]).events == (hurricane,)
+    parties = [Organization(full_name="Boeing"), Organization(full_name="Airbus")]
+    assert Negotiation(parties=parties).parties == tuple(parties)
+
+
 def test_money_accepts_int_and_text_amounts():
     assert Money(5, "USD").amount == Decimal("5")
     assert Money("2.50", "USD").amount == Decimal("2.50")
@@ -258,6 +273,13 @@ def test_validation_reports_every_violation_in_document_order():
     (Trip(visitor=Person(age=151)), ("range", "value must be <= 150, got 151")),
     (Deal(stake=Decimal("0")), ("range", "value must be > 0, got 0")),
     (Deal(stake=Decimal("-0.50")), ("range", "value must be > 0, got -0.50")),
+    (Trip(to_location=Person(family="Ann")), ("type", "expected Location, got Person")),
+    (Weather(high=5), ("type", "expected Measure, got int")),
+    (Weather(high=Measure(Decimal("NaN"), "F")), ("type", "measure value must be a finite Decimal")),
+    (Weather(high=Measure(5, "F")), ("type", "measure value must be a finite Decimal")),
+    (Weather(high=Measure(Decimal(5), "two words")),
+     ("unit", "measure unit must be a token: 'two words'")),
+    (Person(family="Ann"), ("type", "not a news event type: Person")),
 ])
 def test_type_and_value_findings_of_in_memory_values(event, expected):
     assert [(f.code, f.message) for f in validate(NewsForm(events=(event,))).errors] == [expected]

@@ -233,7 +233,7 @@ def test_tagging_is_deterministic():
 def _reference_tag(word):
     """postag's documented precedence, one rule after another: closed class,
     -ing/-ed/-ly with their length limits, adjective suffixes, capitalised
-    -> PROPN, digit-bearing -> NUM, and NOUN."""
+    -> PROPN, and NOUN."""
     lower = word.lower()
     if lower in postag._CLOSED:
         return postag._CLOSED[lower]
@@ -248,9 +248,6 @@ def _reference_tag(word):
             return Pos.ADJ
     if word[0].isupper():
         return Pos.PROPN
-    for ch in word:
-        if ch.isdigit():
-            return Pos.NUM
     return Pos.NOUN
 
 
@@ -275,6 +272,21 @@ _WORDS_TO_TAG = st.one_of(
 @example("x2ly")
 def test_tag_word_equals_the_documented_precedence(word):
     assert postag._tag_word(word) is _reference_tag(word)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(alphabet="aZq'’-.,09²٣ ", max_size=40),
+    st.lists(st.sampled_from(["Mr.", "mr.", "U.S.", "x2", "3.5", "B-52", "o'9", "dr.", " "]),
+             max_size=12).map("".join),
+))
+def test_the_tagger_hands_tag_word_no_digit(text):
+    words = []
+    tag_word = postag._tag_word
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(postag, "_tag_word", lambda word: words.append(word) or tag_word(word))
+        tag_pos(text, (0, len(text)))
+    assert not any(ch.isdigit() for word in words for ch in word)
 
 
 # ---- noun groups -------------------------------------------------------------

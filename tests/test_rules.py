@@ -21,7 +21,14 @@ from newsforms.model import (
     Weather,
 )
 from newsforms.pipeline import analyze
-from newsforms.pipeline.types import ReadingKind
+from newsforms.pipeline.types import (
+    EntityMention,
+    EntityReading,
+    Pos,
+    ReadingKind,
+    SentenceParse,
+    Token,
+)
 from newsforms.rules import (
     EventDraft,
     Fragment,
@@ -129,6 +136,49 @@ def test_bad_constant_is_a_compile_error():
         assert str(info.value).startswith(f"r001: bad constant for <{path}>: not a known")
     compile_rules("boom => <Deal><DealValue><Amount>5</Amount>"
                   "<Currency>USD</Currency></DealValue></Deal>")
+
+
+_KILLED = "<InjuryFatality><KilledCount>1</KilledCount></InjuryFatality>"
+
+
+@pytest.mark.parametrize("rule, message", [
+    (f"a [ b [ c ] ] => {_KILLED}", "optional groups do not nest"),
+    (f"a ] => {_KILLED}", "unbalanced ']'"),
+    (f"a [ ] => {_KILLED}", "empty optional group"),
+    (f"[ was injured => {_KILLED}", "unbalanced '['"),
+    (f"?Person:9x died => {_KILLED}", "bad slot syntax '?Person:9x'"),
+    (f"?Person ?Person died => {_KILLED}", "duplicate slot variable ?Person"),
+    (f"a *x b => {_KILLED}", "bad skip syntax '*x'"),
+    (f"=> {_KILLED}", "empty pattern"),
+    ("quake", "missing '=>' between pattern and template"),
+    ("quake => <InjuryFatality><KilledCount><Amount>1</Amount></KilledCount></InjuryFatality>",
+     "<KilledCount> must hold a value, not elements"),
+    ("quake => <InjuryFatality><KilledCount>many</KilledCount></InjuryFatality>",
+     "bad constant for <KilledCount>: KilledCount: not an integer: 'many'"),
+    ("quake => <InjuryFatality><KilledCount>1</InjuryFatality>",
+     "template is not well-formed XML: mismatched tag: line 1, column 32"),
+    ("quake => <Head><DatelineTime>19990125T181917Z</DatelineTime></Head>",
+     "<Head> is not an event element"),
+    ("quake => <InjuryFatality> </InjuryFatality>", "template sets no fields"),
+])
+def test_rule_compile_errors_name_the_rule(rule, message):
+    # a good rule first: the error names the second
+    with pytest.raises(RuleError) as info:
+        compile_rules(f"{INJURED_RULE}\n\n{rule}\n")
+    assert (info.value.rule_id, str(info.value)) == ("r002", f"r002: {message}")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("k\tLegalEvent\t*\tDropField\tVerdict", "DropField target 'Verdict' is not a field"),
+    ("k\tWeather\t*\tPreferReading\tIssuer", "PreferReading target must be Field:Kind"),
+    ("k\tWeather\t*\tPreferReading\tBoss:Person", "unknown field 'Boss'"),
+    ("k\tWeather\t*\tPreferReading\tIssuer:Location",
+     "PreferReading kind must be Person or Organization"),
+])
+def test_kb_target_errors_name_the_row(row, message):
+    with pytest.raises(RuleError) as info:
+        compile_kb(f"ok\tLegalEvent\t*\tRejectFragment\t-\n{row}\n")
+    assert (info.value.rule_id, str(info.value)) == ("k", f"k: {message}")
 
 
 def test_priority_counts_literals_file_order_breaks_ties():
@@ -337,6 +387,62 @@ def test_unmatched_optional_slot_inside_a_record(lexicons):
     assert _events(slot_only, "A storm hit today.", lexicons) == [Weather(meteor="Hurricane")]
 
 
+def _fill(rule, text, reading):
+    """The event ``rule`` builds when its one slot binds a mention of the
+    one-token sentence ``text`` that carries ``reading``; None if none."""
+    rule, = compile_rules(rule)
+    mention = EntityMention(0, 0, (reading,))
+    parse = SentenceParse(0, len(text), (Token(text, 0, len(text), Pos.PROPN),), (mention,))
+    fragment = _instantiate(rule, {var: mention for var in rule.slots}, parse, 0)
+    return None if fragment is None else fragment.event
+
+
+_CAUSE = "?{0} struck => <InjuryFatality><Cause>?{0}</Cause></InjuryFatality>"
+_STATE = "?Location hit => <Weather><AtLocation><State>?Location</State></AtLocation></Weather>"
+_TICKER = "?Organization sold => <Earnings><Company><Ticker>?Organization</Ticker></Company></Earnings>"
+
+
+@pytest.mark.parametrize("rule, text, reading, event", [
+    # an enum slot reads a string reading, else the mention's text
+    (_CAUSE.format("Product"), "Quake", (ReadingKind.PRODUCT, "Earthquake"),
+     InjuryFatality(cause=Cause.EARTHQUAKE)),
+    (_CAUSE.format("Person"), "Earthquake",
+     (ReadingKind.PERSON, Person(family="Earthquake")), InjuryFatality(cause=Cause.EARTHQUAKE)),
+    (_CAUSE.format("Product"), "Earthquake", (ReadingKind.PRODUCT, "Sharknado"), None),
+    (_CAUSE.format("Person"), "Sharknado",
+     (ReadingKind.PERSON, Person(family="Sharknado")), None),
+    # a code field binds only a record that has the code
+    (_STATE, "Colombia", (ReadingKind.LOCATION, Location(country="COL")), None),
+    (_TICKER, "Acme", (ReadingKind.ORGANIZATION, Organization(full_name="Acme")), None),
+    # a text field takes a string reading as it is
+    ("?Product landed => <InjuryFatality><LandedPlane>?Product</LandedPlane></InjuryFatality>",
+     "jumbo", (ReadingKind.PRODUCT, "Boeing 747"), InjuryFatality(landed_plane="Boeing 747")),
+])
+def test_slot_conversions(rule, text, reading, event):
+    assert _fill(rule, text, EntityReading(*reading)) == event
+
+
+def test_a_non_integral_count_binds_nothing(lexicons):
+    rule = "?Number:n people died => <InjuryFatality><KilledCount>?n</KilledCount></InjuryFatality>"
+    assert _events(rule, "Officials said 2.5 people died.", lexicons) == []
+    assert _events(rule, "Officials said 2 people died.", lexicons) == [
+        InjuryFatality(killed_count=2)]
+
+
+def test_a_template_whose_slots_all_go_unmatched_gives_no_fragment(lexicons):
+    rule = ("storm hit [ in ?Location:l ] today => <Weather><AtLocation>"
+            "<Country>?l</Country></AtLocation></Weather>")
+    assert _events(rule, "A storm hit today.", lexicons) == []
+
+
+def test_a_skip_that_runs_past_the_end_fails_the_match(lexicons):
+    rule = "storm *3 ?Location:l => <Weather><AtLocation><Country>?l</Country></AtLocation></Weather>"
+    assert _match_at(compile_rules(rule)[0].atoms, ["storm", "hit", "."], 0) is None
+    assert _events(rule, "A storm hit.", lexicons) == []
+    assert _events(rule, "A storm hit Colombia.", lexicons) == [
+        Weather(at_location=Location(country="COL"))]
+
+
 def test_repeated_list_child_keeps_every_item_in_template_order(lexicons):
     rule = ("?Organization:a and ?Organization:b began talks => "
             "<Negotiation><Party>?a</Party><Party>?b</Party></Negotiation>")
@@ -421,6 +527,18 @@ def test_merge_conflicts_print_measures_and_money_as_document_tokens():
         "Weather/WindSpeed: kept 140 mph from an earlier sentence, ignored 150 mph",
         "Deal/DealValue: kept USD:2.50 from an earlier sentence, ignored USD:3",
     ]
+
+
+def test_a_later_fragment_filling_an_empty_field_brings_its_alternatives():
+    sony = Organization(full_name="Sony")
+    outcome = merge_fragments([
+        frag(Weather(meteor="Hurricane"), 0),
+        Fragment(event=Weather(issuer=sony), bindings={}, sentence_index=1, rule_id="rT",
+                 alternatives={"issuer": (Person(family="Sony"),)}),
+    ])
+    draft, = outcome.drafts
+    assert draft.event == Weather(meteor="Hurricane", issuer=sony)
+    assert draft.alternatives == {"issuer": (Person(family="Sony"),)}
 
 
 def test_distinct_variants_never_merge():

@@ -147,6 +147,12 @@ def test_unknown_event_element_is_a_schema_error():
     assert "Scandal" in str(info.value)
 
 
+def test_a_root_other_than_newsform_is_a_schema_error():
+    with pytest.raises(SchemaError) as info:
+        parse_newsform("<Trip><Visitor><Family>Ann</Family></Visitor></Trip>")
+    assert (info.value.path, str(info.value)) == ("", "root element must be NewsForm, not Trip")
+
+
 def test_unknown_child_element_is_a_schema_error():
     with pytest.raises(SchemaError) as info:
         parse_newsform("<NewsForm><Head/><Trip><Harmed>x</Harmed></Trip></NewsForm>")
