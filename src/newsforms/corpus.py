@@ -468,19 +468,16 @@ def _bucket_start(stamp: datetime, bucket: Bucket) -> datetime:
 def stats(index: CorpusIndex, variant: str, bucket: Bucket) -> StatsResult:
     """Events of one type per UTC day or week; gaps inside the covered
     range appear with count 0; undated documents are tallied separately."""
-    cls = event_type(variant)
+    event_type(variant)   # a QueryError on an unknown type
     counts: dict[datetime, int] = {}
     undated = 0
-    for doc in index.docs:
-        n = sum(1 for event in doc.form.events if isinstance(event, cls))
-        if n == 0:
-            continue
+    for doc, events in _matches(index, QueryExpr(variant)):
         stamp = doc.form.head.dateline_time
         if stamp is None:
-            undated += n
+            undated += len(events)
             continue
         start = _bucket_start(stamp, bucket)
-        counts[start] = counts.get(start, 0) + n
+        counts[start] = counts.get(start, 0) + len(events)
     if not counts:
         return StatsResult(buckets=(), undated=undated)
     step = timedelta(days=7 if bucket is Bucket.WEEK else 1)

@@ -21,10 +21,10 @@ Beside the index, ``LexiconSet.prefixes`` holds every case-folded word
 prefix of every key: the node set of a token trie over the keys
 (Aho and Corasick, "Efficient string matching", 1975). A token window
 whose folded surface is not in it starts no key, so the entity scanner
-stops extending the window there. The text joins a comma token to the
-word before it only once another token follows (``Washington , D.C.``
-reads ``washington, d.c.``), so a prefix ending in a comma also enters in
-its two shorter token forms, ``washington`` and ``washington ,``."""
+stops extending the window there.
+
+A key is spelled as the scanner joins a token window, by ``spell``: single
+spaces, and a comma as a token of its own (``Washington , D.C.``)."""
 
 from __future__ import annotations
 
@@ -72,11 +72,11 @@ class LexiconEntry(NamedTuple):
     normalized: str
     attributes: tuple[tuple[str, Union[str, Decimal]], ...] = ()
 
-    def attr(self, key: str, default=None) -> Union[str, Decimal, None]:
+    def attr(self, key: str) -> Union[str, Decimal, None]:
         for k, v in self.attributes:
             if k == key:
                 return v
-        return default
+        return None
 
 
 # the attributes the entity scanner reads as numbers, each with the largest
@@ -126,9 +126,15 @@ def _read_attrs(raw: str, kind: EntryKind, path, lineno: int) -> tuple:
     return tuple(attrs.items())
 
 
+def spell(surface: str) -> str:
+    """A surface spelled as a token window: single spaces, and a comma as a
+    token of its own (``Washington, D.C.`` spells ``Washington , D.C.``)."""
+    return " ".join(surface.replace(",", " , ").split())
+
+
 @dataclass
 class LexiconSet:
-    """One index over every loaded entry: the case-folded, whitespace-normalised
+    """One index over every loaded entry: the case-folded ``spell`` of a
     surface maps to ``(exact surface, or None in a ci file; entry)`` pairs in
     load order; ``prefixes`` holds the folded word prefixes of every key;
     ``readings``, no part of ``==``, memoizes the entity scanner's readings."""
@@ -141,12 +147,12 @@ class LexiconSet:
         return sum(len(bucket) for bucket in self.index.values())
 
     def lookup(self, surface: str) -> list[LexiconEntry]:
-        # keys are single-spaced and case folding moves no space, so a
-        # surface found as spelt needs no normalising
+        # keys are spelled and case folding moves no space or comma, so a
+        # surface found as it stands needs no spelling
         exact = surface
         bucket = self.index.get(surface.casefold())
         if bucket is None:
-            exact = " ".join(surface.split())
+            exact = spell(surface)
             bucket = self.index.get(exact.casefold(), ())
         return [entry for key, entry in bucket if key is None or key == exact]
 
@@ -170,7 +176,7 @@ def _add_file(lexicons: LexiconSet, path: Path, case_sensitive: bool):
         if not normalized:
             raise LexiconError(path, lineno, "empty normalized value")
         attrs = _read_attrs(columns[3] if len(columns) == 4 else "", kind, path, lineno)
-        exact = " ".join(surface.split())
+        exact = spell(surface)
         key = exact if case_sensitive else None   # None matches in any case
         folded = exact.casefold()
         identity = (key, folded, kind_token, normalized)   # a str hashes faster than a kind
@@ -189,10 +195,6 @@ def _add_prefixes(prefixes: set[str], folded: str):
     for word in folded.split(" "):
         prefix = f"{prefix} {word}" if prefix else word
         prefixes.add(prefix)
-        if prefix.endswith(","):
-            # the token forms before the comma joins: "washington", "washington ,"
-            prefixes.add(prefix[:-1])
-            prefixes.add(prefix[:-1] + " ,")
 
 
 def load_lexicon(path, case_sensitive: bool = True) -> LexiconSet:

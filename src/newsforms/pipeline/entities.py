@@ -20,14 +20,13 @@ Lexicon access goes through one table per start token, built on first
 use: the entries of each window that starts there, one probe per window.
 Windows stop before punctuation other than a comma and at the lexicon's
 prefix frontier, the first window whose folded surface is not in
-``LexiconSet.prefixes`` because no key starts with it; a window ending in
-a comma token (``Washington ,``) is in that set whenever a key goes on
-past the comma. A window within the frontier that is no key is not
-looked up. Each window's surface and folded key extend the previous
-window's by one token, with ``_window_surface``'s comma rule, from
-tokens folded once per sentence. The table also keeps the set of entry
-kinds across its windows, so a matcher asking for kinds the start lacks
-returns at once.
+``LexiconSet.prefixes`` because no key starts with it. A window within
+the frontier that is no key is not looked up. Each window's surface and
+folded key extend the previous window's by a space and one token, from
+tokens folded once per sentence, in the spelling of a lexicon key
+(``lexicons.spell``). The table also keeps the set of entry kinds across
+its windows, so a matcher asking for kinds the start lacks returns at
+once.
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ _DIM_KIND = {dim: ReadingKind(dim.capitalize()) for dim in UNIT_DIMENSIONS}
 
 
 def _window_surface(tokens: list[Token], first: int, last: int) -> str:
-    text = " ".join(t.text for t in tokens[first:last + 1])
-    return text.replace(" , ", ", ")
+    return " ".join(t.text for t in tokens[first:last + 1])
 
 
 def _reading_from_entry(entry: LexiconEntry) -> EntityReading:
@@ -127,9 +125,7 @@ class _Scanner:
         item k is the window i..i+k. Windows stop before punctuation other
         than a comma and before the first one that starts no lexicon key.
         Each window extends the one before it by a token and reads as
-        ``_window_surface`` reads it: a comma token joins the token before
-        it once another token follows, unless it follows a comma that
-        joined (``" , "`` reads ``", "`` from left to right)."""
+        ``_window_surface`` reads it."""
         table = self._windows[i]
         if table is None:
             table = self._windows[i] = []
@@ -137,22 +133,14 @@ class _Scanner:
             lexicons = self.lexicons
             prefixes, index = lexicons.prefixes, lexicons.index
             tokens, folded = self.tokens, self.folded
-            surface = key = ""
-            joins = False   # the window ends in a comma that joins the word before it
+            surface, key = tokens[i].text, folded[i]
             for last in range(i, self.n):
                 tok = tokens[last]
                 if tok.pos is Pos.PUNCT and tok.text != ",":
                     break
-                if last == i:
-                    surface, key = tok.text, folded[last]
-                elif joins:
-                    surface = f"{surface[:-2]}, {tok.text}"
-                    key = f"{key[:-2]}, {folded[last]}"
-                    joins = False
-                else:
+                if last > i:
                     surface = f"{surface} {tok.text}"
                     key = f"{key} {folded[last]}"
-                    joins = tok.text == ","
                 if key not in prefixes:
                     break
                 # a prefix that is no key holds no entry: no lookup
@@ -160,17 +148,6 @@ class _Scanner:
                 table.append(entries)
                 kinds.update(entry.kind for entry in entries)
         return table
-
-    def kinds(self, i: int) -> set[EntryKind]:
-        """The entry kinds across the windows starting at i."""
-        self.windows(i)
-        return self._kinds[i]
-
-    def entries_at(self, first: int, last: int, kinds) -> list[LexiconEntry]:
-        table = self.windows(first)
-        if last - first >= len(table) or self._kinds[first].isdisjoint(kinds):
-            return []
-        return [e for e in table[last - first] if e.kind in kinds]
 
     def single(self, i: int, kind: EntryKind) -> Optional[LexiconEntry]:
         table = self.windows(i)
@@ -253,13 +230,6 @@ class _Scanner:
         value, j = parsed
         return self.magnitudes(value, j)
 
-    def unit_at(self, j: int):
-        found = self.longest(j, {EntryKind.UNIT})
-        if found is None:
-            return None
-        last, entries = found
-        return last, entries[0]
-
     def match_quantity(self, i: int) -> Optional[EntityMention]:
         tok = self.tokens[i]
         # currency symbol before the figure: $2 million
@@ -302,9 +272,10 @@ class _Scanner:
             except ArithmeticError:   # decimal.Overflow: the figure is no amount
                 return None
             return EntityReading(ReadingKind.MONEY, model.Money(amount, entry.normalized)), j
-        unit = self.unit_at(j)
+        unit = self.longest(j, {EntryKind.UNIT})
         if unit is not None:
-            last, entry = unit
+            last, entries = unit
+            entry = entries[0]
             kind = _DIM_KIND[entry.attr("dim")]
             if kind is ReadingKind.PERCENT:
                 return EntityReading(ReadingKind.PERCENT, value), last
@@ -357,7 +328,10 @@ class _Scanner:
             sex=sex,
         )
         readings = [EntityReading(ReadingKind.PERSON, person)]
-        readings += map(self.reading, self.entries_at(i, j - 1, _STANDALONE_KINDS))
+        table = self.windows(i)
+        if j - i <= len(table):   # the window i..j-1 is within the prefix frontier
+            readings += [self.reading(e) for e in table[j - i - 1]
+                         if e.kind in _STANDALONE_KINDS]
         return EntityMention(i, j - 1, _dedupe(readings))
 
     # -- other matchers ---------------------------------------------------
@@ -460,7 +434,7 @@ def parse_entities(tokens: list[Token], lexicons: LexiconSet) -> list[EntityMent
             # a Pronoun entry. Every entry's key starts with its first token.
             i += 1
             continue
-        if tok.pos is Pos.NUM or scanner.kinds(i):
+        if tok.pos is Pos.NUM or any(scanner.windows(i)):
             mention = (scanner.match_quantity(i)
                        or scanner.match_person(i)
                        or scanner.match_lexicon(i)

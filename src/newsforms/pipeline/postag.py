@@ -3,8 +3,9 @@
 Tagging is deterministic, in fixed precedence: closed-class lexicon,
 suffix rules, capitalized word -> PROPN, and NOUN as the fallback.
 Numbers keep internal commas and decimal points as one token; currency
-and percent signs are SYM tokens; known abbreviations keep their
-trailing period.
+and percent signs are SYM tokens; a known abbreviation keeps its
+trailing period (``Dr.`` is one token), which is read once, so no token
+overlaps another.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def tag_pos(text: str, span: tuple[int, int]) -> list[Token]:
     """Tokenize and tag one sentence span; offsets are into the full text."""
     start, end = span
     tokens: list[Token] = []
-    for match in _TOKEN_RE.finditer(text, start, end):
+    # each search starts where the last token ends, past an abbreviation's period
+    while (match := _TOKEN_RE.search(text, start, end)) is not None:
         kind = match.lastgroup
         tok_start, tok_end = match.span()
         value = match.group()
@@ -124,4 +126,5 @@ def tag_pos(text: str, span: tuple[int, int]) -> list[Token]:
         else:
             pos = Pos.OTHER if value.isalnum() else Pos.PUNCT
         tokens.append(Token(value, tok_start, tok_end, pos))
+        start = tok_end
     return tokens

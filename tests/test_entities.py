@@ -434,14 +434,16 @@ def test_lexicon_windows_reach_their_keys(lexicons, text, first, last, value):
         lexicons.lookup(entities._window_surface(tokens, 0, k)) for k in range(len(tokens))]
 
 
-@pytest.mark.parametrize("text, last", [
-    ("Washington, D.C.", 2),
+@pytest.mark.parametrize("key, text, last", [
+    ("Washington, D.C.", "Washington, D.C.", 2),
     # five words, six tokens: a cap on words per key stopped one token short
-    ("Foo, Bar Baz Qux Quux", 5),
+    ("Foo, Bar Baz Qux Quux", "Foo, Bar Baz Qux Quux", 5),
+    # spelled as a token window at load, "Foo , Bar Baz", as the text is
+    ("Foo,Bar Baz", "Foo, Bar Baz", 3),
 ])
-def test_comma_key_is_reached_when_its_first_word_is_no_key(tmp_path, text, last):
+def test_comma_key_is_reached_when_its_first_word_is_no_key(tmp_path, key, text, last):
     path = tmp_path / "cities.tsv"
-    path.write_text(f"{text}\tCity\tWashington\tcountry=USA\n")
+    path.write_text(f"{key}\tCity\tWashington\tcountry=USA\n")
     tokens = tag_pos(text, (0, len(text)))
     mention, = entities.parse_entities(tokens, load_lexicon(path))
     assert (mention.first, mention.last) == (0, last)

@@ -156,10 +156,16 @@ def test_prefixes_hold_every_word_prefix_and_the_comma_token_forms(tmp_path):
     path = tmp_path / "cities.tsv"
     path.write_text("Washington, D.C.\tCity\tWashington\tcountry=USA\n"
                     "New York\tCity\tNew York\tcountry=USA\n")
+    # a key is spelled as a token window, so its comma is a word of its own
     assert load_lexicon(path).prefixes == {
-        "washington,", "washington, d.c.", "new", "new york",
-        # the windows "Washington" and "Washington ," before the comma joins
-        "washington", "washington ,"}
+        "washington", "washington ,", "washington , d.c.", "new", "new york"}
+
+
+@pytest.mark.parametrize("surface", ["Washington , D.C.", "Washington, D.C.",
+                                     "Washington,D.C.", " Washington ,  D.C. "])
+def test_lookup_spells_its_surface_as_a_key(lexicons, surface):
+    entry, = lexicons.lookup(surface)
+    assert (entry.kind, entry.normalized, entry.attr("state")) == (EntryKind.CITY, "Washington", "DC")
 
 
 def test_loading_is_idempotent(tmp_path):
@@ -266,9 +272,10 @@ def test_manifest_rejects_unknown_flags(tmp_path):
 
 
 # sha256 of every packaged lexicon bucket as loaded: the folded key, each
-# entry's exact key, surface, kind, normalized value and attributes, number
-# attributes spelled with ``model.format_decimal``
-_PACKAGED_BUCKETS_DIGEST = "2b31962da6380e50f5643790416bdfae289c89612cc8a62da030f01ce83da772"
+# entry's exact key (both in ``lexicons.spell``'s spelling), surface, kind,
+# normalized value and attributes, number attributes spelled with
+# ``model.format_decimal``
+_PACKAGED_BUCKETS_DIGEST = "d005169c507cf7d328f7702e7ffea550064fd19c08f776054317ac05e9143977"
 _NUMBER_KEYS = {"lat", "lon", "val", "mag", "scale"}
 
 

@@ -289,6 +289,27 @@ def test_the_tagger_hands_tag_word_no_digit(text):
     assert not any(ch.isdigit() for word in words for ch in word)
 
 
+_TAGGER_TEXT = st.lists(st.sampled_from(["Mr.", "dr.", "St.", "No.", "etc.", "U.S.", "a", "Zq", "5",
+                                         "3.5", ".5", "1,000", ".", ",", "$", "'", " "]),
+                        max_size=12).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TAGGER_TEXT, st.integers(0, 60), st.integers(0, 60))
+@example("aMr.", 1, 4)
+@example("No.5 Mr..5", 0, 10)
+def test_tokens_are_ordered_disjoint_slices_covering_the_span(text, start, end):
+    start, end = sorted((min(start, len(text)), min(end, len(text))))
+    tokens = tag_pos(text, (start, end))
+    read = start
+    for token in tokens:
+        assert read <= token.start < token.end <= end, (text, tokens)
+        assert text[token.start:token.end] == token.text
+        assert not text[read:token.start].strip(), (text, tokens)   # only spaces skipped
+        read = token.end
+    assert not text[read:end].strip(), (text, tokens)
+
+
 # ---- noun groups -------------------------------------------------------------
 
 def groups_text(text):
@@ -478,7 +499,7 @@ def test_a_resolved_pronoun_carries_its_antecedents_record(sentences):
                 assert person.sex == mention.readings[0].value.sex
 
 
-@pytest.mark.parametrize("unit", ["Mr. ", "Mr. she "])
+@pytest.mark.parametrize("unit", ["Mr. to ", "Mr. she "])
 def test_64_kb_of_person_mentions_resolves_in_linear_time(lexicons, unit):
     text = unit * (64 * 1024 // len(unit))
     began = time.perf_counter()

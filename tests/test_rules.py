@@ -792,6 +792,31 @@ def test_extract_intro_matches_worked_example(lexicons, rules, kb):
     assert model.validate(result.document).ok
 
 
+def test_extract_reads_an_abbreviation_with_its_period_once(lexicons, rules, kb):
+    # "St." and "Dr." are one token each, so the city key "St. Louis" is
+    # reached and the title stays with the name after it
+    text = ("An earthquake struck St. Louis on Monday, killing 4 people. "
+            "Dr. John Smith was injured.")
+    result = extract(text, lexicons, rules, kb)
+    assert serialize_newsform(result.document) == (
+        "<NewsForm>\n"
+        "  <Head/>\n"
+        "  <InjuryFatality>\n"
+        "    <Cause>Earthquake</Cause>\n"
+        "    <Injured><Family>Smith</Family><Given>John</Given><Prefix>Dr.</Prefix>"
+        "<Sex>Male</Sex></Injured>\n"
+        "    <KilledCount>4</KilledCount>\n"
+        "    <AtLocation>\n"
+        "      <City>St. Louis</City>\n"
+        "      <Country>USA</Country>\n"
+        "      <Latitude>38.6</Latitude>\n"
+        "      <Longitude>-90.2</Longitude>\n"
+        "      <State>MO</State>\n"
+        "    </AtLocation>\n"
+        "  </InjuryFatality>\n"
+        "</NewsForm>\n")
+
+
 def test_extract_empty_text(lexicons, rules, kb):
     result = extract("", lexicons, rules, kb)
     assert result.document == model.NewsForm()
