@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import model, shards
-from .model import FieldKind, FieldSpec, Measure, Money, NewsForm
+from .model import FieldKind, FieldSpec, Measure, Money, NewsForm, value_class
 from .vocab import Sentiment
 from .xmlcodec import FILE_EXTENSION, read_newsform
 
@@ -98,15 +98,21 @@ def _posting_token(spec: FieldSpec, value) -> str:
 # ---------------------------------------------------------------------------
 # Index
 
-@dataclass
+@value_class(frozen=False)
+@dataclass(init=False, repr=False, eq=False)
 class IndexedDoc:
+    """A kept corpus document: its id, path and parsed form."""
+
     doc_id: str
     path: str
     form: NewsForm
 
 
-@dataclass
+@value_class(frozen=False)
+@dataclass(init=False, repr=False, eq=False)
 class CorpusIndex:
+    """The documents a corpus read kept, in path order, and its ``skipped`` lines."""
+
     docs: list[IndexedDoc] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
@@ -219,16 +225,22 @@ def corpus_paths(directory) -> list[str]:
 # ---------------------------------------------------------------------------
 # Queries
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Predicate:
+    """One comparison of a query: the operator, the literal and the field path."""
+
     op: str
     value: str         # literal token as written, quotes stripped
     specs: tuple[FieldSpec, ...]
     literal: Decimal | Money | str   # ``value`` read once; see parse_query
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class QueryExpr:
+    """A parsed query: the event type, predicates, sort key and date window."""
+
     variant: str
     predicates: tuple[Predicate, ...] = ()
     sort_specs: tuple[FieldSpec, ...] = ()   # () unsorted; _DATELINE sorts on the dateline
@@ -410,8 +422,11 @@ def _matches(index: CorpusIndex, query: QueryExpr):
             yield doc, events
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class QueryHit:
+    """One query result: the document id, path and sort value."""
+
     doc_id: str
     path: str
     sort_value: str  # "-" when the doc has no value for the sort key
@@ -452,8 +467,11 @@ class Bucket(Enum):
     WEEK = "week"
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class StatsResult:
+    """Event counts per day or week, and the count of undated events."""
+
     buckets: tuple[tuple[datetime, int], ...]
     undated: int
 
@@ -490,8 +508,11 @@ def stats(index: CorpusIndex, variant: str, bucket: Bucket) -> StatsResult:
 # ---------------------------------------------------------------------------
 # Geographic distribution
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class GeoDistribution:
+    """Positive, negative and other event counts per country, and of unlocated events."""
+
     per_country: tuple[tuple[str, tuple[int, int, int]], ...]  # sorted by code
     unlocated: tuple[int, int, int]
 

@@ -26,15 +26,15 @@ stops extending the window there.
 A key is spelled as the scanner joins a token window, by ``spell``: single
 spaces, and a comma as a token of its own (``Washington , D.C.``)."""
 
-from __future__ import annotations
-
+# no ``from __future__ import annotations``: ``NamedTuple`` would compile
+# each field's annotation string at import
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
-from .model import read_number
+from .model import read_number, value_class
 from .resources import rows
 
 
@@ -132,7 +132,8 @@ def spell(surface: str) -> str:
     return " ".join(surface.replace(",", " , ").split())
 
 
-@dataclass
+@value_class(frozen=False)
+@dataclass(init=False, repr=False, eq=False)
 class LexiconSet:
     """One index over every loaded entry: the case-folded ``spell`` of a
     surface maps to ``(exact surface, or None in a ci file; entry)`` pairs in

@@ -1,7 +1,8 @@
 """Typed in-memory representation of news-event documents.
 
 A document (:class:`NewsForm`) is a header plus zero or more typed event
-records drawn from 17 event classes. Values are immutable dataclasses;
+records drawn from 17 event classes. Values are immutable dataclasses
+that get their methods from :func:`value_class` (see "Value classes");
 constructing one performs light normalization (vocabulary tokens to enum
 members, ints to exact decimals, lists to tuples) but never rejects, so
 that invalid data can be represented and then reported by :func:`validate`.
@@ -17,11 +18,13 @@ the sentiment table; ``read_number`` is the one ASCII number reader.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
+from reprlib import recursive_repr
 from typing import Callable, Optional, Union, get_args
 
 from .resources import packaged_data_root, read_code_table, rows
@@ -117,6 +120,135 @@ def parse_timestamp(text: str) -> datetime:
 
 
 # ---------------------------------------------------------------------------
+# Value classes
+#
+# Every value class of the package is declared ``@dataclass(init=False,
+# repr=False, eq=False)`` under ``@value_class``. The dataclass gathers the
+# fields, so ``dataclasses.fields``, ``replace`` and ``asdict`` work on it;
+# ``value_class`` gives it the methods ``dataclass`` would generate, as
+# closures over that field list. ``dataclass`` compiles new source for each
+# method of each class, which no bytecode cache keeps, so every call of the
+# program paid for it at import. Each value class has a docstring, because
+# ``dataclass`` makes a missing one from ``inspect.signature`` of the class,
+# which parses text at every import.
+
+_object_setattr = object.__setattr__
+
+
+def value_class(cls=None, /, *, frozen=True):
+    """Give a class declared ``@dataclass(init=False, repr=False, eq=False)``
+    the ``__init__``, ``__repr__``, ``__eq__`` and ``__hash__`` of
+    ``@dataclass(frozen=frozen)``, and when frozen its ``__setattr__`` and
+    ``__delattr__``, which raise ``FrozenInstanceError``; a mutable class is
+    unhashable. As the generated ones, ``__init__`` takes the ``init`` fields
+    by position or keyword, fills a ``default_factory`` field it was not
+    given and calls ``__post_init__``; ``__repr__`` shows the ``repr``
+    fields; ``__eq__`` and ``__hash__`` read the tuple of the ``compare``
+    fields.
+
+    ``__init__`` stores the fields it is given, each as its own attribute,
+    which keeps them in the instance's compact attribute storage; a field
+    left to a plain default reads it from the class, as in a record that
+    ``build_record`` makes."""
+    if cls is None:
+        return lambda cls: value_class(cls, frozen=frozen)
+    declared = fields(cls)
+    names = tuple(f.name for f in declared if f.init)
+    accepted = frozenset(names)
+    required = frozenset(f.name for f in declared if f.init and f.default is MISSING
+                         and f.default_factory is MISSING)
+    factories = tuple((f.name, f.default_factory) for f in declared
+                      if f.default_factory is not MISSING)
+    # the fields __init__ stores when each init field is given: those, and
+    # each other one with a factory
+    size = len(names) + sum(not f.init for f in declared if f.default_factory is not MISSING)
+    store = _object_setattr if frozen else setattr
+    post_init = getattr(cls, "__post_init__", None)
+    labels = tuple(f"{f.name}=" for f in declared if f.repr)
+    shown = _values_of(tuple(f.name for f in declared if f.repr))
+    compared = _values_of(tuple(f.name for f in declared if f.compare))
+    guarded = frozenset(f.name for f in declared)
+
+    def __init__(self, /, *args, **kwargs):
+        if kwargs and not accepted.issuperset(kwargs):
+            raise _argument_error(cls, names, args, kwargs)
+        if args:
+            if len(args) > len(names) or kwargs and not kwargs.keys().isdisjoint(names[:len(args)]):
+                raise _argument_error(cls, names, args, kwargs)
+            kwargs.update(zip(names, args))
+        if len(kwargs) < size:   # a field left to its default or factory, or a missing one
+            if required and not kwargs.keys() >= required:
+                raise _argument_error(cls, names, args, kwargs, required)
+            for name, factory in factories:
+                if name not in kwargs:
+                    kwargs[name] = factory()
+        for name, value in kwargs.items():
+            store(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    @recursive_repr()
+    def __repr__(self):
+        items = map(str.__add__, labels, map(repr, shown(self)))
+        return f"{self.__class__.__qualname__}({', '.join(items)})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return compared(self) == compared(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(compared(self))
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in guarded:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in guarded:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    methods = (__init__, __repr__, __eq__) + \
+        ((__hash__, __setattr__, __delattr__) if frozen else ())
+    for method in methods:
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    if not frozen:
+        cls.__hash__ = None
+    return cls
+
+
+def _values_of(names: tuple[str, ...]) -> Callable:
+    """The function of an instance that gives the tuple of its ``names``."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if not names:
+        return lambda instance: ()
+    value = attrgetter(*names)
+    return lambda instance: (value(instance),)
+
+
+def _argument_error(cls: type, names: tuple[str, ...], args: tuple, kwargs: dict,
+                    required: frozenset = frozenset()) -> TypeError:
+    """Why a value class's ``__init__`` cannot take these arguments; with
+    ``required``, ``kwargs`` holds every field given, short of some of those."""
+    call = f"{cls.__qualname__}.__init__()"
+    if required:
+        absent = ", ".join(repr(name) for name in names if name in required and name not in kwargs)
+        return TypeError(f"{call} missing required arguments: {absent}")
+    unexpected = next((name for name in kwargs if name not in names), None)
+    if unexpected is not None:
+        return TypeError(f"{call} got an unexpected keyword argument {unexpected!r}")
+    if len(args) > len(names):
+        return TypeError(f"{call} takes at most {len(names)} positional arguments "
+                         f"but {len(args)} were given")
+    clash = next(name for name in names[:len(args)] if name in kwargs)
+    return TypeError(f"{call} got multiple values for argument {clash!r}")
+
+
+# ---------------------------------------------------------------------------
 # Field schema
 #
 # Each record field declares its schema entry where the dataclass declares
@@ -167,8 +299,12 @@ ORDERED_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class FieldSpec:
+    """A record field's schema entry: element name, attribute, kind,
+    vocabulary, bounds and the record classes it holds."""
+
     element: str
     attr: str
     kind: FieldKind
@@ -362,8 +498,11 @@ def _normalize(spec: FieldSpec, value):
     return value
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Person(_Record):
+    """A person: name parts, title, function, age, sex, country and contact."""
+
     additional: Optional[str] = _f("Additional", FieldKind.TEXT)
     age: Optional[int] = _f("Age", FieldKind.INT, lo=0, hi=150)
     country: Optional[str] = _f("Country", FieldKind.COUNTRY)
@@ -377,8 +516,11 @@ class Person(_Record):
     url: Optional[str] = _f("URL", FieldKind.TEXT)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Location(_Record):
+    """A place: city, region, state, country, continent and coordinates."""
+
     city: Optional[str] = _f("City", FieldKind.TEXT)
     continent: Optional[Continent] = _f("Continent", FieldKind.ENUM, enum=Continent)
     country: Optional[str] = _f("Country", FieldKind.COUNTRY)
@@ -389,8 +531,11 @@ class Location(_Record):
     url: Optional[str] = _f("URL", FieldKind.TEXT)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Organization(_Record):
+    """An organization: full name, nickname, type, sport, ticker and contact."""
+
     email: Optional[str] = _f("Email", FieldKind.TEXT)
     full_name: Optional[str] = _f("FullName", FieldKind.TEXT)
     nickname: Optional[str] = _f("Nickname", FieldKind.TEXT)
@@ -403,7 +548,8 @@ class Organization(_Record):
 OrgOrPerson = Union[Organization, Person]
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Money(_Record):
     """Exact decimal amount in an ISO 4217 currency. Never floating point."""
 
@@ -416,7 +562,8 @@ class Money(_Record):
         super().__post_init__()
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Measure:
     """A scalar with a unit word, e.g. 75 mph or 32 F."""
 
@@ -428,16 +575,22 @@ class Measure:
             raise TypeError("Measure value must be Decimal, int, or numeric text, not float")
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Head(_Record):
+    """The document header: the dateline time."""
+
     dateline_time: Optional[datetime] = _f("DatelineTime", FieldKind.TIMESTAMP)
 
 
 # ---------------------------------------------------------------------------
 # Event types
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Competition(_Record):
+    """A sports result: the competition, its outcome, a player or a team."""
+
     competition_code: Optional[str] = _f("CompetitionCode", FieldKind.TOKEN)
     competition_outcome: Optional[CompetitionOutcome] = _f(
         "CompetitionOutcome", FieldKind.ENUM, enum=CompetitionOutcome)
@@ -446,8 +599,11 @@ class Competition(_Record):
     team: Optional[Organization] = _f("Team", FieldKind.ORGANIZATION)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Deal(_Record):
+    """A merger or acquisition: the companies, value, price, stake and status."""
+
     acquirer: Optional[Organization] = _f("Acquirer", FieldKind.ORGANIZATION)
     advisor: Optional[Organization] = _f("Advisor", FieldKind.ORGANIZATION)
     deal_status: Optional[DealStatus] = _f("DealStatus", FieldKind.ENUM, enum=DealStatus)
@@ -460,8 +616,11 @@ class Deal(_Record):
     target: Optional[Organization] = _f("Target", FieldKind.ORGANIZATION)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Earnings(_Record):
+    """A company's earnings report: earnings or loss, sales and per-share figures."""
+
     company: Optional[Organization] = _f("Company", FieldKind.ORGANIZATION)
     eps: Optional[Money] = _f("EPS", FieldKind.MONEY)
     earnings_amount: Optional[Money] = _f("EarningsAmount", FieldKind.MONEY)
@@ -473,8 +632,11 @@ class Earnings(_Record):
     sales_ps: Optional[Money] = _f("SalesPS", FieldKind.MONEY)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class EconomicRelease(_Record):
+    """An economic figure's release: its type, rates, growth, direction and source."""
+
     annual_rate: Optional[Decimal] = _f("AnnualRate", FieldKind.DECIMAL)
     direction: Optional[Direction] = _f("Direction", FieldKind.ENUM, enum=Direction)
     economic_release_type: Optional[str] = _f("EconomicReleaseType", FieldKind.TOKEN)
@@ -485,8 +647,11 @@ class EconomicRelease(_Record):
     source: Optional[OrgOrPerson] = _f("Source", FieldKind.ORG_OR_PERSON)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class FedWatch(_Record):
+    """A central bank's action on an interest rate."""
+
     actor: Optional[Organization] = _f("Actor", FieldKind.ORGANIZATION)
     fed_action: Optional[FedAction] = _f("FedAction", FieldKind.ENUM, enum=FedAction)
     interest_rate: Optional[InterestRateName] = _f(
@@ -494,8 +659,12 @@ class FedWatch(_Record):
     rate: Optional[Decimal] = _f("Rate", FieldKind.DECIMAL)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class IPO(_Record):
+    """An initial public offering: the company, shares, stake, amount
+    raised and market value."""
+
     company: Optional[Organization] = _f("Company", FieldKind.ORGANIZATION)
     market_cap: Optional[Money] = _f("MarketCap", FieldKind.MONEY)
     raised: Optional[Money] = _f("Raised", FieldKind.MONEY)
@@ -503,8 +672,11 @@ class IPO(_Record):
     stake: Optional[Decimal] = _f("Stake", FieldKind.DECIMAL, lo=0, hi=100, lo_open=True)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class InjuryFatality(_Record):
+    """People killed or injured: the counts, the victims, the cause and the place."""
+
     accident_car: Optional[str] = _f("AccidentCar", FieldKind.TEXT)
     accident_plane: Optional[str] = _f("AccidentPlane", FieldKind.TEXT)
     boat: Optional[Boat] = _f("Boat", FieldKind.ENUM, enum=Boat)
@@ -521,8 +693,11 @@ class InjuryFatality(_Record):
     at_location: Optional[Location] = _f("AtLocation", FieldKind.LOCATION)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class JointVenture(_Record):
+    """A joint venture between companies."""
+
     companies: tuple[Organization, ...] = _f("Company", FieldKind.ORG_LIST)
     item: Optional[str] = _f("Item", FieldKind.TEXT)
     joint_venture_type: Optional[JointVentureType] = _f(
@@ -530,8 +705,11 @@ class JointVenture(_Record):
     source: Optional[OrgOrPerson] = _f("Source", FieldKind.ORG_OR_PERSON)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class LegalEvent(_Record):
+    """A legal event: accusation, arrest, filing, judgment, sentence and the parties."""
+
     accusation_action: Optional[AccusationAction] = _f(
         "AccusationAction", FieldKind.ENUM, enum=AccusationAction)
     accused: Optional[OrgOrPerson] = _f("Accused", FieldKind.ORG_OR_PERSON)
@@ -554,15 +732,21 @@ class LegalEvent(_Record):
     witness: Optional[Person] = _f("Witness", FieldKind.PERSON)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class MedicalFinding(_Record):
+    """A medical finding: an illness and a factor in it."""
+
     illness: Optional[str] = _f("Illness", FieldKind.TOKEN)
     illness_factor: Optional[IllnessFactor] = _f(
         "IllnessFactor", FieldKind.ENUM, enum=IllnessFactor)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Negotiation(_Record):
+    """A negotiation between parties: its agreement and status."""
+
     agreement: Optional[Agreement] = _f("Agreement", FieldKind.ENUM, enum=Agreement)
     negotiation_status: Optional[NegotiationStatus] = _f(
         "NegotiationStatus", FieldKind.ENUM, enum=NegotiationStatus)
@@ -570,8 +754,11 @@ class Negotiation(_Record):
     parties: tuple[OrgOrPerson, ...] = _f("Party", FieldKind.ORG_OR_PERSON_LIST)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class NewProduct(_Record):
+    """A product announcement: the company, item, price and status."""
+
     company: Optional[Organization] = _f("Company", FieldKind.ORGANIZATION)
     item: Optional[str] = _f("Item", FieldKind.TEXT)
     price: Optional[Money] = _f("Price", FieldKind.MONEY)
@@ -581,8 +768,11 @@ class NewProduct(_Record):
     support_for: Optional[str] = _f("SupportFor", FieldKind.TEXT)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Succession(_Record):
+    """A change in office: the employer, the function, who comes in and who goes out."""
+
     employer: Optional[OrgOrPerson] = _f("Employer", FieldKind.ORG_OR_PERSON)
     function: Optional[str] = _f("Function", FieldKind.TEXT)
     person_in: Optional[Person] = _f("In", FieldKind.PERSON)
@@ -590,16 +780,22 @@ class Succession(_Record):
     source: Optional[OrgOrPerson] = _f("Source", FieldKind.ORG_OR_PERSON)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Trip(_Record):
+    """A visit: the visitor, the host and the destination."""
+
     host: Optional[OrgOrPerson] = _f("Host", FieldKind.ORG_OR_PERSON)
     to_location: Optional[Location] = _f("ToLocation", FieldKind.LOCATION)
     visitor: Optional[Person] = _f("Visitor", FieldKind.PERSON)
     visitor_count: Optional[int] = _f("VisitorCount", FieldKind.INT, lo=0)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Vote(_Record):
+    """A vote on legislation: the counts, the status, the voting body and the signer."""
+
     against: Optional[int] = _f("Against", FieldKind.INT, lo=0)
     in_favor: Optional[int] = _f("InFavor", FieldKind.INT, lo=0)
     law: Optional[str] = _f("Law", FieldKind.TEXT)
@@ -609,8 +805,11 @@ class Vote(_Record):
     voting_body: Optional[Organization] = _f("VotingBody", FieldKind.ORGANIZATION)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class War(_Record):
+    """An armed conflict: the force, its action, the leader, the victims and the place."""
+
     armed_conflict: Optional[ArmedConflict] = _f(
         "ArmedConflict", FieldKind.ENUM, enum=ArmedConflict)
     armed_force: Optional[str] = _f("ArmedForce", FieldKind.TEXT)
@@ -623,8 +822,11 @@ class War(_Record):
     victim_action: Optional[VictimAction] = _f("VictimAction", FieldKind.ENUM, enum=VictimAction)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Weather(_Record):
+    """A weather event: the storm, its readings, the warnings and the place."""
+
     at_location: Optional[Location] = _f("AtLocation", FieldKind.LOCATION)
     compass_direction: Optional[CompassDirection] = _f(
         "CompassDirection", FieldKind.ENUM, enum=CompassDirection)
@@ -648,8 +850,11 @@ NewsEvent = Union[
 ]
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class NewsForm:
+    """A document: the header and its events."""
+
     head: Head = field(default_factory=Head)
     events: tuple[NewsEvent, ...] = ()
 
@@ -702,8 +907,8 @@ def build_record(cls: type, values: dict):
     ``__init__``. ``values`` must be normalized already, as the codec reads
     them (vocabulary members or unknown tokens, Decimals, tuples for list
     fields), and hold every required field. Only the given fields are
-    set: the others read their default from the class, as a dataclass
-    field with a default does."""
+    set: the others read their default from the class, as after
+    ``__init__``."""
     record = object.__new__(cls)
     record.__dict__.update(values)
     return record
@@ -759,15 +964,21 @@ def values_at(record, specs: tuple[FieldSpec, ...]) -> list:
 # ---------------------------------------------------------------------------
 # Validation
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Finding:
+    """One constraint violation: the field path, a code and a message."""
+
     path: str
     code: str
     message: str
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class ValidationReport:
+    """The findings of ``validate``; ``ok`` when there are none."""
+
     errors: tuple[Finding, ...] = ()
 
     @property
@@ -882,8 +1093,11 @@ def read_number(text: str) -> Optional[Decimal]:
         return None
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Condition:
+    """One atom of a field condition (see "Field conditions")."""
+
     specs: tuple[FieldSpec, ...]    # the field tested
     op: str                         # set | empty | ambiguous | eq | ne | lt | gt
     value: Union[str, Decimal, None] = None   # the token (eq, ne) or number (lt, gt) ...

@@ -18,6 +18,7 @@ from decimal import Decimal
 from typing import Optional
 
 from .. import model
+from ..model import value_class
 from ..vocab import Sex
 from .types import EntityMention, EntityReading, ReadingKind, SentenceParse
 
@@ -37,8 +38,12 @@ _PREFIX = {
 }
 
 
-@dataclass
+@value_class(frozen=False)
+@dataclass(init=False, repr=False, eq=False)
 class _Entity:
+    """An entity that references resolve to: id, kind, creation order, sex
+    and latest person record."""
+
     eid: str
     kind: ReadingKind
     order: int  # creation index: later entities win lookups

@@ -357,13 +357,15 @@ class _Scanner:
         while j < self.n and name_like(self.tokens[j]) \
                 and self.single(j, EntryKind.ORG_SUFFIX) is None:
             j += 1
-        if j >= self.n or j == i or self.single(j, EntryKind.ORG_SUFFIX) is None:
+        # one comma may stand between the name and its suffix (``Acme, Inc.``)
+        last = j + 1 if j > i and j + 1 < self.n and self.tokens[j].text == "," else j
+        if last >= self.n or j == i or self.single(last, EntryKind.ORG_SUFFIX) is None:
             # a scan from a later start before j stops at j too, and fails
             self._org_scan_end = j
             return None
-        name = _window_surface(self.tokens, i, j)
+        name = _window_surface(self.tokens, i, last).replace(" , ", ", ")
         org = model.Organization(full_name=name)
-        return EntityMention(i, j, (EntityReading(ReadingKind.ORGANIZATION, org),))
+        return EntityMention(i, last, (EntityReading(ReadingKind.ORGANIZATION, org),))
 
     def match_pronoun(self, i: int) -> Optional[EntityMention]:
         if self.tokens[i].pos is not Pos.PRON:

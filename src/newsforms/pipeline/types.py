@@ -4,11 +4,13 @@ Tokens, readings, mentions and sentence parses are built many times per
 story, so they are named tuples: immutable, compared and printed field by
 field like a frozen dataclass, and cheaper to build."""
 
-from __future__ import annotations
-
+# no ``from __future__ import annotations``: ``NamedTuple`` would compile
+# each field's annotation string at import
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
+
+from ..model import value_class
 
 
 class Pos(Enum):
@@ -34,8 +36,11 @@ class Token(NamedTuple):
     pos: Pos
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class NounGroup:
+    """A noun group: its token span and head token."""
+
     first: int  # token indices, inclusive
     last: int
     head: int   # index of the head token, within [first, last]

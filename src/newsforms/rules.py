@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Union
 
 from . import model, xmlcodec
 from .lexicons import LexiconSet
-from .model import FieldKind, FieldSpec, NewsForm
+from .model import FieldKind, FieldSpec, NewsForm, value_class
 from .pipeline import ReadingKind, SentenceParse, analyze
 from .pipeline.types import EntityMention
 from .resources import rows
@@ -49,8 +49,11 @@ class RuleError(ValueError):
         self.rule_id = rule_id
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Diagnostic:
+    """One ``--review`` line: the stage, the rule, the action and a detail."""
+
     stage: str
     rule_id: Optional[str]
     action: str
@@ -63,24 +66,36 @@ class Diagnostic:
 # ---------------------------------------------------------------------------
 # Pattern atoms
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Literal:
+    """A pattern atom matching one free token."""
+
     text: str   # lower-cased, as the items it is compared with
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Slot:
+    """A pattern atom binding a mention with a reading of ``kind`` to ``var``."""
+
     kind: ReadingKind
     var: str
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class OptionalGroup:
+    """Pattern atoms that may be absent."""
+
     atoms: tuple
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Skip:
+    """A pattern atom skipping up to ``limit`` items."""
+
     limit: int
 
 
@@ -90,20 +105,27 @@ Atom = Union[Literal, Slot, OptionalGroup, Skip]
 # ---------------------------------------------------------------------------
 # Templates
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class VarRef:
+    """A template leaf filled from the mention bound to ``var``."""
+
     var: str
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Template:
     """A record to build: the event at the root, a nested record below."""
     cls: type
     parts: tuple  # of (FieldSpec, VarRef | Template | constant value)
 
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class ExtractionRule:
+    """A compiled pattern rule: its atoms, template, priority and mandatory literals."""
+
     rule_id: str
     atoms: tuple
     template: Template
@@ -285,8 +307,11 @@ def load_rules(directory) -> list[ExtractionRule]:
 # ---------------------------------------------------------------------------
 # Pattern matching over resolved parses
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class Fragment:
+    """The event one rule match built, with the ids and alternative readings it bound."""
+
     event: object
     bindings: dict
     sentence_index: int
@@ -398,7 +423,9 @@ def _alternate_values(spec: FieldSpec, kind: ReadingKind, mention: EntityMention
 
 
 def _instantiate(rule: ExtractionRule, bindings: dict, parse: SentenceParse,
-                 sentence_index: int) -> Optional[Fragment]:
+                 sentence_index: int, diagnostics: Optional[list] = None) -> Optional[Fragment]:
+    """The fragment a match builds, or None when it binds nothing or a slot
+    does not bind; ``diagnostics`` gets a ``bind-failed`` line saying why."""
     slots = rule.slots
     alternatives = {}
     id_bindings = {}
@@ -428,7 +455,10 @@ def _instantiate(rule: ExtractionRule, bindings: dict, parse: SentenceParse,
 
     try:
         event = resolve(None, rule.template)
-    except _BindError:
+    except _BindError as exc:
+        if diagnostics is not None:
+            diagnostics.append(Diagnostic("patterns", rule.rule_id, "bind-failed",
+                                          f"sentence={sentence_index}: {exc}"))
         return None
     if event is None:
         return None
@@ -437,9 +467,11 @@ def _instantiate(rule: ExtractionRule, bindings: dict, parse: SentenceParse,
                     alternatives=alternatives)
 
 
-def apply_patterns(parses: Sequence[SentenceParse],
-                   rules: Sequence[ExtractionRule]) -> list[Fragment]:
-    """Match every rule against every sentence, highest priority first.
+def apply_patterns(parses: Sequence[SentenceParse], rules: Sequence[ExtractionRule],
+                   diagnostics: Optional[list] = None) -> list[Fragment]:
+    """Match every rule against every sentence, highest priority first; a
+    match whose slots do not bind adds a ``bind-failed`` line to
+    ``diagnostics``.
 
     A rule is tried only on sentences whose free tokens hold all of its
     mandatory literals; ``_match_at`` compares literals the same way, so
@@ -464,7 +496,7 @@ def apply_patterns(parses: Sequence[SentenceParse],
                     pos += 1
                     continue
                 end, bindings = result
-                fragment = _instantiate(rule, bindings, parse, sentence_index)
+                fragment = _instantiate(rule, bindings, parse, sentence_index, diagnostics)
                 if fragment is not None:
                     sentence_frags.append((pos, fragment))
                 pos = max(end, pos + 1)
@@ -476,14 +508,20 @@ def apply_patterns(parses: Sequence[SentenceParse],
 # ---------------------------------------------------------------------------
 # Fragment merging
 
-@dataclass
+@value_class(frozen=False)
+@dataclass(init=False, repr=False, eq=False)
 class EventDraft:
+    """A merged event and the alternative readings of its fields."""
+
     event: object
     alternatives: dict = field(default_factory=dict)
 
 
-@dataclass
+@value_class(frozen=False)
+@dataclass(init=False, repr=False, eq=False)
 class MergeOutcome:
+    """The drafts merging built, in type order, and the conflicts it warned of."""
+
     drafts: list[EventDraft]
     warnings: list[Diagnostic]
 
@@ -547,8 +585,11 @@ def merge_fragments(fragments: Sequence[Fragment]) -> MergeOutcome:
 # ---------------------------------------------------------------------------
 # Commonsense knowledge base
 
-@dataclass(frozen=True)
+@value_class
+@dataclass(init=False, repr=False, eq=False)
 class CommonsenseRule:
+    """A compiled knowledge-base row: the conditions, the action and its target."""
+
     rule_id: str
     variant: str
     conditions: tuple[model.Condition, ...]
@@ -658,8 +699,12 @@ def apply_commonsense(events: Sequence, kb: Sequence[CommonsenseRule]):
 # ---------------------------------------------------------------------------
 # End-to-end extraction
 
-@dataclass
+@value_class(frozen=False)
+@dataclass(init=False, repr=False, eq=False)
 class ExtractionResult:
+    """What ``extract`` gives for one story: the document, diagnostics,
+    parses and fragments."""
+
     document: NewsForm
     diagnostics: list[Diagnostic]
     parses: list[SentenceParse]
@@ -672,10 +717,11 @@ def extract(text: str, lexicons: LexiconSet, rules: Sequence[ExtractionRule],
     resolve references, match patterns, merge, vet, validate. Noun groups
     are chunked only for the ``--debug`` dump (``pipeline.dump_parses``)."""
     parses = analyze(text, lexicons)
-    fragments = apply_patterns(parses, rules)
+    bind_failures: list[Diagnostic] = []
+    fragments = apply_patterns(parses, rules, bind_failures)
     outcome = merge_fragments(fragments)
     events, diagnostics = apply_commonsense(outcome.drafts, kb)
-    diagnostics = outcome.warnings + diagnostics
+    diagnostics = bind_failures + outcome.warnings + diagnostics
     kept = []
     for event in events:
         report = model.validate(NewsForm(events=(event,)))

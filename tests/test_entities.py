@@ -120,6 +120,20 @@ def test_org_suffix_composition(lexicons):
     assert org.full_name == "Zyqqly Corp"
 
 
+def test_org_suffix_after_one_comma_joins_the_name(lexicons, rules, kb):
+    parses = analyze("Acme, Inc. said on Monday that profits rose 5 percent.", lexicons)
+    assert [(p.mention_text(m), m.readings[0].kind) for p, m in flat_mentions(parses)][0] == \
+        ("Acme , Inc.", ReadingKind.ORGANIZATION)
+    assert flat_mentions(parses)[0][1].readings[0].value.full_name == "Acme, Inc."
+    # the comma is taken only right before a suffix, after at least one name
+    for text, first in (("Acme, Widget Corp. rose.", "Acme"), (", Inc. rose.", "Inc.")):
+        parse, mention = flat_mentions(analyze(text, lexicons))[0]
+        assert parse.mention_text(mention) == first
+    events = extract("Acme, Inc. agreed to buy Widget Corp. for $5 million.", lexicons,
+                     rules, kb).document.events
+    assert events[0].acquirer.full_name == "Acme, Inc."
+
+
 def test_of_bridged_organization(lexicons):
     parses = analyze("The Department of Justice filed suit.", lexicons)
     _, mention = mention_by_text(parses, "Department of Justice")

@@ -422,6 +422,37 @@ def test_slot_conversions(rule, text, reading, event):
     assert _fill(rule, text, EntityReading(*reading)) == event
 
 
+@pytest.mark.parametrize("rule, reading, reason", [
+    ("?Number:n died => <InjuryFatality><KilledCount>?n</KilledCount></InjuryFatality>",
+     (ReadingKind.NUMBER, Decimal("2.5")), "2.5 is not an integer count"),
+    ("?Location visited => <Trip><ToLocation><Country>?Location</Country></ToLocation></Trip>",
+     (ReadingKind.LOCATION, Location(city="Springfield")), "location has no country code"),
+    (_STATE, (ReadingKind.LOCATION, Location(country="COL")), "location has no state code"),
+    (_TICKER, (ReadingKind.ORGANIZATION, Organization(full_name="Acme")),
+     "organization has no ticker"),
+    (_CAUSE.format("Product"), (ReadingKind.PRODUCT, "Sharknado"),
+     "'Sharknado' is not a Cause value"),
+])
+def test_a_slot_that_does_not_bind_leaves_a_bind_failed_diagnostic(rule, reading, reason):
+    rule, = compile_rules(rule)
+    mention = EntityMention(0, 0, (EntityReading(*reading),))
+    parse = SentenceParse(0, 5, (Token("Thing", 0, 5, Pos.PROPN),), (mention,))
+    diagnostics = []
+    assert _instantiate(rule, {var: mention for var in rule.slots}, parse, 3, diagnostics) is None
+    assert [d.line() for d in diagnostics] == [f"patterns\tr001\tbind-failed\tsentence=3: {reason}"]
+
+
+def test_extract_reports_each_match_that_does_not_bind_before_the_other_diagnostics(
+        lexicons, rules, kb):
+    result = extract("An earthquake struck Colombia, killing 2.5 people. Officials said 4 "
+                     "people died. Later officials said 5 people died.", lexicons, rules, kb)
+    lines = [d.line() for d in result.diagnostics]
+    assert lines[:2] == ["patterns\tr011\tbind-failed\tsentence=0: 2.5 is not an integer count",
+                         "patterns\tr012\tbind-failed\tsentence=0: 2.5 is not an integer count"]
+    assert lines[2].startswith("merge\t") and len(lines) == 3
+    assert result.document.events[0].killed_count == 4
+
+
 def test_a_non_integral_count_binds_nothing(lexicons):
     rule = "?Number:n people died => <InjuryFatality><KilledCount>?n</KilledCount></InjuryFatality>"
     assert _events(rule, "Officials said 2.5 people died.", lexicons) == []
