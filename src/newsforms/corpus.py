@@ -46,7 +46,7 @@ from __future__ import annotations
 import operator
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from datetime import datetime, timedelta, timezone
 from decimal import Context, Decimal
 from enum import Enum
@@ -99,7 +99,6 @@ def _posting_token(spec: FieldSpec, value) -> str:
 # Index
 
 @value_class(frozen=False)
-@dataclass(init=False, repr=False, eq=False)
 class IndexedDoc:
     """A kept corpus document: its id, path and parsed form."""
 
@@ -109,7 +108,6 @@ class IndexedDoc:
 
 
 @value_class(frozen=False)
-@dataclass(init=False, repr=False, eq=False)
 class CorpusIndex:
     """The documents a corpus read kept, in path order, and its ``skipped`` lines."""
 
@@ -226,7 +224,6 @@ def corpus_paths(directory) -> list[str]:
 # Queries
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Predicate:
     """One comparison of a query: the operator, the literal and the field path."""
 
@@ -237,7 +234,6 @@ class Predicate:
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class QueryExpr:
     """A parsed query: the event type, predicates, sort key and date window."""
 
@@ -423,7 +419,6 @@ def _matches(index: CorpusIndex, query: QueryExpr):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class QueryHit:
     """One query result: the document id, path and sort value."""
 
@@ -468,7 +463,6 @@ class Bucket(Enum):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class StatsResult:
     """Event counts per day or week, and the count of undated events."""
 
@@ -509,7 +503,6 @@ def stats(index: CorpusIndex, variant: str, bucket: Bucket) -> StatsResult:
 # Geographic distribution
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class GeoDistribution:
     """Positive, negative and other event counts per country, and of unlocated events."""
 

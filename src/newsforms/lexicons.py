@@ -28,7 +28,7 @@ spaces, and a comma as a token of its own (``Washington , D.C.``)."""
 
 # no ``from __future__ import annotations``: ``NamedTuple`` would compile
 # each field's annotation string at import
-from dataclasses import dataclass, field
+from dataclasses import field
 from decimal import Decimal
 from enum import Enum
 from pathlib import Path
@@ -133,7 +133,6 @@ def spell(surface: str) -> str:
 
 
 @value_class(frozen=False)
-@dataclass(init=False, repr=False, eq=False)
 class LexiconSet:
     """One index over every loaded entry: the case-folded ``spell`` of a
     surface maps to ``(exact surface, or None in a ci file; entry)`` pairs in

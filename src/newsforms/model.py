@@ -65,8 +65,11 @@ from .vocab import (
 TIMESTAMP_FORMAT = "%Y%m%dT%H%M%SZ"
 _TIMESTAMP_RE = re.compile(r"([0-9]{4})([0-9]{2})([0-9]{2})T([0-9]{2})([0-9]{2})([0-9]{2})Z")
 
-_TICKER_RE = re.compile(r"^[A-Z0-9]{1,6}(\.[A-Z0-9]{1,4})?$")
-_TOKEN_RE = re.compile(r"^\S+$")
+# the characters XML 1.0 cannot carry; ``\Z`` where ``$`` would match before a final newline
+_NON_XML = r"\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
+_NON_XML_RE = re.compile(f"[{_NON_XML}]")
+_TICKER_RE = re.compile(r"^[A-Z0-9]{1,6}(\.[A-Z0-9]{1,4})?\Z")
+_TOKEN_RE = re.compile(rf"^[^\s{_NON_XML}]+\Z")
 _CODE3_RE = re.compile(r"^[A-Z]{3}$")
 _CODE2_RE = re.compile(r"^[A-Z]{2}$")
 
@@ -122,29 +125,29 @@ def parse_timestamp(text: str) -> datetime:
 # ---------------------------------------------------------------------------
 # Value classes
 #
-# Every value class of the package is declared ``@dataclass(init=False,
-# repr=False, eq=False)`` under ``@value_class``. The dataclass gathers the
-# fields, so ``dataclasses.fields``, ``replace`` and ``asdict`` work on it;
-# ``value_class`` gives it the methods ``dataclass`` would generate, as
-# closures over that field list. ``dataclass`` compiles new source for each
-# method of each class, which no bytecode cache keeps, so every call of the
-# program paid for it at import. Each value class has a docstring, because
-# ``dataclass`` makes a missing one from ``inspect.signature`` of the class,
-# which parses text at every import.
+# Every value class of the package is declared under ``@value_class`` alone.
+# It makes the class a dataclass with every generated method switched off,
+# so the dataclass gathers the fields and ``dataclasses.fields``, ``replace``
+# and ``asdict`` work on it; it then gives the class the methods
+# ``dataclass`` would generate, as closures over that field list.
+# ``dataclass`` compiles new source for each method of each class, which no
+# bytecode cache keeps, so every call of the program would pay for it at
+# import. Each value class has a docstring, because ``dataclass`` makes a
+# missing one from ``inspect.signature`` of the class, which parses text at
+# every import.
 
 _object_setattr = object.__setattr__
 
 
 def value_class(cls=None, /, *, frozen=True):
-    """Give a class declared ``@dataclass(init=False, repr=False, eq=False)``
-    the ``__init__``, ``__repr__``, ``__eq__`` and ``__hash__`` of
-    ``@dataclass(frozen=frozen)``, and when frozen its ``__setattr__`` and
-    ``__delattr__``, which raise ``FrozenInstanceError``; a mutable class is
-    unhashable. As the generated ones, ``__init__`` takes the ``init`` fields
-    by position or keyword, fills a ``default_factory`` field it was not
-    given and calls ``__post_init__``; ``__repr__`` shows the ``repr``
-    fields; ``__eq__`` and ``__hash__`` read the tuple of the ``compare``
-    fields.
+    """Make ``cls`` a dataclass with the ``__init__``, ``__repr__``,
+    ``__eq__`` and ``__hash__`` of ``@dataclass(frozen=frozen)``, and when
+    frozen its ``__setattr__`` and ``__delattr__``, which raise
+    ``FrozenInstanceError``; a mutable class is unhashable. As the generated
+    ones, ``__init__`` takes the ``init`` fields by position or keyword,
+    fills a ``default_factory`` field it was not given and calls
+    ``__post_init__``; ``__repr__`` shows the ``repr`` fields; ``__eq__`` and
+    ``__hash__`` read the tuple of the ``compare`` fields.
 
     ``__init__`` stores the fields it is given, each as its own attribute,
     which keeps them in the instance's compact attribute storage; a field
@@ -152,7 +155,7 @@ def value_class(cls=None, /, *, frozen=True):
     ``build_record`` makes."""
     if cls is None:
         return lambda cls: value_class(cls, frozen=frozen)
-    declared = fields(cls)
+    declared = fields(dataclass(cls, init=False, repr=False, eq=False))
     names = tuple(f.name for f in declared if f.init)
     accepted = frozenset(names)
     required = frozenset(f.name for f in declared if f.init and f.default is MISSING
@@ -300,7 +303,6 @@ ORDERED_KINDS = frozenset({
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class FieldSpec:
     """A record field's schema entry: element name, attribute, kind,
     vocabulary, bounds and the record classes it holds."""
@@ -344,12 +346,12 @@ def _f(element, kind, enum=None, lo=None, hi=None, lo_open=False, required=False
 # Each leaf spec carries two checks, each a function of the value that
 # returns its finding's (code, message), or None when there is nothing to
 # report. The type check asks whether the value has the type its kind holds
-# (text and tokens str, INT an int, DECIMAL a finite Decimal, TIMESTAMP a
-# UTC datetime); the codec reads every leaf into that type, so only
-# in-memory documents can fail it. The value check asks whether a value of
-# that type is allowed: bounds, vocabulary, code tables, tokens and
-# tickers. ``validate`` runs both; the codec runs the value check on each
-# leaf as it reads it.
+# (text and tokens str the codec reads back as written, INT an int, DECIMAL
+# a finite Decimal, TIMESTAMP a UTC datetime); the codec reads every leaf
+# into that type, so only in-memory documents can fail it. The value check
+# asks whether a value of that type is allowed: bounds, vocabulary, code
+# tables, tokens and tickers. ``validate`` runs both; the codec runs the
+# value check on each leaf as it reads it.
 
 # the type each kind holds and its name in a type finding; the other leaf
 # kinds have no type check, as their value check takes any value
@@ -383,6 +385,14 @@ def _type_check(spec: FieldSpec) -> Optional[Callable]:
             return "float", "binary floating point is not allowed; use Decimal"
         if not isinstance(value, expected) or isinstance(value, bool):
             return "type", f"expected {name}, got {type(value).__name__}"
+        if expected is str:   # text the codec would not read back; blank is the value check's
+            stripped = value.strip()
+            bad = stripped and _NON_XML_RE.search(value)
+            if bad:
+                return "text", f"character {bad.group()!r} cannot be written in XML"
+            if stripped and stripped != value:
+                return "text", f"leading or trailing whitespace is not kept: {value!r}"
+            return None
         if integer:
             try:
                 str(value)   # how the codec writes it
@@ -499,7 +509,6 @@ def _normalize(spec: FieldSpec, value):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Person(_Record):
     """A person: name parts, title, function, age, sex, country and contact."""
 
@@ -517,7 +526,6 @@ class Person(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Location(_Record):
     """A place: city, region, state, country, continent and coordinates."""
 
@@ -532,7 +540,6 @@ class Location(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Organization(_Record):
     """An organization: full name, nickname, type, sport, ticker and contact."""
 
@@ -549,7 +556,6 @@ OrgOrPerson = Union[Organization, Person]
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Money(_Record):
     """Exact decimal amount in an ISO 4217 currency. Never floating point."""
 
@@ -563,7 +569,6 @@ class Money(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Measure:
     """A scalar with a unit word, e.g. 75 mph or 32 F."""
 
@@ -576,7 +581,6 @@ class Measure:
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Head(_Record):
     """The document header: the dateline time."""
 
@@ -587,7 +591,6 @@ class Head(_Record):
 # Event types
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Competition(_Record):
     """A sports result: the competition, its outcome, a player or a team."""
 
@@ -600,7 +603,6 @@ class Competition(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Deal(_Record):
     """A merger or acquisition: the companies, value, price, stake and status."""
 
@@ -617,7 +619,6 @@ class Deal(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Earnings(_Record):
     """A company's earnings report: earnings or loss, sales and per-share figures."""
 
@@ -633,7 +634,6 @@ class Earnings(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class EconomicRelease(_Record):
     """An economic figure's release: its type, rates, growth, direction and source."""
 
@@ -648,7 +648,6 @@ class EconomicRelease(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class FedWatch(_Record):
     """A central bank's action on an interest rate."""
 
@@ -660,7 +659,6 @@ class FedWatch(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class IPO(_Record):
     """An initial public offering: the company, shares, stake, amount
     raised and market value."""
@@ -673,7 +671,6 @@ class IPO(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class InjuryFatality(_Record):
     """People killed or injured: the counts, the victims, the cause and the place."""
 
@@ -694,7 +691,6 @@ class InjuryFatality(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class JointVenture(_Record):
     """A joint venture between companies."""
 
@@ -706,7 +702,6 @@ class JointVenture(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class LegalEvent(_Record):
     """A legal event: accusation, arrest, filing, judgment, sentence and the parties."""
 
@@ -733,7 +728,6 @@ class LegalEvent(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class MedicalFinding(_Record):
     """A medical finding: an illness and a factor in it."""
 
@@ -743,7 +737,6 @@ class MedicalFinding(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Negotiation(_Record):
     """A negotiation between parties: its agreement and status."""
 
@@ -755,7 +748,6 @@ class Negotiation(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class NewProduct(_Record):
     """A product announcement: the company, item, price and status."""
 
@@ -769,7 +761,6 @@ class NewProduct(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Succession(_Record):
     """A change in office: the employer, the function, who comes in and who goes out."""
 
@@ -781,7 +772,6 @@ class Succession(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Trip(_Record):
     """A visit: the visitor, the host and the destination."""
 
@@ -792,7 +782,6 @@ class Trip(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Vote(_Record):
     """A vote on legislation: the counts, the status, the voting body and the signer."""
 
@@ -806,7 +795,6 @@ class Vote(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class War(_Record):
     """An armed conflict: the force, its action, the leader, the victims and the place."""
 
@@ -823,7 +811,6 @@ class War(_Record):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Weather(_Record):
     """A weather event: the storm, its readings, the warnings and the place."""
 
@@ -851,7 +838,6 @@ NewsEvent = Union[
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class NewsForm:
     """A document: the header and its events."""
 
@@ -965,7 +951,6 @@ def values_at(record, specs: tuple[FieldSpec, ...]) -> list:
 # Validation
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Finding:
     """One constraint violation: the field path, a code and a message."""
 
@@ -975,7 +960,6 @@ class Finding:
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class ValidationReport:
     """The findings of ``validate``; ``ok`` when there are none."""
 
@@ -1050,7 +1034,7 @@ def validate(doc: NewsForm) -> ValidationReport:
     the same order, as it reads a document.
     """
     out: list[Finding] = []
-    _walk(out, "Head", doc.head)
+    _check_record(out, "Head", doc.head, (Head,))
     multi = len(doc.events) > 1
     for i, event in enumerate(doc.events, start=1):
         cls = type(event)
@@ -1094,7 +1078,6 @@ def read_number(text: str) -> Optional[Decimal]:
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Condition:
     """One atom of a field condition (see "Field conditions")."""
 

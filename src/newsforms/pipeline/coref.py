@@ -13,7 +13,7 @@ fills carries the antecedent's name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from decimal import Decimal
 from typing import Optional
 
@@ -39,7 +39,6 @@ _PREFIX = {
 
 
 @value_class(frozen=False)
-@dataclass(init=False, repr=False, eq=False)
 class _Entity:
     """An entity that references resolve to: id, kind, creation order, sex
     and latest person record."""

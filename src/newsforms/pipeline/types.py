@@ -6,7 +6,6 @@ field like a frozen dataclass, and cheaper to build."""
 
 # no ``from __future__ import annotations``: ``NamedTuple`` would compile
 # each field's annotation string at import
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -37,7 +36,6 @@ class Token(NamedTuple):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class NounGroup:
     """A noun group: its token span and head token."""
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -50,7 +50,6 @@ class RuleError(ValueError):
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Diagnostic:
     """One ``--review`` line: the stage, the rule, the action and a detail."""
 
@@ -67,7 +66,6 @@ class Diagnostic:
 # Pattern atoms
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Literal:
     """A pattern atom matching one free token."""
 
@@ -75,7 +73,6 @@ class Literal:
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Slot:
     """A pattern atom binding a mention with a reading of ``kind`` to ``var``."""
 
@@ -84,7 +81,6 @@ class Slot:
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class OptionalGroup:
     """Pattern atoms that may be absent."""
 
@@ -92,7 +88,6 @@ class OptionalGroup:
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Skip:
     """A pattern atom skipping up to ``limit`` items."""
 
@@ -106,7 +101,6 @@ Atom = Union[Literal, Slot, OptionalGroup, Skip]
 # Templates
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class VarRef:
     """A template leaf filled from the mention bound to ``var``."""
 
@@ -114,7 +108,6 @@ class VarRef:
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Template:
     """A record to build: the event at the root, a nested record below."""
     cls: type
@@ -122,7 +115,6 @@ class Template:
 
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class ExtractionRule:
     """A compiled pattern rule: its atoms, template, priority and mandatory literals."""
 
@@ -308,7 +300,6 @@ def load_rules(directory) -> list[ExtractionRule]:
 # Pattern matching over resolved parses
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class Fragment:
     """The event one rule match built, with the ids and alternative readings it bound."""
 
@@ -509,7 +500,6 @@ def apply_patterns(parses: Sequence[SentenceParse], rules: Sequence[ExtractionRu
 # Fragment merging
 
 @value_class(frozen=False)
-@dataclass(init=False, repr=False, eq=False)
 class EventDraft:
     """A merged event and the alternative readings of its fields."""
 
@@ -518,7 +508,6 @@ class EventDraft:
 
 
 @value_class(frozen=False)
-@dataclass(init=False, repr=False, eq=False)
 class MergeOutcome:
     """The drafts merging built, in type order, and the conflicts it warned of."""
 
@@ -586,7 +575,6 @@ def merge_fragments(fragments: Sequence[Fragment]) -> MergeOutcome:
 # Commonsense knowledge base
 
 @value_class
-@dataclass(init=False, repr=False, eq=False)
 class CommonsenseRule:
     """A compiled knowledge-base row: the conditions, the action and its target."""
 
@@ -700,7 +688,6 @@ def apply_commonsense(events: Sequence, kb: Sequence[CommonsenseRule]):
 # End-to-end extraction
 
 @value_class(frozen=False)
-@dataclass(init=False, repr=False, eq=False)
 class ExtractionResult:
     """What ``extract`` gives for one story: the document, diagnostics,
     parses and fragments."""

@@ -55,10 +55,11 @@ _LINE_BREAK_RE = re.compile(r"\r\n?|\n")   # XML's line ends
 
 
 def escape(text: str) -> str:
-    """Escape ``&``, ``<`` and ``>`` in leaf text, ``&`` first; the same as
-    ``xml.sax.saxutils.escape`` without an entity map, whose import would
-    load ``urllib.request`` and ``email`` into every command."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Escape ``&``, ``<``, ``>`` (``&`` first) and ``\\r``, which a reader takes for a line
+    end, in leaf text: ``xml.sax.saxutils.escape(text, {"\\r": "&#13;"})``, whose import
+    would load ``urllib.request`` and ``email`` into every command."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;") \
+        .replace("\r", "&#13;")
 
 
 _PERSON_ONLY = {s.element for s in model.specs_for(Person)} - {"Email", "URL"}

@@ -4,7 +4,10 @@ the repr of the field list, the hash and equality of the compared fields'
 tuple, the frozen guards and dataclass's own helpers."""
 
 import dataclasses
+import importlib
 import pickle
+import pkgutil
+import re
 from collections import defaultdict
 from dataclasses import FrozenInstanceError
 from decimal import Decimal
@@ -12,6 +15,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import newsforms
 from newsforms import corpus, lexicons, model, rules
 from newsforms.lexicons import EntryKind, LexiconEntry, LexiconSet
 from newsforms.model import Head, Measure, Money, NewsForm
@@ -21,7 +25,10 @@ from newsforms.vocab import Sex
 
 from conftest import INTRO_TEXT, JOSPIN_TEXT, STORY_TEXTS, DocGenerator, fixture_documents
 
-_MODULES = (model, lexicons, corpus, rules, types, coref)
+# every module of the package, so that a dataclass added to any of them is
+# checked
+_MODULES = [importlib.import_module(info.name) for info in
+            pkgutil.walk_packages(newsforms.__path__, f"{newsforms.__name__}.")]
 
 VALUE_CLASSES = sorted(
     (value for module in _MODULES for value in vars(module).values()
@@ -143,6 +150,14 @@ def test_every_value_class_gets_its_methods_from_the_one_helper(pools):
             assert cls.__dict__[name].__qualname__ == f"{cls.__qualname__}.{name}"
         for name in ("__init__", "__eq__"):   # __repr__ is wrapped by reprlib
             assert cls.__dict__[name].__code__.co_filename == model.__file__, (cls, name)
+
+
+def test_no_value_class_has_the_docstring_dataclass_makes_up():
+    """``dataclass`` gives a class without a docstring ``Name(...)``, made
+    from ``inspect.signature`` of the class at every import."""
+    for cls in VALUE_CLASSES:
+        assert not re.fullmatch(rf"{cls.__name__}(\(.*\))?", cls.__doc__ or cls.__name__,
+                                re.DOTALL), cls
 
 
 @pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__qualname__)

@@ -395,9 +395,9 @@ def test_money_amount_is_read_in_ascii_digits_only():
 
 
 @settings(max_examples=500)
-@given(st.one_of(st.text(), st.text(alphabet="&<>;amplgtquo#\"' x")))
+@given(st.one_of(st.text(), st.text(alphabet="&<>;amplgtquo#\"' x\r")))
 def test_escape_equals_saxutils_escape(text):
-    assert escape(text) == saxutils.escape(text)
+    assert escape(text) == saxutils.escape(text, {"\r": "&#13;"})
 
 
 def test_integer_too_long_to_convert_is_a_type_error_with_path():
@@ -669,3 +669,74 @@ def test_mutated_document_outcomes_are_pinned():
         digest.update(f"{n}\t{kind}\n{outcome}\n".encode())
     assert min(kinds.values()) >= 50, kinds
     assert digest.hexdigest() == "36c8033a0e1bb0a128dc4bd64564b5c17dce7dfe9b4f2847fc067f3cef4ecdac"
+
+
+# ---------------------------------------------------------------------------
+# Every document validate accepts round-trips
+
+@pytest.mark.parametrize("head", [None, Person(given="X")], ids=["none", "person"])
+def test_a_head_that_is_not_a_head_is_a_type_finding(head):
+    doc = NewsForm(head=head)
+    assert [(f.path, f.code) for f in model.validate(doc).errors] == [("Head", "type")]
+    with pytest.raises(SerializeError):
+        serialize_newsform(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    (" A", "leading or trailing whitespace is not kept: ' A'"),
+    ("A\n", "leading or trailing whitespace is not kept: 'A\\n'"),
+    ("A\u2003", "leading or trailing whitespace is not kept: 'A\\u2003'"),
+    ("A\x01B", "character '\\x01' cannot be written in XML"),
+    ("A\ufffeB", "character '\\ufffe' cannot be written in XML"),
+    ("A\ud800", "character '\\ud800' cannot be written in XML"),
+])
+def test_text_the_codec_cannot_read_back_is_a_text_finding(text, message):
+    doc = NewsForm(events=(Trip(visitor=Person(given=text)),
+                           model.Competition(competition_code=text)))
+    assert [(f.path, f.code, f.message) for f in model.validate(doc).errors] == [
+        ("Trip[1]/Visitor/Given", "text", message),
+        ("Competition[2]/CompetitionCode", "text", message)]
+    with pytest.raises(SerializeError):
+        serialize_newsform(doc)
+
+
+def test_a_ticker_or_unit_before_a_newline_is_a_finding():
+    doc = NewsForm(events=(InjuryFatality(source=Organization(ticker="AB\n")),
+                           Weather(high=model.Measure(Decimal(5), "kg\n"),
+                                   low=model.Measure(Decimal(5), "k\x01g"))))
+    assert [(f.path, f.code) for f in model.validate(doc).errors] == [
+        ("InjuryFatality[1]/Source/Ticker", "ticker"),
+        ("Weather[2]/High", "unit"), ("Weather[2]/Low", "unit")]
+
+
+def test_a_carriage_return_is_written_as_a_reference_and_read_back():
+    xml = ("<NewsForm>\n  <Head/>\n  <Trip>\n    <Visitor><Given>A&#13;B</Given></Visitor>\n"
+           "  </Trip>\n</NewsForm>\n")
+    doc = parse_newsform(xml)
+    assert doc.events[0].visitor.given == "A\rB"
+    assert serialize_newsform(doc) == xml
+
+
+# text drawn to hit the characters the codec must refuse or escape, and any
+# character at all; each lands in every kind of string slot of a document
+_SLOT_TEXT = st.one_of(
+    st.text(st.sampled_from("A1.x &<>\t\n\r\x01\x0b\x85\u2003\ufffe\ud800\U0001f600"),
+            max_size=5),
+    st.text(st.characters(blacklist_categories=()), max_size=5))
+
+_SLOTS = (
+    lambda text: Trip(visitor=Person(given=text)),                    # text
+    lambda text: model.Competition(competition_code=text),            # token
+    lambda text: InjuryFatality(source=Organization(ticker=text)),    # ticker
+    lambda text: Weather(high=model.Measure(Decimal("90.5"), text)),  # measure unit
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), _SLOT_TEXT)
+def test_every_document_validate_accepts_round_trips(seed, text):
+    generated = DocGenerator(seed).document()
+    for slot in _SLOTS:
+        doc = NewsForm(head=generated.head, events=generated.events + (slot(text),))
+        if model.validate(doc).ok:
+            assert parse_newsform(serialize_newsform(doc)) == doc
