@@ -4,8 +4,10 @@ A document (:class:`NewsForm`) is a header plus zero or more typed event
 records drawn from 17 event classes. Values are immutable dataclasses
 that get their methods from :func:`value_class` (see "Value classes");
 constructing one performs light normalization (vocabulary tokens to enum
-members, ints to exact decimals, lists to tuples) but never rejects, so
+members, ints to exact decimals, lists to tuples, and in a list field
+``None`` to ``()`` and a lone item to a 1-tuple) but never rejects, so
 that invalid data can be represented and then reported by :func:`validate`.
+A dateline must be a whole second, as the codec writes it.
 
 Validation is pure and exhaustive: every vocabulary, code-table, and range
 constraint violation is reported with the field path where it occurred.
@@ -305,7 +307,8 @@ ORDERED_KINDS = frozenset({
 @value_class
 class FieldSpec:
     """A record field's schema entry: element name, attribute, kind,
-    vocabulary, bounds and the record classes it holds."""
+    vocabulary, bounds, whether it is required and the record classes it
+    holds."""
 
     element: str
     attr: str
@@ -314,6 +317,7 @@ class FieldSpec:
     min_value: Optional[Decimal] = None
     max_value: Optional[Decimal] = None
     min_exclusive: bool = False
+    required: bool = False   # the record cannot be built without it
     records: tuple[type, ...] = ()   # record classes a value may be; () for leaves
     # ``kind in LIST_KINDS``, kept on the spec because the per-field loops
     # of parsing, validation and indexing would hash the enum member each time
@@ -334,7 +338,8 @@ def _f(element, kind, enum=None, lo=None, hi=None, lo_open=False, required=False
     default is None, or () for list kinds, unless the field is required."""
     spec = dict(element=element, kind=kind, enum=enum,
                 min_value=None if lo is None else Decimal(lo),
-                max_value=None if hi is None else Decimal(hi), min_exclusive=lo_open)
+                max_value=None if hi is None else Decimal(hi), min_exclusive=lo_open,
+                required=required)
     if required:
         return field(metadata={"spec": spec})
     return field(default=() if kind in LIST_KINDS else None, metadata={"spec": spec})
@@ -400,8 +405,11 @@ def _type_check(spec: FieldSpec) -> Optional[Callable]:
                 return "range", f"integer too long to write ({value.bit_length()} bits)"
         if decimal and not value.is_finite():
             return "range", "decimal must be finite"
-        if timestamp and value.utcoffset() != _UTC_OFFSET:
-            return "timezone", "timestamp must be UTC"
+        if timestamp:
+            if value.utcoffset() != _UTC_OFFSET:
+                return "timezone", "timestamp must be UTC"
+            if value.microsecond:   # written to the second
+                return "type", "timestamp must be a whole second"
         return None
     return check
 
@@ -492,6 +500,12 @@ def _to_decimal(value):
 
 
 def _normalize(spec: FieldSpec, value):
+    if spec.is_list:   # None, a list or a lone item: a tuple
+        if isinstance(value, tuple):
+            return value
+        if value is None:
+            return ()
+        return tuple(value) if isinstance(value, list) else (value,)
     if value is None:
         return None
     if spec.kind is FieldKind.ENUM and isinstance(value, str):
@@ -501,10 +515,6 @@ def _normalize(spec: FieldSpec, value):
             return value
     if spec.kind is FieldKind.DECIMAL:
         return _to_decimal(value)
-    if spec.is_list:
-        if isinstance(value, list):
-            return tuple(value)
-        return value
     return value
 
 
@@ -981,10 +991,9 @@ def _check_record(out, path, value, expected: tuple[type, ...]):
 def _check_field(out, path, spec, value):
     """Append the findings of one populated field at ``path`` to ``out``,
     records checked child by child."""
-    if spec.is_list:
-        items = value if isinstance(value, tuple) else (value,)
-        for i, item in enumerate(items, start=1):
-            item_path = path if len(items) == 1 else f"{path}[{i}]"
+    if spec.is_list:   # a tuple, as construction normalizes it
+        for i, item in enumerate(value, start=1):
+            item_path = path if len(value) == 1 else f"{path}[{i}]"
             _check_record(out, item_path, item, spec.records)
     elif spec.records:
         _check_record(out, path, value, spec.records)
@@ -1009,6 +1018,9 @@ def _walk(out, path, record):
         value = getattr(record, spec.attr)
         if value is not None:
             _check_field(out, f"{path}/{spec.element}", spec, value)
+        elif spec.required:
+            out.append(Finding(f"{path}/{spec.element}", "required",
+                               f"<{spec.element}> is required"))
 
 
 def check_event_rules(out, path, event):
@@ -1030,13 +1042,19 @@ def validate(doc: NewsForm) -> ValidationReport:
     path of the offending field, the Head first, then each event's fields
     in schema order and its cross-field rules. An empty error list means
     the document is accepted. Missing optional children are never
-    reported. ``xmlcodec.parse_newsform`` reports the same findings, in
-    the same order, as it reads a document.
+    reported; a missing required one (a money's amount or currency) is.
+    ``xmlcodec.parse_newsform`` reports the same findings, in the same
+    order, as it reads a document.
     """
     out: list[Finding] = []
     _check_record(out, "Head", doc.head, (Head,))
-    multi = len(doc.events) > 1
-    for i, event in enumerate(doc.events, start=1):
+    events = doc.events
+    if not isinstance(events, tuple):
+        out.append(Finding("Events", "type",
+                           f"expected a tuple of events, got {type(events).__name__}"))
+        events = ()
+    multi = len(events) > 1
+    for i, event in enumerate(events, start=1):
         cls = type(event)
         if cls not in ELEMENT_OF_EVENT:
             out.append(Finding(f"Event[{i}]", "type",

@@ -31,7 +31,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import field, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import model, xmlcodec
 from .lexicons import LexiconSet
@@ -66,35 +66,11 @@ class Diagnostic:
 # Pattern atoms
 
 @value_class
-class Literal:
-    """A pattern atom matching one free token."""
-
-    text: str   # lower-cased, as the items it is compared with
-
-
-@value_class
 class Slot:
     """A pattern atom binding a mention with a reading of ``kind`` to ``var``."""
 
     kind: ReadingKind
     var: str
-
-
-@value_class
-class OptionalGroup:
-    """Pattern atoms that may be absent."""
-
-    atoms: tuple
-
-
-@value_class
-class Skip:
-    """A pattern atom skipping up to ``limit`` items."""
-
-    limit: int
-
-
-Atom = Union[Literal, Slot, OptionalGroup, Skip]
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +95,8 @@ class ExtractionRule:
     """A compiled pattern rule: its atoms, template, priority and mandatory literals."""
 
     rule_id: str
+    # a literal's lower-cased word (str), a Slot, an optional group's tuple
+    # of atoms or a skip's item limit (int)
     atoms: tuple
     template: Template
     priority: int
@@ -148,8 +126,8 @@ def _parse_pattern(rule_id: str, source: str) -> tuple:
     """Atoms, slots (variable -> ReadingKind), priority (the literal count,
     optional ones included) and the mandatory literals of a pattern."""
     tokens = re.findall(r"\[|\]|[^\s\[\]]+", source)
-    atoms: list[Atom] = []
-    stack: Optional[list[Atom]] = None
+    atoms: list = []
+    stack: Optional[list] = None
     slots: dict = {}
     literals: set = set()
     priority = 0
@@ -164,7 +142,7 @@ def _parse_pattern(rule_id: str, source: str) -> tuple:
                 raise RuleError(rule_id, "unbalanced ']'")
             if not stack:
                 raise RuleError(rule_id, "empty optional group")
-            atoms.append(OptionalGroup(tuple(stack)))
+            atoms.append(tuple(stack))
             stack = None
             continue
         target = stack if stack is not None else atoms
@@ -186,12 +164,12 @@ def _parse_pattern(rule_id: str, source: str) -> tuple:
             match = _SKIP_RE.match(token)
             if not match:
                 raise RuleError(rule_id, f"bad skip syntax {token!r}")
-            target.append(Skip(int(match.group(1))))
+            target.append(int(match.group(1)))
         else:
             priority += 1
             if stack is None:
                 literals.add(token.lower())
-            target.append(Literal(token.lower()))
+            target.append(token.lower())
     if stack is not None:
         raise RuleError(rule_id, "unbalanced '['")
     if not atoms:
@@ -333,11 +311,12 @@ def _match_at(atoms, items, pos: int) -> Optional[tuple[int, dict]]:
     if not atoms:
         return pos, {}
     head, rest = atoms[0], atoms[1:]
-    if isinstance(head, Literal):
-        if pos < len(items) and items[pos] == head.text:   # a mention equals no text
+    cls = head.__class__
+    if cls is str:
+        if pos < len(items) and items[pos] == head:   # a mention equals no text
             return _match_at(rest, items, pos + 1)
         return None
-    if isinstance(head, Slot):
+    if cls is Slot:
         if pos < len(items) and not isinstance(items[pos], str):
             mention = items[pos]
             if any(r.kind is head.kind for r in mention.readings):
@@ -346,12 +325,12 @@ def _match_at(atoms, items, pos: int) -> Optional[tuple[int, dict]]:
                     end, bindings = result
                     return end, {head.var: mention, **bindings}
         return None
-    if isinstance(head, OptionalGroup):
-        with_group = _match_at(head.atoms + rest, items, pos)
+    if cls is tuple:
+        with_group = _match_at(head + rest, items, pos)
         if with_group is not None:
             return with_group
         return _match_at(rest, items, pos)
-    for skipped in range(0, head.limit + 1):   # Skip, the one atom left
+    for skipped in range(0, head + 1):   # a skip, the one atom left
         if pos + skipped > len(items):
             break
         result = _match_at(rest, items, pos + skipped)
@@ -414,7 +393,7 @@ def _alternate_values(spec: FieldSpec, kind: ReadingKind, mention: EntityMention
 
 
 def _instantiate(rule: ExtractionRule, bindings: dict, parse: SentenceParse,
-                 sentence_index: int, diagnostics: Optional[list] = None) -> Optional[Fragment]:
+                 sentence_index: int, diagnostics: list) -> Optional[Fragment]:
     """The fragment a match builds, or None when it binds nothing or a slot
     does not bind; ``diagnostics`` gets a ``bind-failed`` line saying why."""
     slots = rule.slots
@@ -441,15 +420,18 @@ def _instantiate(rule: ExtractionRule, bindings: dict, parse: SentenceParse,
                     if child_spec.is_list:   # items accumulate in template order
                         value = values.get(child_spec.attr, ()) + (value,)
                     values[child_spec.attr] = value
-            return part.cls(**values) if values else None
+            # a record left empty, or short of a field its class requires, is left out
+            if not values or any(spec.required and spec.attr not in values
+                                 for spec in model.specs_for(part.cls)):
+                return None
+            return part.cls(**values)
         return part
 
     try:
         event = resolve(None, rule.template)
     except _BindError as exc:
-        if diagnostics is not None:
-            diagnostics.append(Diagnostic("patterns", rule.rule_id, "bind-failed",
-                                          f"sentence={sentence_index}: {exc}"))
+        diagnostics.append(Diagnostic("patterns", rule.rule_id, "bind-failed",
+                                      f"sentence={sentence_index}: {exc}"))
         return None
     if event is None:
         return None
@@ -459,7 +441,7 @@ def _instantiate(rule: ExtractionRule, bindings: dict, parse: SentenceParse,
 
 
 def apply_patterns(parses: Sequence[SentenceParse], rules: Sequence[ExtractionRule],
-                   diagnostics: Optional[list] = None) -> list[Fragment]:
+                   diagnostics: list) -> list[Fragment]:
     """Match every rule against every sentence, highest priority first; a
     match whose slots do not bind adds a ``bind-failed`` line to
     ``diagnostics``.
@@ -507,20 +489,9 @@ class EventDraft:
     alternatives: dict = field(default_factory=dict)
 
 
-@value_class(frozen=False)
-class MergeOutcome:
-    """The drafts merging built, in type order, and the conflicts it warned of."""
-
-    drafts: list[EventDraft]
-    warnings: list[Diagnostic]
-
-    @property
-    def events(self) -> list:
-        return [draft.event for draft in self.drafts]
-
-
-def merge_fragments(fragments: Sequence[Fragment]) -> MergeOutcome:
-    """Merge same-type fragments into one event per type per document.
+def merge_fragments(fragments: Sequence[Fragment]) -> tuple[list[EventDraft], list[Diagnostic]]:
+    """Merge same-type fragments into one event per type per document;
+    returns the drafts, in type order, and the conflicts it warned of.
 
     Disjoint fields union; on conflict the earliest sentence's value is
     kept and a warning is recorded. A list field gathers the new items of
@@ -568,7 +539,7 @@ def merge_fragments(fragments: Sequence[Fragment]) -> MergeOutcome:
                         f"ignored {model.leaf_token(spec, theirs)}",
                     ))
         draft.event = cls(**merged)
-    return MergeOutcome(drafts=[drafts[cls] for cls in order], warnings=warnings)
+    return [drafts[cls] for cls in order], warnings
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +677,9 @@ def extract(text: str, lexicons: LexiconSet, rules: Sequence[ExtractionRule],
     parses = analyze(text, lexicons)
     bind_failures: list[Diagnostic] = []
     fragments = apply_patterns(parses, rules, bind_failures)
-    outcome = merge_fragments(fragments)
-    events, diagnostics = apply_commonsense(outcome.drafts, kb)
-    diagnostics = bind_failures + outcome.warnings + diagnostics
+    drafts, warnings = merge_fragments(fragments)
+    events, diagnostics = apply_commonsense(drafts, kb)
+    diagnostics = bind_failures + warnings + diagnostics
     kept = []
     for event in events:
         report = model.validate(NewsForm(events=(event,)))

@@ -109,7 +109,7 @@ def test_disambiguation_golden(lexicons):
     mention = parses[0].mentions[0]
     kinds = {r.kind.value for r in mention.readings}
     assert kinds == {"Person", "Location"}  # both readings enter the stage
-    fragments = apply_patterns(parses, rule)
+    fragments = apply_patterns(parses, rule, [])
     assert len(fragments) == 1
     event = fragments[0].event
     assert event.injured == (Person(given="Al", family="Khartum", sex="Male"),)

@@ -111,6 +111,24 @@ def test_rule_file_that_does_not_compile_is_exit_3(capsys, intro_file, tmp_path)
     assert (code, out, err) == (3, "", "error: r001: unbalanced '['\n")
 
 
+@pytest.mark.parametrize("text, sales", [
+    ("The sales rose sharply.", None),
+    ("The sales of 5 rose.", "<Sales><Amount>5</Amount><Currency>USD</Currency></Sales>"),
+])
+def test_a_money_record_short_of_its_amount_is_left_out(capsys, tmp_path, text, sales):
+    (tmp_path / "money.rules").write_text(
+        "sales [ of ?Number:n ] rose => <Earnings><Sales><Amount>?n</Amount>"
+        "<Currency>USD</Currency></Sales></Earnings>\n", encoding="utf-8")
+    story = tmp_path / "story.txt"
+    story.write_text(text + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "--rules", tmp_path, "extract", story)
+    assert (code, err) == (0, "")
+    if sales is None:
+        assert out == "<NewsForm>\n  <Head/>\n</NewsForm>\n"
+    else:
+        assert f"    {sales}\n" in out
+
+
 @pytest.mark.parametrize("name, filename", [
     ("lexicons", "cities.tsv"), ("rules", "core.rules"), ("kb", "commonsense.tsv"),
 ])

@@ -280,6 +280,7 @@ def test_validation_reports_every_violation_in_document_order():
     (Weather(high=Measure(Decimal(5), "two words")),
      ("unit", "measure unit must be a token: 'two words'")),
     (Person(family="Ann"), ("type", "not a news event type: Person")),
+    (Deal(deal_value=Money(None, "USD")), ("required", "<Amount> is required")),
 ])
 def test_type_and_value_findings_of_in_memory_values(event, expected):
     assert [(f.code, f.message) for f in validate(NewsForm(events=(event,))).errors] == [expected]
@@ -291,6 +292,8 @@ def test_dateline_of_the_wrong_type_or_zone():
     assert finding("19990125T181917Z") == [("type", "expected datetime, got str")]
     east = timezone(timedelta(hours=1))
     assert finding(datetime(1999, 1, 25, tzinfo=east)) == [("timezone", "timestamp must be UTC")]
+    assert finding(datetime(1999, 1, 25, 18, 19, 17, 500, tzinfo=timezone.utc)) == [
+        ("type", "timestamp must be a whole second")]
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 """Rule compilation, pattern application, merging, and commonsense checks."""
 
+import itertools
 from decimal import Decimal
 from functools import lru_cache
 
@@ -32,12 +33,11 @@ from newsforms.pipeline.types import (
 from newsforms.rules import (
     EventDraft,
     Fragment,
-    Literal,
-    OptionalGroup,
     RuleError,
     _instantiate,
     _items_for,
     _match_at,
+    _parse_pattern,
     apply_commonsense,
     apply_patterns,
     compile_kb,
@@ -204,7 +204,7 @@ def test_rules_may_span_lines_within_a_group():
 def test_injured_rule_disambiguates_al_khartum(lexicons):
     rules = compile_rules(INJURED_RULE)
     parses = analyze("Al Khartum was injured.", lexicons)
-    fragments = apply_patterns(parses, rules)
+    fragments = apply_patterns(parses, rules, [])
     assert len(fragments) == 1
     event = fragments[0].event
     assert isinstance(event, InjuryFatality)
@@ -216,15 +216,13 @@ def test_injured_rule_disambiguates_al_khartum(lexicons):
 def test_no_match_yields_no_fragments(lexicons):
     rules = compile_rules(INJURED_RULE)
     parses = analyze("The sky is blue.", lexicons)
-    assert apply_patterns(parses, rules) == []
+    assert apply_patterns(parses, rules, []) == []
 
 
 def test_intro_paragraph_produces_expected_fragments(lexicons, rules):
     parses = analyze(INTRO_TEXT, lexicons)
-    fragments = apply_patterns(parses, rules)
-    merged = merge_fragments(fragments)
-    assert len(merged.events) == 1
-    event = merged.events[0]
+    fragments = apply_patterns(parses, rules, [])
+    (event,), _ = merge(fragments)
     assert event.cause is Cause.EARTHQUAKE
     assert event.killed_count == 143
     assert event.injured_count == 900
@@ -238,8 +236,87 @@ def test_optional_atoms_and_skips(lexicons):
         "<InjuryFatality><KilledCount>?n</KilledCount></InjuryFatality>")
     with_opt = analyze("Floods came, killing at least 40 people.", lexicons)
     without = analyze("Floods came, killing 40 people.", lexicons)
-    assert apply_patterns(with_opt, rules)[0].event.killed_count == 40
-    assert apply_patterns(without, rules)[0].event.killed_count == 40
+    assert apply_patterns(with_opt, rules, [])[0].event.killed_count == 40
+    assert apply_patterns(without, rules, [])[0].event.killed_count == 40
+
+
+# ---- the matcher against a reference ----------------------------------------
+#
+# A pattern is drawn as ("lit", word), ("slot", kind), ("skip", n) and
+# ("opt", inner atoms) tuples, written out as rule source for the parser; the
+# reference reads the drawn tuples, never the parser's atoms.
+
+_MATCH_KINDS = (ReadingKind.NUMBER, ReadingKind.PERSON)
+_INNER_ATOM = st.one_of(st.tuples(st.just("lit"), st.sampled_from(("a", "B", "c"))),
+                        st.tuples(st.just("slot"), st.sampled_from(_MATCH_KINDS)),
+                        st.tuples(st.just("skip"), st.integers(0, 2)))
+_PATTERN = st.lists(st.one_of(_INNER_ATOM, st.tuples(st.just("opt"),
+                                                     st.lists(_INNER_ATOM, min_size=1, max_size=2))),
+                    min_size=1, max_size=4)
+_ITEM = st.one_of(st.sampled_from(("a", "b", "c")),
+                  st.lists(st.sampled_from(_MATCH_KINDS), max_size=2))
+
+
+def _source(pattern, slots=None):
+    """The rule source of a drawn pattern; slot variables numbered in order."""
+    slots = itertools.count() if slots is None else slots
+    words = []
+    for atom in pattern:
+        if atom[0] == "lit":
+            words.append(atom[1])
+        elif atom[0] == "slot":
+            words.append(f"?{atom[1].value}:v{next(slots)}")
+        elif atom[0] == "skip":
+            words.append(f"*{atom[1]}")
+        else:
+            words.append(f"[ {_source(atom[1], slots)} ]")
+    return " ".join(words)
+
+
+def _reference_match(pattern, items, pos):
+    """The first expansion of ``pattern`` that matches ``items`` from
+    ``pos``, as (end, bindings): each optional group taken, then not taken,
+    and each ``*n`` as 0 to n wildcards, in ``itertools.product`` order."""
+    slots = itertools.count()
+
+    def expansions(atom):
+        if atom[0] == "opt":
+            taken = itertools.product(*map(expansions, atom[1]))
+            return [sum(parts, ()) for parts in taken] + [()]
+        if atom[0] == "skip":
+            return [(("any",),) * n for n in range(atom[1] + 1)]
+        if atom[0] == "slot":
+            return [(("slot", atom[1], f"v{next(slots)}"),)]
+        return [(("lit", atom[1].lower()),)]
+
+    for expansion in itertools.product(*map(expansions, pattern)):
+        end, bindings = pos, {}
+        for atom in (atom for part in expansion for atom in part):
+            if end >= len(items):
+                break
+            item = items[end]
+            if atom[0] == "lit" and item != atom[1]:
+                break
+            if atom[0] == "slot":
+                if isinstance(item, str) or all(r.kind is not atom[1] for r in item.readings):
+                    break
+                bindings[atom[2]] = item
+            end += 1
+        else:
+            return end, bindings
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(_PATTERN, st.lists(_ITEM, max_size=8), st.data())
+def test_the_matcher_takes_the_first_expansion_that_matches(pattern, drawn, data):
+    atoms, _, _, _ = _parse_pattern("r001", _source(pattern))
+    # a mention per list of kinds, each told apart by its position
+    items = [item if isinstance(item, str) else
+             EntityMention(i, i, tuple(EntityReading(kind, None) for kind in item))
+             for i, item in enumerate(drawn)]
+    pos = data.draw(st.integers(0, len(items)))
+    assert _match_at(atoms, items, pos) == _reference_match(pattern, items, pos)
 
 
 # ---- literal front filter ----------------------------------------------------
@@ -259,7 +336,7 @@ def oracle_apply_patterns(parses, rules):
                     pos += 1
                     continue
                 end, bindings = result
-                fragment = _instantiate(rule, bindings, parse, sentence_index)
+                fragment = _instantiate(rule, bindings, parse, sentence_index, [])
                 if fragment is not None:
                     sentence_frags.append((pos, fragment))
                 pos = max(end, pos + 1)
@@ -274,7 +351,7 @@ def test_literals_only_inside_optional_groups_do_not_gate_a_rule(lexicons):
         "<InjuryFatality><KilledCount>?n</KilledCount></InjuryFatality>")
     assert rule.literals == frozenset()
     parses = analyze("They counted 40.", lexicons)
-    (fragment,) = apply_patterns(parses, [rule])
+    (fragment,) = apply_patterns(parses, [rule], [])
     assert fragment.event.killed_count == 40
 
 
@@ -286,7 +363,7 @@ def test_literals_only_inside_optional_groups_do_not_gate_a_rule(lexicons):
 ])
 def test_upper_case_text_against_lower_case_literals(lexicons, rules, text, fires):
     parses = analyze(text, lexicons)
-    fragments = apply_patterns(parses, rules)
+    fragments = apply_patterns(parses, rules, [])
     assert fragments == oracle_apply_patterns(parses, rules)
     assert any(f.event.cause is Cause.EARTHQUAKE for f in fragments) is fires
 
@@ -297,15 +374,15 @@ def test_literal_covered_by_a_mention_never_matches(lexicons):
     parses = analyze("Officials in New York 12 said so.", lexicons)
     # "York" lies inside a mention; the number that would bind follows it
     assert [parses[0].mention_text(m) for m in parses[0].mentions][-2:] == ["New York", "12"]
-    assert apply_patterns(parses, rules) == oracle_apply_patterns(parses, rules) == []
+    assert apply_patterns(parses, rules, []) == oracle_apply_patterns(parses, rules) == []
 
 
 def _literal_words(atoms):
     for atom in atoms:
-        if isinstance(atom, Literal):
-            yield atom.text
-        elif isinstance(atom, OptionalGroup):
-            yield from _literal_words(atom.atoms)
+        if isinstance(atom, str):
+            yield atom
+        elif isinstance(atom, tuple):
+            yield from _literal_words(atom)
 
 
 @lru_cache(maxsize=1)
@@ -332,11 +409,11 @@ def test_filtered_patterns_equal_the_unfiltered_oracle(data_root, lexicons, rule
     ends = data.draw(st.sampled_from([".", "", ". The", "! Later"]))
     text = " ".join(case(w) for w, case in words) + ends
     parses = analyze(text, lexicons)
-    assert apply_patterns(parses, rules) == oracle_apply_patterns(parses, rules)
+    assert apply_patterns(parses, rules, []) == oracle_apply_patterns(parses, rules)
 
 
 def _events(rule, text, lexicons):
-    return [f.event for f in apply_patterns(analyze(text, lexicons), compile_rules(rule))]
+    return [f.event for f in apply_patterns(analyze(text, lexicons), compile_rules(rule), [])]
 
 
 NESTED_LOCATION = ("storm hit ?Location:l => <Weather><AtLocation><Country>?l</Country>"
@@ -393,7 +470,7 @@ def _fill(rule, text, reading):
     rule, = compile_rules(rule)
     mention = EntityMention(0, 0, (reading,))
     parse = SentenceParse(0, len(text), (Token(text, 0, len(text), Pos.PROPN),), (mention,))
-    fragment = _instantiate(rule, {var: mention for var in rule.slots}, parse, 0)
+    fragment = _instantiate(rule, {var: mention for var in rule.slots}, parse, 0, [])
     return None if fragment is None else fragment.event
 
 
@@ -492,14 +569,14 @@ def test_same_rule_can_fire_twice_per_sentence(lexicons):
     rules = compile_rules(INJURED_RULE)
     parses = analyze("Lionel Jospin was injured and Jacques Chirac was injured.",
                      lexicons)
-    fragments = apply_patterns(parses, rules)
+    fragments = apply_patterns(parses, rules, [])
     assert len(fragments) == 2
 
 
 def test_slot_binding_records_resolved_ids(lexicons):
     rules = compile_rules(INJURED_RULE)
     parses = analyze("Al Khartum was injured.", lexicons)
-    fragment = apply_patterns(parses, rules)[0]
+    fragment = apply_patterns(parses, rules, [])[0]
     assert fragment.bindings["Person"].startswith("PERSON")
     assert fragment.sentence_index == 0
 
@@ -511,17 +588,23 @@ def test_rule_order_determinism_among_equal_priority(lexicons):
     swapped = ("?Number:n people died => <InjuryFatality><InjuredCount>?n</InjuredCount></InjuryFatality>\n\n"
                "?Number:n people died => <InjuryFatality><KilledCount>?n</KilledCount></InjuryFatality>\n")
     parses = analyze("Four people died.", lexicons)
-    events_a = merge_fragments(apply_patterns(parses, compile_rules(first))).events
-    events_b = merge_fragments(apply_patterns(parses, compile_rules(swapped))).events
+    events_a, _ = merge(apply_patterns(parses, compile_rules(first), []))
+    events_b, _ = merge(apply_patterns(parses, compile_rules(swapped), []))
     # both rules fire either way; merge keeps both fields; outputs equal
     assert events_a == events_b
     # a higher-priority rule beats both orders identically
     prioritized = first + "\nexactly four people died => <InjuryFatality><KilledCount>4</KilledCount></InjuryFatality>\n"
-    events_c = merge_fragments(apply_patterns(parses, compile_rules(prioritized))).events
+    events_c, _ = merge(apply_patterns(parses, compile_rules(prioritized), []))
     assert events_c[0].killed_count == 4
 
 
 # ---- merging -------------------------------------------------------------------
+
+def merge(fragments):
+    """The events ``merge_fragments`` builds, and its warnings."""
+    drafts, warnings = merge_fragments(fragments)
+    return [draft.event for draft in drafts], warnings
+
 
 def frag(event, sentence=0, rule_id="rT"):
     return Fragment(event=event, bindings={}, sentence_index=sentence,
@@ -529,32 +612,32 @@ def frag(event, sentence=0, rule_id="rT"):
 
 
 def test_disjoint_fields_union():
-    outcome = merge_fragments([
+    events, warnings = merge([
         frag(InjuryFatality(cause="Earthquake"), 0),
         frag(InjuryFatality(killed_count=143), 1),
     ])
-    assert outcome.events == [InjuryFatality(cause="Earthquake", killed_count=143)]
-    assert outcome.warnings == []
+    assert events == [InjuryFatality(cause="Earthquake", killed_count=143)]
+    assert warnings == []
 
 
 def test_conflicting_values_keep_earliest_and_warn():
-    outcome = merge_fragments([
+    events, warnings = merge([
         frag(InjuryFatality(killed_count=143), 0),
         frag(InjuryFatality(killed_count=150), 1),
     ])
-    assert outcome.events == [InjuryFatality(killed_count=143)]
-    assert len(outcome.warnings) == 1
-    assert "143" in outcome.warnings[0].detail
+    assert events == [InjuryFatality(killed_count=143)]
+    assert len(warnings) == 1
+    assert "143" in warnings[0].detail
 
 
 def test_merge_conflicts_print_measures_and_money_as_document_tokens():
-    outcome = merge_fragments([
+    _, warnings = merge([
         frag(Weather(wind_speed=model.Measure(Decimal("140"), "mph")), 0),
         frag(Weather(wind_speed=model.Measure(Decimal("150"), "mph")), 1),
         frag(Deal(deal_value=Money(Decimal("2.50"), "USD")), 0),
         frag(Deal(deal_value=Money(Decimal("3"), "USD")), 1),
     ])
-    assert [w.detail for w in outcome.warnings] == [
+    assert [w.detail for w in warnings] == [
         "Weather/WindSpeed: kept 140 mph from an earlier sentence, ignored 150 mph",
         "Deal/DealValue: kept USD:2.50 from an earlier sentence, ignored USD:3",
     ]
@@ -562,33 +645,32 @@ def test_merge_conflicts_print_measures_and_money_as_document_tokens():
 
 def test_a_later_fragment_filling_an_empty_field_brings_its_alternatives():
     sony = Organization(full_name="Sony")
-    outcome = merge_fragments([
+    (draft,), _ = merge_fragments([
         frag(Weather(meteor="Hurricane"), 0),
         Fragment(event=Weather(issuer=sony), bindings={}, sentence_index=1, rule_id="rT",
                  alternatives={"issuer": (Person(family="Sony"),)}),
     ])
-    draft, = outcome.drafts
     assert draft.event == Weather(meteor="Hurricane", issuer=sony)
     assert draft.alternatives == {"issuer": (Person(family="Sony"),)}
 
 
 def test_distinct_variants_never_merge():
-    outcome = merge_fragments([
+    events, _ = merge([
         frag(InjuryFatality(cause="Fire")),
         frag(Weather(meteor="Hurricane")),
     ])
-    assert len(outcome.events) == 2
+    assert len(events) == 2
 
 
 def test_list_fields_append_unique():
     ann = Person(given="Ann")
     bo = Person(given="Bo")
-    outcome = merge_fragments([
+    (event,), _ = merge([
         frag(InjuryFatality(injured=(ann,))),
         frag(InjuryFatality(injured=(bo,))),
         frag(InjuryFatality(injured=(ann,))),
     ])
-    assert outcome.events[0].injured == (ann, bo)
+    assert event.injured == (ann, bo)
 
 
 # ---- commonsense ------------------------------------------------------------------
@@ -909,11 +991,11 @@ def test_overlapping_rules_both_fire(lexicons):
         "killing ?Number:n people => <InjuryFatality><KilledCount>?n</KilledCount></InjuryFatality>\n\n"
         "killing ?Number:n => <InjuryFatality><CauseEvent>violence</CauseEvent></InjuryFatality>\n")
     parses = analyze("Floods swept the valley, killing 12 people.", lexicons)
-    fragments = apply_patterns(parses, compile_rules(source))
+    fragments = apply_patterns(parses, compile_rules(source), [])
     assert len(fragments) == 2
-    merged = merge_fragments(fragments)
-    assert merged.events[0].killed_count == 12
-    assert merged.events[0].cause_event == "violence"
+    (event,), _ = merge(fragments)
+    assert event.killed_count == 12
+    assert event.cause_event == "violence"
 
 
 def test_weather_story_end_to_end(lexicons, rules, kb):

@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import dataclasses
 import hashlib
 import random
 import re
@@ -740,3 +741,97 @@ def test_every_document_validate_accepts_round_trips(seed, text):
         doc = NewsForm(head=generated.head, events=generated.events + (slot(text),))
         if model.validate(doc).ok:
             assert parse_newsform(serialize_newsform(doc)) == doc
+
+
+@pytest.mark.parametrize("event, read", [
+    (InjuryFatality(injured=None, killed_count=3), InjuryFatality(killed_count=3)),
+    (InjuryFatality(injured=Person(given="A")), InjuryFatality(injured=(Person(given="A"),))),
+    (InjuryFatality(injured=[Person(given="A")]), InjuryFatality(injured=(Person(given="A"),))),
+])
+def test_a_list_field_holds_a_tuple_whatever_it_was_given(event, read):
+    assert event == read
+    doc = NewsForm(events=(event,))
+    assert parse_newsform(serialize_newsform(doc)) == doc
+
+
+@pytest.mark.parametrize("events", [None, "InjuryFatality", InjuryFatality(), 3])
+def test_events_that_are_not_a_tuple_are_one_type_finding(events):
+    doc = NewsForm(events=events)
+    assert [(f.path, f.code) for f in model.validate(doc).errors] == [("Events", "type")]
+    with pytest.raises(SerializeError):
+        serialize_newsform(doc)
+
+
+# Wrong-shaped values: any of these in any slot of a generated document,
+# the head, the events and each list item included
+_WRONG = (None, "x", 7, True, 1.5, Person(given="A"), Organization(full_name="B"),
+          model.Location(city="C"), Money(Decimal(5), "USD"),
+          model.Measure(Decimal(5), "mph"), Head(), InjuryFatality(killed_count=1))
+
+
+def _fields(record) -> tuple:
+    """(attribute, whether it holds a tuple) of each field of a record or a document."""
+    if isinstance(record, NewsForm):
+        return ("head", False), ("events", True)
+    return tuple((spec.attr, spec.is_list) for spec in model.specs_for(type(record)))
+
+
+def _slots(record, prefix=()):
+    """The path of every slot below ``record``: (attribute, item index or None) pairs."""
+    for attr, is_list in _fields(record):
+        value = getattr(record, attr)
+        yield prefix + ((attr, None),)
+        for index, item in enumerate(value) if is_list else ((None, value),):
+            path = prefix + ((attr, index),)
+            if index is not None:
+                yield path
+            if type(item) in model.CHILD_SPECS:
+                yield from _slots(item, path)
+
+
+def _get(record, path):
+    for attr, index in path:
+        record = getattr(record, attr)
+        if index is not None:
+            record = record[index]
+    return record
+
+
+def _put(record, path, value):
+    """``record`` with ``value`` at ``path``, every record on the way rebuilt."""
+    (attr, index), rest = path[0], path[1:]
+    current = getattr(record, attr)
+    if index is None:
+        new = _put(current, rest, value) if rest else value
+    else:
+        item = _put(current[index], rest, value) if rest else value
+        new = current[:index] + (item,) + current[index + 1:]
+    return dataclasses.replace(record, **{attr: new})
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.data())
+def test_a_wrong_shaped_value_in_any_slot_is_a_finding_or_round_trips(seed, data):
+    generated = DocGenerator(seed).document()
+    path = data.draw(st.sampled_from(list(_slots(generated))))
+    current = _get(generated, path)
+    lone = current[0] if isinstance(current, tuple) and current else current
+    # besides _WRONG: a list where a scalar goes, a scalar where a list goes
+    # and a tuple holding None
+    wrong = data.draw(st.sampled_from(_WRONG + ([lone], [7], lone, (None,), (lone, None))))
+    try:
+        doc = _put(generated, path, wrong)
+    except TypeError as exc:   # a Money amount is never a float, not even in memory
+        assert "not float" in str(exc)
+        return
+    report = model.validate(doc)
+    try:
+        text = serialize_newsform(doc)
+    except SerializeError:
+        assert not report.ok
+        return
+    assert report.ok
+    read = parse_newsform(text)
+    assert read == doc
+    assert serialize_newsform(read) == text
+
