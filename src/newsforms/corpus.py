@@ -4,10 +4,15 @@ A corpus is a directory of ``*.newsform.xml`` files. ``corpus_paths``
 lists them as ``str`` paths, the directory joined to each name, which the
 reader opens and ``IndexedDoc.path`` and the ``skipped`` lines carry as
 they are; no Path object is built per file. The index holds the
-documents that read without an error or a finding; the reader checks each
-document as it parses it, so indexing walks a document once. Given an
-event type, the index keeps only the documents holding an event of that
-type, the only ones a query, stats or geo request over it reads. Its
+documents that read without an error or a finding; the reader
+(``xmlcodec.read_newsforms``) checks each document as it parses it, so
+indexing walks a document once. It parses up to 64 files at a time as one
+wrapped XML document, and reads alone a file that could change such a
+batch's outcome (see ``xmlcodec``), so every kept document and ``skipped``
+line is what reading each file alone gives. Each document is handed over
+as it is walked: given an event type, the index keeps only the documents
+holding an event of that type, the only ones a query, stats or geo
+request over it reads, and drops the others at once. Its
 inverted map from (event type, field path, value token) to document ids
 is built only when something reads it.
 Each command builds the index once and runs one query, so queries scan
@@ -57,7 +62,7 @@ from typing import Iterable, Optional
 from . import model, shards
 from .model import FieldKind, FieldSpec, Measure, Money, NewsForm, value_class
 from .vocab import Sentiment
-from .xmlcodec import FILE_EXTENSION, read_newsform
+from .xmlcodec import FILE_EXTENSION, read_newsforms
 
 _MONEY_LITERAL_RE = re.compile(r"^([A-Z]{3}):(-?[0-9]+(?:\.[0-9]+)?)$")
 
@@ -183,13 +188,10 @@ def _read_shard(paths: list, start: int, stop: int, cls: Optional[type]):
     """The kept documents and the diagnostics of ``paths[start:stop]``."""
     docs: list[IndexedDoc] = []
     diagnostics: list[str] = []
-    for n in range(start, stop):
+    for n, (form, findings) in enumerate(read_newsforms(paths[start:stop]), start):
         path = paths[n]
-        findings: list[model.Finding] = []
-        try:
-            form = read_newsform(path, findings)
-        except (OSError, ValueError) as exc:
-            diagnostics.append(f"skipped\t{path}\t{exc}")
+        if form.__class__ is not NewsForm:   # the error that reading the file raised
+            diagnostics.append(f"skipped\t{path}\t{form}")
             continue
         if findings:
             first = findings[0]

@@ -219,6 +219,10 @@ def _compile_record(rule_id: str, cls: type, elem: ET.Element, slots) -> Templat
         if not spec.is_list and any(seen is spec for seen, _ in parts):
             raise RuleError(rule_id, f"<{child.tag}> may appear at most once")
         parts.append((spec, _compile_value(rule_id, spec, child, slots)))
+    for spec in model.specs_for(cls):
+        if spec.required and not any(seen is spec for seen, _ in parts):
+            raise RuleError(rule_id, f"<{elem.tag}> needs <{spec.element}>, "
+                                     "a constant or a slot")
     return Template(cls, tuple(parts))
 
 

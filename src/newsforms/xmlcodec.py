@@ -14,7 +14,17 @@ and a known member needs no check. So ``parse_newsform`` reports the
 findings ``model.validate`` would, in its order. An unknown vocabulary
 token is kept verbatim, as the subject of its finding. A child's paths are
 built only where an error is raised, a finding is appended or a record
-child is read.
+child is read. Text around a child is checked as the child is read; on an
+error the whole record's text is checked first, so stray text is reported
+before any later error, as a check ahead of the walk would report it.
+
+``read_newsforms``, the corpus reader, reads many files with the outcome
+``parse_newsform`` gives each alone. It parses runs of them as one wrapped
+XML document and walks each root in turn; a file joins a run only if,
+stripped of XML whitespace (not ``str.strip``'s wider set), it starts
+with ``<NewsForm`` and ends with ``</NewsForm>``, is UTF-8 and holds no
+wrapper tag bytes. A run whose parse fails, or that does not hold one
+wrapper per file around one element each, is read a file at a time.
 
 Output is canonical and byte-deterministic: UTF-8, no XML declaration, no
 attributes, 2-space indentation, children in each type's fixed order.
@@ -27,10 +37,11 @@ explicitly; everything else is inline.
 
 from __future__ import annotations
 
+import os
 import re
 import xml.etree.ElementTree as ET
 from decimal import Decimal
-from typing import Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from . import model
 from .model import (
@@ -127,32 +138,46 @@ def parse_newsform(text: Union[str, bytes], findings: Optional[list] = None) -> 
     except ET.ParseError as exc:
         line, column = exc.position
         raise XmlSyntaxError(exc.msg.split(":")[0], line, column) from None
+    return _read_document(root, [] if findings is None else findings)
+
+
+_NO_HEAD = Head()   # frozen, so every headless document shares it
+
+
+def _read_document(root: ET.Element, found: list) -> NewsForm:
     if root.tag != "NewsForm":
         raise SchemaError("", f"root element must be NewsForm, not {root.tag}")
     _reject_attributes(root, "NewsForm")
-    _reject_text(root, "NewsForm")
+    text = root.text
+    if text and not text.isspace():
+        raise SchemaError("NewsForm", "unexpected text content")
 
     # validate reports the Head first; its one field, a timestamp, has no
     # value check, so the Head's place in the input does not matter
-    found = [] if findings is None else findings
     head = None
     events = []
-    tags = [child.tag for child in root]
-    several = len(tags) - tags.count("Head") > 1
-    for child in root:
-        tag = child.tag
-        if tag == "Head":
-            if head is not None:
-                raise SchemaError("Head", "duplicate Head element")
-            head = _read_record(Head, child, "Head", "Head", found)
-        elif tag in model.EVENT_TYPES:
-            path = f"{tag}[{len(events) + 1}]" if several else tag
-            event = _read_record(model.EVENT_TYPES[tag], child, path, path, found)
-            model.check_event_rules(found, path, event)
-            events.append(event)
-        else:
-            raise SchemaError(tag, f"unknown element <{tag}>")
-    return model.build_record(NewsForm, {"head": head or Head(), "events": tuple(events)})
+    several = len(root) - len(root.findall("Head")) > 1
+    try:
+        for child in root:
+            tail = child.tail
+            if tail and not tail.isspace():
+                raise SchemaError("NewsForm", "unexpected text content")
+            tag = child.tag
+            if tag == "Head":
+                if head is not None:
+                    raise SchemaError("Head", "duplicate Head element")
+                head = _read_record(Head, child, "Head", "Head", found)
+            elif tag in model.EVENT_TYPES:
+                path = f"{tag}[{len(events) + 1}]" if several else tag
+                event = _read_record(model.EVENT_TYPES[tag], child, path, path, found)
+                model.check_event_rules(found, path, event)
+                events.append(event)
+            else:
+                raise SchemaError(tag, f"unknown element <{tag}>")
+    except ValueError:
+        _reject_text(root, "NewsForm")   # stray text wins over a later error
+        raise
+    return model.build_record(NewsForm, {"head": head or _NO_HEAD, "events": tuple(events)})
 
 
 def _decode(data: bytes) -> str:
@@ -166,9 +191,103 @@ def _decode(data: bytes) -> str:
                              len(lines), len(lines[-1])) from None
 
 
-def read_newsform(path, findings: Optional[list] = None) -> NewsForm:
-    with open(path, "rb", buffering=0) as fh:   # one read: no buffer to fill
-        return parse_newsform(fh.read(), findings)
+# The corpus reader parses up to this many files as one XML document,
+# ``<_><_>file</_><_>file</_>…</_>``. An ``ET.fromstring`` call costs about
+# 5 µs before it reads a byte: a generated document of some 430 bytes
+# parses in 17 µs alone and in 10 µs inside a batch of 64 (Python 3.11,
+# one CPU of a 2-CPU host).
+_BATCH_SIZE = 64
+_XML_SPACE = b" \t\r\n"   # what XML takes for whitespace; bytes.strip() takes more
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)   # Windows translates newlines without it
+
+
+def read_newsforms(paths: Sequence) -> Iterator[tuple]:
+    """One ``(form, findings)`` per path, in order, each as
+    ``parse_newsform`` gives it the file's bytes; for a file that cannot be
+    read or parsed, ``form`` is the OSError or ValueError raised and
+    ``findings`` is empty.
+
+    Runs of up to ``_BATCH_SIZE`` files are parsed in one wrapped
+    document when each file can join it (``_joins_batch``), and each
+    document is walked as it is yielded. A batch that does not parse, or
+    does not hold exactly one wrapper per file, each with exactly one
+    element child, is read a file at a time, so every outcome and message
+    is the single file's."""
+    for first in range(0, len(paths), _BATCH_SIZE):
+        files = []   # each file's bytes, or the OSError raised reading it
+        for path in paths[first:first + _BATCH_SIZE]:
+            try:
+                files.append(_read_bytes(path))
+            except OSError as exc:
+                files.append(exc)
+        for data, root in zip(files, _batch_roots(files)):
+            if data.__class__ is not bytes:
+                yield data, []
+                continue
+            found: list = []
+            try:
+                form = parse_newsform(data, found) if root is None \
+                    else _read_document(root, found)
+            except ValueError as exc:
+                yield exc, []
+                continue
+            yield form, found
+
+
+def _read_bytes(path) -> bytes:
+    """A file's bytes, in fewer system calls than ``open(...).read()``,
+    with the error that call raises."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = []
+        while True:
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+    except OSError as exc:   # a directory opens, but does not read
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+
+
+def _joins_batch(data: bytes) -> bool:
+    """Whether a file can be parsed inside a batch with the outcome it has
+    alone: UTF-8 text that, stripped of XML whitespace, starts with
+    ``<NewsForm`` and ends with ``</NewsForm>``, and holds no wrapper tag
+    bytes. Then nothing can stand before or after its root unseen, no file
+    can open or close a wrapper, and a comment, CDATA section or element
+    left open across files swallows a wrapper or breaks the parse. A
+    truncated file fails the end test, so it does not break its batch."""
+    body = data.strip(_XML_SPACE)
+    if not body.startswith(b"<NewsForm") or not body.endswith(b"</NewsForm>") \
+            or b"<_" in body or b"</_" in body:
+        return False
+    if not body.isascii():
+        try:
+            body.decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+    return True
+
+
+def _batch_roots(files: list) -> list:
+    """Each file's document root from one batch parse of the files that
+    can join it, or None for a file to parse alone."""
+    roots = [None] * len(files)
+    joining = [n for n, data in enumerate(files)
+               if data.__class__ is bytes and _joins_batch(data)]
+    if not joining:
+        return roots
+    try:
+        batch = ET.fromstring(b"<_><_>" + b"</_><_>".join([files[n] for n in joining])
+                              + b"</_></_>")
+    except ET.ParseError:
+        return roots
+    if len(batch) == len(joining) and all(len(wrapper) == 1 for wrapper in batch):
+        for n, wrapper in zip(joining, batch):
+            roots[n] = wrapper[0]
+    return roots
 
 
 def _reject_attributes(elem: ET.Element, path: str):
@@ -224,21 +343,34 @@ def _join(path: str, tag: str) -> str:
 
 def _read_record(cls: type, elem: ET.Element, path: str, fpath: str, found: list):
     _reject_attributes(elem, path)
-    _reject_text(elem, path)
-    values = _read_fields(_FIELDS[cls], elem, path, fpath, found)
+    text = elem.text
+    if text and not text.isspace():
+        raise SchemaError(path, "unexpected text content")
+    try:
+        values = _read_fields(_FIELDS[cls], elem, path, fpath, found, tails=True)
+    except ValueError:
+        _reject_text(elem, path)   # stray text wins over a later error
+        raise
     if cls is Money and len(values) < 2:
         raise SchemaError(path, "money needs both <Amount> and <Currency>")
-    return model.build_record(cls, values)
+    record = object.__new__(cls)   # model.build_record, inline
+    record.__dict__.update(values)
+    return record
 
 
-def _read_fields(fields: dict, children, path: str, fpath: str, found: list) -> dict:
+def _read_fields(fields: dict, children, path: str, fpath: str, found: list,
+                 tails: bool = False) -> dict:
     """The field values of ``children``, read through ``fields``, a
     record class's table; the record's findings go to ``found`` in spec
-    order."""
+    order. With ``tails``, text after a child is an error at ``path``."""
     values: dict[str, object] = {}
     lists = None     # list field -> whether it has several items
     runs = None      # (spec rank, first finding) of each child that found any
     for child in children:
+        if tails:
+            tail = child.tail
+            if tail and not tail.isspace():
+                raise SchemaError(path, "unexpected text content")
         tag = child.tag
         entry = fields.get(tag)
         if entry is None:

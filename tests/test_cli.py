@@ -111,6 +111,17 @@ def test_rule_file_that_does_not_compile_is_exit_3(capsys, intro_file, tmp_path)
     assert (code, out, err) == (3, "", "error: r001: unbalanced '['\n")
 
 
+def test_a_record_template_short_of_a_required_field_is_exit_3(capsys, tmp_path):
+    (tmp_path / "deal.rules").write_text(
+        "deal worth ?Number:n closed => <Deal><DealValue><Amount>?n</Amount></DealValue></Deal>\n",
+        encoding="utf-8")
+    story = tmp_path / "story.txt"
+    story.write_text("The deal worth 5 closed.\n", encoding="utf-8")
+    code, out, err = run(capsys, "--rules", tmp_path, "extract", "--review", story)
+    assert (code, out, err) == (
+        3, "", "error: r001: <DealValue> needs <Currency>, a constant or a slot\n")
+
+
 @pytest.mark.parametrize("text, sales", [
     ("The sales rose sharply.", None),
     ("The sales of 5 rose.", "<Sales><Amount>5</Amount><Currency>USD</Currency></Sales>"),

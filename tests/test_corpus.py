@@ -19,9 +19,9 @@ from pathlib import Path
 from typing import Callable
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from newsforms import cli, corpus, model, rules, shards
+from newsforms import cli, corpus, model, rules, shards, xmlcodec
 from newsforms.model import FieldKind, Money, NewsForm
 from newsforms.corpus import (
     Bucket,
@@ -33,9 +33,9 @@ from newsforms.corpus import (
     query,
     stats,
 )
-from newsforms.xmlcodec import serialize_newsform
+from newsforms.xmlcodec import parse_newsform, serialize_newsform
 
-from conftest import STORY_TEXTS, fixture_documents, schema_paths
+from conftest import STORY_TEXTS, DocGenerator, fixture_documents, schema_paths
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +250,56 @@ _FILE_CONTENTS = {
     "unknown": "<NewsForm><Head/><Mystery/></NewsForm>\n",
     "non-utf8": "<NewsForm><Head/></NewsForm>\xe9".encode("latin-1"),
 }
+
+# Files built to forge a batch of the batched corpus read, or to break one:
+# each must come out as it does when read alone.
+_FORGING = {
+    "open comment": "<NewsForm><Head/><!-- </NewsForm>",
+    "comment end": "<NewsForm>--></NewsForm>",
+    "open CDATA": "<NewsForm><Head/><![CDATA[</NewsForm>",
+    "CDATA end": "<NewsForm>]]></NewsForm>",
+    "open instruction": "<NewsForm><Head/><?pi </NewsForm>",
+    "instruction end": "<NewsForm>?></NewsForm>",
+    "stray closing tag": "<NewsForm></Head></NewsForm>",
+    "wrapper bytes": "<NewsForm><Head/></NewsForm></_><_><NewsForm><Head/></NewsForm>",
+    "wrapper element": "<NewsForm><Head/><_/></NewsForm>",
+    "empty": "",
+    "two roots": "<NewsForm><Head/></NewsForm><NewsForm><Head/></NewsForm>",
+    "text between roots": "<NewsForm/>x<NewsForm></NewsForm>",
+    "text after the root": "<NewsForm><Head/></NewsForm>x",
+    "comment after the root": "<NewsForm><Head/></NewsForm><!-- c --></NewsForm>",
+    "stray text first": "<NewsForm><Head/><Trip><Mystery/> x </Trip></NewsForm>",
+    "headless": "<NewsForm><Trip><VisitorCount>3</VisitorCount></Trip></NewsForm>",
+    "leading reference": "&#32;<NewsForm><Head/></NewsForm>",
+    "leading U+0085": "\u0085<NewsForm><Head/></NewsForm>",
+    "leading U+2028": "\u2028<NewsForm><Head/></NewsForm>",
+    "XML whitespace": " \t\r\n<NewsForm><Head/></NewsForm>\n\t",
+    "declaration": '<?xml version="1.0" encoding="UTF-8"?>\n<NewsForm><Head/></NewsForm>',
+    "byte-order mark": "\ufeff<NewsForm><Head/></NewsForm>",
+    "DOCTYPE": '<!DOCTYPE NewsForm [<!ENTITY x "y">]><NewsForm><Head/></NewsForm>',
+    "non-UTF-8 inside": "<NewsForm><Head/>\xe9</NewsForm>".encode("latin-1"),
+    "truncated": _FIXTURE_TEXTS[1][:len(_FIXTURE_TEXTS[1]) * 2 // 3],
+}
 _FILE_KIND = st.one_of(st.sampled_from(range(len(_FIXTURE_TEXTS))),
                        st.sampled_from(sorted(_FILE_CONTENTS) + ["missing"]))
 
 
 def _write_corpus(directory, kinds):
-    """One file per kind: a fixture document by number, or a bad file."""
+    """One file per kind: a fixture document by number, a document
+    generated from a seed, a bad or forging file, or a directory named
+    like a document."""
     paths = []
     for n, kind in enumerate(kinds):
         path = directory / f"f{n:03d}.newsform.xml"
-        content = _FIXTURE_TEXTS[kind] if isinstance(kind, int) else _FILE_CONTENTS.get(kind)
-        if isinstance(content, str):
+        if isinstance(kind, int):
+            content = _FIXTURE_TEXTS[kind]
+        elif isinstance(kind, tuple):
+            content = serialize_newsform(DocGenerator(kind[1]).document())
+        else:
+            content = _FILE_CONTENTS.get(kind, _FORGING.get(kind))
+        if kind == "directory":
+            path.mkdir()
+        elif isinstance(content, str):
             path.write_text(content, encoding="utf-8")
         elif content is not None:
             path.write_bytes(content)
@@ -292,14 +331,15 @@ def sharded(monkeypatch):
 class _Caller:
     """A user of the runner, over inputs written for one test."""
     name: str
-    item: tuple      # (module, attribute) of the call a shard makes per item
-    last: object     # that call's first argument for the last item
+    item: tuple      # (module, attribute) of the call a shard makes per file or story
+    last: object     # that call's first argument for the last shard's last call
     run: Callable    # one call, its outcome as data to compare
 
 
 def _callers(directory, kinds):
-    """The corpus read over files of ``kinds``, and extraction with
-    ``--review`` over one story per kind."""
+    """The corpus read over files of ``kinds``, whose shards each read
+    their files in one call, and extraction with ``--review`` over one
+    story per kind."""
     paths = _write_corpus(directory, kinds)
     texts = [STORY_TEXTS[n % len(STORY_TEXTS)] + " " * n for n in range(len(kinds))]
     stories = []
@@ -316,7 +356,8 @@ def _callers(directory, kinds):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["extract", "--review", *map(str, stories)])
         return code, out.getvalue(), err.getvalue()
-    return [_Caller("corpus", (corpus, "read_newsform"), paths[-1], index),
+    last_shard = shards.shard_bounds(len(paths), corpus.SHARD_MIN_FILES)[-1]
+    return [_Caller("corpus", (corpus, "read_newsforms"), paths[slice(*last_shard)], index),
             _Caller("extract", (rules, "extract"), texts[-1], extract)]
 
 
@@ -343,6 +384,49 @@ def test_sharded_index_equals_the_one_shard_index(kinds, cpus, variant):
         assert shards.shard_count(len(paths), corpus.SHARD_MIN_FILES) == \
             max(1, min(cpus, len(paths)))
         _same_index(build_index(paths, variant), want)
+
+
+_BATCH_FILE = st.one_of(_FILE_KIND, st.sampled_from(sorted(_FORGING) + ["directory"]),
+                        st.integers(0, 10 ** 6).map(lambda seed: ("generated", seed)))
+
+
+def _file_by_file_index(paths, variant):
+    """Ids, paths, forms and ``skipped`` lines of each file read alone
+    with ``parse_newsform``."""
+    cls = model.EVENT_TYPES.get(variant)
+    docs, diagnostics = [], []
+    for n, path in enumerate(paths):
+        found = []
+        try:
+            with open(path, "rb") as fh:
+                form = parse_newsform(fh.read(), found)
+        except (OSError, ValueError) as exc:
+            diagnostics.append(f"skipped\t{path}\t{exc}")
+            continue
+        if found:
+            diagnostics.append(f"skipped\t{path}\tinvalid: {found[0].path}: {found[0].message}")
+        elif cls is None or any(isinstance(event, cls) for event in form.events):
+            docs.append((f"d{n + 1:04d}", str(path), form))
+    return docs, diagnostics
+
+
+@needs_fork
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(_BATCH_FILE, max_size=14), cpus=st.integers(2, 4),
+       batch=st.sampled_from([2, 3, 64]),
+       variant=st.one_of(st.none(), st.sampled_from(sorted(model.EVENT_TYPES))))
+# a comment left open swallows one wrapper, and the wrapper bytes add one
+@example(kinds=["open comment", "comment end", "wrapper bytes"], cpus=2, batch=64, variant=None)
+def test_the_batched_read_equals_the_file_by_file_read(kinds, cpus, batch, variant):
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        paths = _write_corpus(Path(directory), kinds)
+        want = _file_by_file_index(paths, variant)
+        patch.setattr(xmlcodec, "_BATCH_SIZE", batch)
+        for shard_min, usable in ((corpus.SHARD_MIN_FILES, 1), (1, cpus)):
+            patch.setattr(corpus, "SHARD_MIN_FILES", shard_min)
+            patch.setattr(shards, "_usable_cpus", lambda usable=usable: usable)
+            got = build_index(paths, variant)
+            assert ([(d.doc_id, d.path, d.form) for d in got.docs], got.diagnostics) == want
 
 
 def test_variant_keeps_the_documents_with_that_event_under_their_ids(corpus_dir):

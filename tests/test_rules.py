@@ -160,6 +160,10 @@ _KILLED = "<InjuryFatality><KilledCount>1</KilledCount></InjuryFatality>"
     ("quake => <Head><DatelineTime>19990125T181917Z</DatelineTime></Head>",
      "<Head> is not an event element"),
     ("quake => <InjuryFatality> </InjuryFatality>", "template sets no fields"),
+    ("deal worth ?Number:n closed => <Deal><DealValue><Amount>?n</Amount></DealValue></Deal>",
+     "<DealValue> needs <Currency>, a constant or a slot"),
+    ("deal in ?Money:m closed => <Deal><DealValue><Currency>?m</Currency></DealValue></Deal>",
+     "<DealValue> needs <Amount>, a constant or a slot"),
 ])
 def test_rule_compile_errors_name_the_rule(rule, message):
     # a good rule first: the error names the second
